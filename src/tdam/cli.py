@@ -14,16 +14,18 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, bags, explain, netlink, survival, survstats, trainer
 from .errors import ConvergenceError, DataError, GradError, TdamError, UndefinedError
-from .model import ModelConfig, config_from_dict, load_checkpoint
+from .model import ABLATIONS, ModelConfig, config_from_dict, load_checkpoint
 
 STATS_SUBS = ("km", "logrank", "cox", "timeroc", "rmst", "boot", "calib", "dca", "nomogram")
+# score-file flags each statistic cannot run without
+STATS_NEEDS = {"logrank": ("risks",), "timeroc": ("risks",), "rmst": ("risks",),
+               "boot": ("risks", "risks_b"), "calib": ("pred",), "dca": ("pred",)}
 
 
 # -- config plumbing -----------------------------------------------------------
@@ -106,7 +108,13 @@ def read_score_csv(path: str) -> dict[str, float]:
     if len(header) > 1 and "risk" in header:
         val_col = header.index("risk")
     for row in rows[1:]:
-        scores[row[pid_col]] = float(row[val_col])
+        try:
+            score = float(row[val_col])
+        except ValueError:
+            score = np.nan
+        if not np.isfinite(score):
+            raise DataError(f"{path}: patient {row[pid_col]} has score {row[val_col]!r}, not a finite number")
+        scores[row[pid_col]] = score
     return scores
 
 
@@ -235,7 +243,7 @@ def cmd_erf(args, opts, seed, chash) -> int:
     params, _, _ = load_checkpoint(args.checkpoint)
     cfg = None
     if args.ablation != "full":
-        cfg = ModelConfig(**{**asdict(params.config), "ablation": args.ablation})
+        cfg = params.config.with_ablation(args.ablation)
     bag = bags.load_bag(args.bag) if args.bag else None
     erf = explain.erf_map(bag, params, cfg, side=args.side, seed=seed)
     out = Path(args.out)
@@ -249,23 +257,22 @@ def cmd_erf(args, opts, seed, chash) -> int:
     return 0
 
 
-def _risk_groups(cohort, scores):
-    aligned = _aligned_scores(cohort, scores)
-    labels = survstats.median_stratify(aligned)
-    times, events = cohort.times(), cohort.events()
-    hi = labels == "high"
-    return aligned, times, events, hi
+def _high_risk(cohort, scores) -> np.ndarray:
+    return survstats.median_stratify(_aligned_scores(cohort, scores)) == "high"
 
 
 def cmd_stats(args, opts, seed, chash) -> int:
+    sub = args.stat
+    missing = [f"--{flag.replace('_', '-')}" for flag in STATS_NEEDS.get(sub, ()) if getattr(args, flag) is None]
+    if missing:
+        raise DataError(f"stats {sub} needs {' and '.join(missing)}")
     out = Path(args.out)
     cohort = bags.load_cohort_manifest(args.cohort)
     times, events = cohort.times(), cohort.events()
-    sub = args.stat
 
     if sub == "km":
         if args.risks:
-            _, _, _, hi = _risk_groups(cohort, read_score_csv(args.risks))
+            hi = _high_risk(cohort, read_score_csv(args.risks))
             groups = [("high", times[hi], events[hi]), ("low", times[~hi], events[~hi])]
         else:
             groups = [("all", times, events)]
@@ -278,7 +285,7 @@ def cmd_stats(args, opts, seed, chash) -> int:
         write_csv(out / "km.csv", ["group", "time", "surv", "at_risk", "events", "greenwood_var"],
                   rows, seed, chash)
     elif sub == "logrank":
-        _, _, _, hi = _risk_groups(cohort, read_score_csv(args.risks))
+        hi = _high_risk(cohort, read_score_csv(args.risks))
         chi2, p = survstats.logrank_test([(times[hi], events[hi]), (times[~hi], events[~hi])])
         write_json(out / "logrank.json", {"chi2": chi2, "p": p}, seed, chash)
     elif sub == "cox":
@@ -307,7 +314,7 @@ def cmd_stats(args, opts, seed, chash) -> int:
                 rows.append([repr(h), "", str(exc)])
         write_csv(out / "timeroc.csv", ["horizon", "auc", "note"], rows, seed, chash)
     elif sub == "rmst":
-        _, _, _, hi = _risk_groups(cohort, read_score_csv(args.risks))
+        hi = _high_risk(cohort, read_score_csv(args.risks))
         rows = []
         years = max(1, int(args.tau // 12))
         for year in range(1, years + 1):
@@ -455,8 +462,8 @@ def cmd_ablate(args, opts, seed, chash) -> int:
     train_cfg = _train_config(train_opts, seed)
     out = Path(args.out)
     rows = []
-    for ablation in ("full", "no_transformer", "no_agent", "no_srmamba"):
-        cfg = ModelConfig(**{**asdict(base_cfg), "ablation": ablation})
+    for ablation in ABLATIONS:
+        cfg = base_cfg.with_ablation(ablation)
         result = trainer.train(cohort, bag_map, cfg, train_cfg,
                                out_dir=out / ablation, jobs=args.jobs)
         write_json(out / ablation / "cv_report.json", result.report(), seed, chash)
@@ -531,8 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--bag", default=None)
     p.add_argument("--side", type=int, default=8, help="synthetic grid side when no bag is given")
-    p.add_argument("--ablation", default="full",
-                   choices=("full", "no_transformer", "no_agent", "no_srmamba"))
+    p.add_argument("--ablation", default="full", choices=ABLATIONS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_erf)
 

@@ -69,32 +69,38 @@ class KmCurve:
         return float(self.var[idx])
 
 
-def km_fit(times, events) -> KmCurve:
-    times, events = _clean(times, events)
+def _risk_table(times, events, at=None, weights=None):
+    """Risk-set size and event count at each time in ``at`` (by default the
+    distinct event times); returns (at, at_risk, n_events). At risk at t means
+    a time of at least t, and events tied at t count together. With
+    ``weights``, at_risk is the risk set's weight sum instead of its size.
+    """
     order = np.argsort(times, kind="stable")
-    times, events = times[order], events[order]
-    n = times.size
-    event_times = np.unique(times[events == 1])
-    surv = np.empty(event_times.size)
-    at_risk = np.empty(event_times.size, dtype=np.int64)
-    d = np.empty(event_times.size, dtype=np.int64)
-    s = 1.0
-    green = 0.0
-    var = np.empty(event_times.size)
-    for k, t in enumerate(event_times):
-        n_k = int(np.sum(times >= t))
-        d_k = int(np.sum((times == t) & (events == 1)))
-        at_risk[k] = n_k
-        d[k] = d_k
-        s *= 1.0 - d_k / n_k
-        if n_k > d_k:
-            green += d_k / (n_k * (n_k - d_k))
-            var[k] = s * s * green
-        else:
-            green = np.inf
-            var[k] = 0.0  # S reached 0; variance of a point mass
-        surv[k] = s
-    return KmCurve(times=event_times, surv=surv, n_at_risk=at_risk, n_events=d, var=var, n=n)
+    ts, es = times[order], events[order]
+    if at is None:
+        at = np.unique(ts[es == 1])
+    first = np.searchsorted(ts, at, side="left")
+    cum_events = np.concatenate([[0], np.cumsum(es)])
+    n_events = cum_events[np.searchsorted(ts, at, side="right")] - cum_events[first]
+    if weights is None:
+        return at, ts.size - first, n_events
+    return at, np.cumsum(weights[order][::-1])[::-1][first], n_events
+
+
+def km_fit(times, events) -> KmCurve:
+    """Kaplan-Meier product-limit estimate with Greenwood variance.
+
+    At risk at t means a time of at least t, so a subject censored at t is in
+    the risk set of an event at t. Tied events at t form one step of size d/n.
+    The Greenwood variance is 0 once S reaches 0 (a point mass).
+    """
+    times, events = _clean(times, events)
+    event_times, at_risk, d = _risk_table(times, events)
+    surv = np.multiply.accumulate(1.0 - d / at_risk)
+    with np.errstate(divide="ignore", invalid="ignore"):  # n == d: green is inf, S is 0
+        green = np.add.accumulate(d / (at_risk * (at_risk - d)))
+        var = np.where(at_risk > d, surv * surv * green, 0.0)
+    return KmCurve(times=event_times, surv=surv, n_at_risk=at_risk, n_events=d, var=var, n=times.size)
 
 
 # -- log-rank --------------------------------------------------------------------
@@ -114,24 +120,16 @@ def logrank_test(groups) -> tuple[float, float]:
     pooled = np.unique(np.concatenate([t[e == 1] for t, e in cleaned]))
     if pooled.size == 0:
         raise UndefinedError("no events in any group")
-    observed = np.zeros(k)
-    expected = np.zeros(k)
-    cov = np.zeros((k, k))
-    for t in pooled:
-        n_g = np.array([np.sum(tt >= t) for tt, _ in cleaned], dtype=np.float64)
-        d_g = np.array([np.sum((tt == t) & (ee == 1)) for tt, ee in cleaned], dtype=np.float64)
-        n_tot = n_g.sum()
-        d_tot = d_g.sum()
-        if n_tot < 1 or d_tot == 0:
-            continue
-        observed += d_g
-        expected += d_tot * n_g / n_tot
-        if n_tot > 1:
-            frac = n_g / n_tot
-            scale = d_tot * (n_tot - d_tot) / (n_tot - 1)
-            cov += scale * (np.diag(frac) - np.outer(frac, frac))
-    diff = (observed - expected)[: k - 1]
-    v = cov[: k - 1, : k - 1]
+    tables = [_risk_table(t, e, pooled) for t, e in cleaned]
+    n_g = np.column_stack([n for _, n, _ in tables]).astype(np.float64)  # (event times, groups)
+    d_g = np.column_stack([d for _, _, d in tables]).astype(np.float64)
+    n_tot = n_g.sum(axis=1, keepdims=True)
+    d_tot = d_g.sum(axis=1, keepdims=True)
+    frac = n_g / n_tot
+    diff = (d_g - d_tot * frac).sum(axis=0)[: k - 1]  # observed - expected
+    # a lone subject at risk (n_tot == 1) has its event there, so n_tot - d_tot is 0
+    scale = d_tot * (n_tot - d_tot) / np.maximum(n_tot - 1, 1)
+    v = (np.diag((scale * frac).sum(axis=0)) - frac.T @ (scale * frac))[: k - 1, : k - 1]
     if not np.any(np.abs(v) > 0):
         raise UndefinedError("log-rank variance is zero")
     try:
@@ -265,12 +263,7 @@ def coxph_fit(times, events, x, names=None, max_iter: int = 50, tol: float = 1e-
     wald_p = 2.0 * stats.norm.sf(np.abs(z))
 
     # Breslow baseline cumulative hazard at x = 0
-    lp = x @ beta
-    w = np.exp(lp)
-    event_times = np.unique(times[events == 1])
-    jumps = np.empty(event_times.size)
-    for k, t in enumerate(event_times):
-        jumps[k] = np.sum((times == t) & (events == 1)) / np.sum(w[times >= t])
+    event_times, risk_w, d = _risk_table(times, events, weights=np.exp(x @ beta))
     return CoxFit(
         names=list(names),
         beta=beta,
@@ -280,7 +273,7 @@ def coxph_fit(times, events, x, names=None, max_iter: int = 50, tol: float = 1e-
         loglik=float(ll),
         loglik_null=float(loglik_null),
         baseline_times=event_times,
-        baseline_cumhaz=np.cumsum(jumps),
+        baseline_cumhaz=np.cumsum(d / risk_w),
         converged=True,
         n_iter=n_iter,
         score_norm=float(np.abs(score).max()),

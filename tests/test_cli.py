@@ -216,6 +216,53 @@ def test_stats_commands(tmp_path):
     assert payload["names"] == ["risk_score", "signal_fraction"]
 
 
+def single_json_error(capsys) -> dict:
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("stat,cell", [("timeroc", "nan"), ("logrank", "nan"), ("logrank", "abc")])
+def test_stats_rejects_bad_score(tmp_path, capsys, stat, cell):
+    data = synth(tmp_path, seed=11, n=30)
+    risks = tmp_path / "risks.csv"
+    write_risks_from_signal(data, risks)
+    lines = risks.read_text().splitlines()
+    pid = lines[5].split(",")[0]
+    lines[5] = f"{pid},{cell}"
+    risks.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = cli.run(["stats", stat, "--cohort", str(data / "cohort.csv"), "--risks", str(risks),
+                  "--out", str(tmp_path / "out")])
+    assert rc == 3
+    payload = single_json_error(capsys)
+    assert payload["error"] == "DataError"
+    assert str(risks) in payload["message"] and pid in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("stat,given,needed", [
+    ("boot", ["--risks"], "--risks-b"),
+    ("calib", [], "--pred"),
+    ("dca", [], "--pred"),
+    ("logrank", [], "--risks"),
+    ("timeroc", [], "--risks"),
+    ("rmst", [], "--risks"),
+])
+def test_stats_missing_score_flag_exits_3(tmp_path, capsys, stat, given, needed):
+    data = synth(tmp_path, seed=11, n=30)
+    risks = tmp_path / "risks.csv"
+    write_risks_from_signal(data, risks)
+    capsys.readouterr()
+    argv = ["stats", stat, "--cohort", str(data / "cohort.csv"), "--out", str(tmp_path / "out")]
+    for flag in given:
+        argv += [flag, str(risks)]
+    assert cli.run(argv) == 3
+    payload = single_json_error(capsys)
+    assert payload["error"] == "DataError"
+    assert needed in payload["message"]
+
+
 def test_netlink_command(tmp_path):
     data = synth(tmp_path, seed=21, n=60)
     risks = tmp_path / "risks.csv"

@@ -187,6 +187,111 @@ def test_cox_baseline_cumhaz_monotone():
     assert fit.cumhaz_at(0.0) == 0.0
 
 
+# -- risk-set counting against per-event-time loop references ------------------------
+
+
+def km_loop(times, events):
+    """Reference Kaplan-Meier: rescans every subject at each distinct event time."""
+    times, events = np.asarray(times, dtype=np.float64), np.asarray(events, dtype=np.int64)
+    event_times = np.unique(times[events == 1])
+    surv = np.empty(event_times.size)
+    at_risk = np.empty(event_times.size, dtype=np.int64)
+    d = np.empty(event_times.size, dtype=np.int64)
+    s = 1.0
+    green = 0.0
+    var = np.empty(event_times.size)
+    for k, t in enumerate(event_times):
+        n_k = int(np.sum(times >= t))
+        d_k = int(np.sum((times == t) & (events == 1)))
+        at_risk[k] = n_k
+        d[k] = d_k
+        s *= 1.0 - d_k / n_k
+        if n_k > d_k:
+            green += d_k / (n_k * (n_k - d_k))
+            var[k] = s * s * green
+        else:
+            green = np.inf
+            var[k] = 0.0
+        surv[k] = s
+    return {"times": event_times, "surv": surv, "n_at_risk": at_risk, "n_events": d, "var": var}
+
+
+def logrank_loop(groups):
+    """Reference log-rank chi2: one O-E and covariance update per pooled event time."""
+    k = len(groups)
+    pooled = np.unique(np.concatenate([t[e == 1] for t, e in groups]))
+    if pooled.size == 0:
+        raise UndefinedError("no events in any group")
+    observed = np.zeros(k)
+    expected = np.zeros(k)
+    cov = np.zeros((k, k))
+    for t in pooled:
+        n_g = np.array([np.sum(tt >= t) for tt, _ in groups], dtype=np.float64)
+        d_g = np.array([np.sum((tt == t) & (ee == 1)) for tt, ee in groups], dtype=np.float64)
+        n_tot = n_g.sum()
+        d_tot = d_g.sum()
+        observed += d_g
+        expected += d_tot * n_g / n_tot
+        if n_tot > 1:
+            frac = n_g / n_tot
+            scale = d_tot * (n_tot - d_tot) / (n_tot - 1)
+            cov += scale * (np.diag(frac) - np.outer(frac, frac))
+    diff = (observed - expected)[: k - 1]
+    v = cov[: k - 1, : k - 1]
+    if not np.any(np.abs(v) > 0):
+        raise UndefinedError("log-rank variance is zero")
+    try:
+        return float(diff @ np.linalg.solve(v, diff))
+    except np.linalg.LinAlgError:
+        return float(diff @ np.linalg.pinv(v) @ diff)
+
+
+def breslow_loop(times, events, x, beta):
+    """Reference Breslow cumulative hazard: one weighted risk-set sum per event time."""
+    w = np.exp(x @ beta)
+    event_times = np.unique(times[events == 1])
+    jumps = np.empty(event_times.size)
+    for k, t in enumerate(event_times):
+        jumps[k] = np.sum((times == t) & (events == 1)) / np.sum(w[times >= t])
+    return event_times, np.cumsum(jumps)
+
+
+def test_risk_set_statistics_match_loop_references_on_tied_draws():
+    rng = np.random.default_rng(2026)
+    cox_checked = 0
+    for _ in range(300):
+        n = int(rng.integers(3, 61))
+        times = rng.integers(1, 12, n).astype(float)
+        events = rng.integers(0, 2, n)
+
+        km = ss.km_fit(times, events)
+        for name, want in km_loop(times, events).items():
+            got = getattr(km, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+        k = min(int(rng.integers(2, 5)), n)
+        labels = rng.permutation(np.arange(n) % k)
+        groups = [(times[labels == g], events[labels == g]) for g in range(k)]
+        try:
+            want_chi2 = logrank_loop(groups)
+        except UndefinedError:
+            with pytest.raises(UndefinedError):
+                ss.logrank_test(groups)
+        else:
+            assert ss.logrank_test(groups)[0] == pytest.approx(want_chi2, rel=1e-10)
+
+        x = rng.standard_normal((n, 1))
+        try:
+            fit = ss.coxph_fit(times, events, x)
+        except (ConvergenceError, DataError, UndefinedError):
+            continue
+        want_times, want_cumhaz = breslow_loop(times, events, x, fit.beta)
+        assert np.array_equal(fit.baseline_times, want_times)
+        np.testing.assert_allclose(fit.baseline_cumhaz, want_cumhaz, rtol=1e-10, atol=0)
+        cox_checked += 1
+    assert cox_checked > 200
+
+
 # -- univariable -> multivariable pipeline ----------------------------------------------
 
 
