@@ -2,11 +2,13 @@
 
 Tape-style engine in the micrograd tradition, but tensor-valued: each op
 records a closure that maps the output adjoint onto the parents' adjoints.
-Just enough surface for the model in :mod:`tdam.model` — broadcasting
-arithmetic, matmul (batched), a few fused nonlinearities, shape ops, a
-depthwise 2-D convolution, and the diagonal linear recurrence used by the
-selective scan. Forward dtype is preserved, so the same graph runs in
-float32 for training and float64 for gradient checking.
+It carries only the ops the model in :mod:`tdam.model` and the survival
+loss reach: broadcasting add/sub/mul/div, batched matmul, the nonlinearities
+exp, expm1(x)/x, sqrt, tanh, erf, softplus and softmax, sum/mean/max
+reductions, shape and gather ops, a depthwise 2-D convolution, and the
+diagonal linear recurrence used by the selective scan. Forward dtype is
+preserved, so the same graph runs in float32 for training and float64 for
+gradient checking.
 """
 
 from __future__ import annotations
@@ -54,10 +56,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
 
     @property
     def dtype(self):
@@ -127,9 +125,6 @@ class Tensor:
             return self + (-other)
         return self + (-as_tensor(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             out = Tensor(self.data * other, (self,))
@@ -160,14 +155,6 @@ class Tensor:
         out._backward = bw
         return out
 
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
-
-    def __pow__(self, exponent: float):
-        out = Tensor(self.data ** exponent, (self,))
-        out._backward = lambda g: self._accum(g * exponent * self.data ** (exponent - 1))
-        return out
-
     def __matmul__(self, other):
         other = as_tensor(other)
         if self.data.ndim < 2 or other.data.ndim < 2:
@@ -189,11 +176,6 @@ class Tensor:
         out._backward = lambda g: self._accum(g * y)
         return out
 
-    def expm1(self):
-        out = Tensor(np.expm1(self.data), (self,))
-        out._backward = lambda g: self._accum(g * np.exp(self.data))
-        return out
-
     def expm1x(self):
         """expm1(x)/x with the removable singularity filled: f(0) = 1."""
         z = self.data
@@ -213,11 +195,6 @@ class Tensor:
         out._backward = bw
         return out
 
-    def log(self):
-        out = Tensor(np.log(self.data), (self,))
-        out._backward = lambda g: self._accum(g / self.data)
-        return out
-
     def sqrt(self):
         y = np.sqrt(self.data)
         out = Tensor(y, (self,))
@@ -235,12 +212,6 @@ class Tensor:
         out = Tensor(y, (self,))
         coeff = 2.0 / math.sqrt(math.pi)
         out._backward = lambda g: self._accum(g * coeff * np.exp(-self.data * self.data))
-        return out
-
-    def sigmoid(self):
-        y = special.expit(self.data)
-        out = Tensor(y, (self,))
-        out._backward = lambda g: self._accum(g * y * (1.0 - y))
         return out
 
     def softplus(self):

@@ -22,11 +22,6 @@ from . import __version__, bags, explain, netlink, survival, survstats, trainer
 from .errors import ConvergenceError, DataError, GradError, TdamError, UndefinedError
 from .model import ABLATIONS, ModelConfig, config_from_dict, load_checkpoint
 
-STATS_SUBS = ("km", "logrank", "cox", "timeroc", "rmst", "boot", "calib", "dca", "nomogram")
-# score-file flags each statistic cannot run without
-STATS_NEEDS = {"logrank": ("risks",), "timeroc": ("risks",), "rmst": ("risks",),
-               "boot": ("risks", "risks_b"), "calib": ("pred",), "dca": ("pred",)}
-
 
 # -- config plumbing -----------------------------------------------------------
 
@@ -96,25 +91,33 @@ def write_json(path: Path, payload: dict, seed: int, chash: str) -> None:
 
 
 def read_score_csv(path: str) -> dict[str, float]:
-    scores: dict[str, float] = {}
+    """patient_id -> score from a CSV with a patient_id column and a score
+    column (``risk`` if present, else the first other column)."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    if not rows:
+        raise DataError(f"{path}: empty score file")
     header = rows[0]
-    try:
-        pid_col = header.index("patient_id")
-    except ValueError as exc:
-        raise DataError(f"{path}: missing patient_id column") from exc
-    val_col = 1 if pid_col == 0 else 0
-    if len(header) > 1 and "risk" in header:
-        val_col = header.index("risk")
+    if "patient_id" not in header:
+        raise DataError(f"{path}: missing patient_id column")
+    if len(header) < 2:
+        raise DataError(f"{path}: no score column next to patient_id")
+    pid_col = header.index("patient_id")
+    val_col = header.index("risk") if "risk" in header else (1 if pid_col == 0 else 0)
+    scores: dict[str, float] = {}
     for row in rows[1:]:
+        if len(row) < len(header):
+            raise DataError(f"{path}: row {','.join(row)!r} has fewer cells than the header")
+        pid = row[pid_col]
+        if pid in scores:
+            raise DataError(f"{path}: duplicate patient_id {pid!r}")
         try:
             score = float(row[val_col])
         except ValueError:
             score = np.nan
         if not np.isfinite(score):
-            raise DataError(f"{path}: patient {row[pid_col]} has score {row[val_col]!r}, not a finite number")
-        scores[row[pid_col]] = score
+            raise DataError(f"{path}: patient {pid} has score {row[val_col]!r}, not a finite number")
+        scores[pid] = score
     return scores
 
 
@@ -261,114 +264,149 @@ def _high_risk(cohort, scores) -> np.ndarray:
     return survstats.median_stratify(_aligned_scores(cohort, scores)) == "high"
 
 
-def cmd_stats(args, opts, seed, chash) -> int:
-    sub = args.stat
-    missing = [f"--{flag.replace('_', '-')}" for flag in STATS_NEEDS.get(sub, ()) if getattr(args, flag) is None]
-    if missing:
-        raise DataError(f"stats {sub} needs {' and '.join(missing)}")
-    out = Path(args.out)
-    cohort = bags.load_cohort_manifest(args.cohort)
-    times, events = cohort.times(), cohort.events()
+# Each stats handler maps (args, cohort, times, events) to {file name:
+# payload}, where a payload is a dict for .json and (header, rows) for .csv.
 
-    if sub == "km":
-        if args.risks:
-            hi = _high_risk(cohort, read_score_csv(args.risks))
-            groups = [("high", times[hi], events[hi]), ("low", times[~hi], events[~hi])]
-        else:
-            groups = [("all", times, events)]
-        rows = []
-        for name, t, e in groups:
-            km = survstats.km_fit(t, e)
-            for i in range(km.times.size):
-                rows.append([name, repr(float(km.times[i])), repr(float(km.surv[i])),
-                             int(km.n_at_risk[i]), int(km.n_events[i]), repr(float(km.var[i]))])
-        write_csv(out / "km.csv", ["group", "time", "surv", "at_risk", "events", "greenwood_var"],
-                  rows, seed, chash)
-    elif sub == "logrank":
+
+def _stats_km(args, cohort, times, events):
+    if args.risks:
         hi = _high_risk(cohort, read_score_csv(args.risks))
-        chi2, p = survstats.logrank_test([(times[hi], events[hi]), (times[~hi], events[~hi])])
-        write_json(out / "logrank.json", {"chi2": chi2, "p": p}, seed, chash)
-    elif sub == "cox":
-        variables = _collect_variables(args, cohort)
-        rows, joint = survstats.multivariable_pipeline(times, events, variables)
-        write_csv(out / "cox_univariable.csv", ["variable", "beta", "hr", "se", "p", "error"],
-                  [[r.name, repr(r.beta), repr(r.hr), repr(r.se), repr(r.p), r.error or ""] for r in rows],
-                  seed, chash)
-        joint_rows = []
-        if joint is not None:
-            joint_rows = [
-                [joint.names[i], repr(float(joint.beta[i])), repr(float(joint.hr[i])),
-                 repr(float(joint.se[i])), repr(float(joint.wald_p[i]))]
-                for i in range(len(joint.names))
-            ]
-        write_csv(out / "cox_multivariable.csv", ["variable", "beta", "hr", "se", "p"],
-                  joint_rows, seed, chash)
-    elif sub == "timeroc":
-        aligned = _aligned_scores(cohort, read_score_csv(args.risks))
-        rows = []
-        for h in (float(v) for v in args.horizons.split(",")):
-            try:
-                auc = survstats.timeroc_auc(aligned, times, events, h)
-                rows.append([repr(h), repr(auc), ""])
-            except UndefinedError as exc:
-                rows.append([repr(h), "", str(exc)])
-        write_csv(out / "timeroc.csv", ["horizon", "auc", "note"], rows, seed, chash)
-    elif sub == "rmst":
-        hi = _high_risk(cohort, read_score_csv(args.risks))
-        rows = []
-        years = max(1, int(args.tau // 12))
-        for year in range(1, years + 1):
-            tau = min(12.0 * year, args.tau)
-            cmp = survstats.rmst_compare(times[hi], events[hi], times[~hi], events[~hi], tau)
-            rows.append([year, repr(cmp.rmst_a.value), repr(cmp.rmst_b.value),
-                         repr(cmp.diff), repr(cmp.lci), repr(cmp.uci), repr(cmp.p)])
-        write_csv(out / "rmst.csv",
-                  ["Year", "RMST (high)", "RMST (low)", "Estimation", "LCI", "UCI", "p-value"],
-                  rows, seed, chash)
-    elif sub == "boot":
-        a = _aligned_scores(cohort, read_score_csv(args.risks))
-        b = _aligned_scores(cohort, read_score_csv(args.risks_b))
-        res = survstats.bootstrap_auc_compare(a, b, times, events, args.horizon,
-                                              n_boot=args.n_boot, seed=seed)
-        write_json(out / "bootstrap.json", {
-            "delta_auc": res.delta, "lci": res.lci, "uci": res.uci,
-            "auc_a": res.auc_a, "auc_b": res.auc_b,
-            "n_boot": res.n_boot, "n_redrawn": res.n_redrawn,
-        }, seed, chash)
-    elif sub == "calib":
-        pred = _aligned_scores(cohort, read_score_csv(args.pred))
-        points, skipped = survstats.calibration_curve(pred, times, events, args.horizon)
-        write_csv(out / "calibration.csv",
-                  ["mean_predicted", "observed", "lci", "uci", "n"],
-                  [[repr(p.mean_predicted), repr(p.observed), repr(p.lci), repr(p.uci), p.n] for p in points],
-                  seed, chash)
-    elif sub == "dca":
-        pred = _aligned_scores(cohort, read_score_csv(args.pred))
-        thresholds = [float(v) for v in args.thresholds.split(",")]
-        rows = survstats.dca_curve(pred, times, events, args.horizon, thresholds)
-        write_csv(out / "dca.csv", ["threshold", "net_benefit", "treat_all", "treat_none"],
-                  [[repr(r.threshold), repr(r.net_benefit), repr(r.treat_all), repr(r.treat_none)] for r in rows],
-                  seed, chash)
-    elif sub == "nomogram":
-        variables = _collect_variables(args, cohort)
-        xmat = np.column_stack([variables[n] for n in variables])
-        fit = survstats.coxph_fit(times, events, xmat, list(variables))
-        ranges = {n: (float(np.min(v)), float(np.max(v))) for n, v in variables.items()}
-        model = survstats.nomogram_build(fit, ranges)
-        horizons = [float(v) for v in args.horizons.split(",")]
-        rows = [[repr(r["total_points"])] + [repr(r[f"s@{h}"]) for h in horizons]
-                for r in model.points_table(horizons)]
-        write_csv(out / "nomogram_points.csv",
-                  ["total_points"] + [f"surv@{h}" for h in horizons], rows, seed, chash)
-        write_json(out / "nomogram.json", {
+        groups = [("high", times[hi], events[hi]), ("low", times[~hi], events[~hi])]
+    else:
+        groups = [("all", times, events)]
+    rows = []
+    for name, t, e in groups:
+        km = survstats.km_fit(t, e)
+        for i in range(km.times.size):
+            rows.append([name, repr(float(km.times[i])), repr(float(km.surv[i])),
+                         int(km.n_at_risk[i]), int(km.n_events[i]), repr(float(km.var[i]))])
+    return {"km.csv": (["group", "time", "surv", "at_risk", "events", "greenwood_var"], rows)}
+
+
+def _stats_logrank(args, cohort, times, events):
+    hi = _high_risk(cohort, read_score_csv(args.risks))
+    chi2, p = survstats.logrank_test([(times[hi], events[hi]), (times[~hi], events[~hi])])
+    return {"logrank.json": {"chi2": chi2, "p": p}}
+
+
+def _stats_cox(args, cohort, times, events):
+    rows, joint = survstats.multivariable_pipeline(times, events, _collect_variables(args, cohort))
+    joint_rows = [] if joint is None else [
+        [joint.names[i], repr(float(joint.beta[i])), repr(float(joint.hr[i])),
+         repr(float(joint.se[i])), repr(float(joint.wald_p[i]))]
+        for i in range(len(joint.names))
+    ]
+    return {
+        "cox_univariable.csv": (
+            ["variable", "beta", "hr", "se", "p", "error"],
+            [[r.name, repr(r.beta), repr(r.hr), repr(r.se), repr(r.p), r.error or ""] for r in rows],
+        ),
+        "cox_multivariable.csv": (["variable", "beta", "hr", "se", "p"], joint_rows),
+    }
+
+
+def _stats_timeroc(args, cohort, times, events):
+    aligned = _aligned_scores(cohort, read_score_csv(args.risks))
+    rows = []
+    for h in (float(v) for v in args.horizons.split(",")):
+        try:
+            auc = survstats.timeroc_auc(aligned, times, events, h)
+            rows.append([repr(h), repr(auc), ""])
+        except UndefinedError as exc:
+            rows.append([repr(h), "", str(exc)])
+    return {"timeroc.csv": (["horizon", "auc", "note"], rows)}
+
+
+def _stats_rmst(args, cohort, times, events):
+    hi = _high_risk(cohort, read_score_csv(args.risks))
+    rows = []
+    for year in range(1, max(1, int(args.tau // 12)) + 1):
+        tau = min(12.0 * year, args.tau)
+        cmp = survstats.rmst_compare(times[hi], events[hi], times[~hi], events[~hi], tau)
+        rows.append([year, repr(cmp.rmst_a.value), repr(cmp.rmst_b.value),
+                     repr(cmp.diff), repr(cmp.lci), repr(cmp.uci), repr(cmp.p)])
+    return {"rmst.csv": (["Year", "RMST (high)", "RMST (low)", "Estimation", "LCI", "UCI", "p-value"], rows)}
+
+
+def _stats_boot(args, cohort, times, events):
+    a = _aligned_scores(cohort, read_score_csv(args.risks))
+    b = _aligned_scores(cohort, read_score_csv(args.risks_b))
+    res = survstats.bootstrap_auc_compare(a, b, times, events, args.horizon,
+                                          n_boot=args.n_boot, seed=args.seed)
+    return {"bootstrap.json": {
+        "delta_auc": res.delta, "lci": res.lci, "uci": res.uci,
+        "auc_a": res.auc_a, "auc_b": res.auc_b,
+        "n_boot": res.n_boot, "n_redrawn": res.n_redrawn,
+    }}
+
+
+def _stats_calib(args, cohort, times, events):
+    pred = _aligned_scores(cohort, read_score_csv(args.pred))
+    points, _ = survstats.calibration_curve(pred, times, events, args.horizon)
+    return {"calibration.csv": (
+        ["mean_predicted", "observed", "lci", "uci", "n"],
+        [[repr(p.mean_predicted), repr(p.observed), repr(p.lci), repr(p.uci), p.n] for p in points],
+    )}
+
+
+def _stats_dca(args, cohort, times, events):
+    pred = _aligned_scores(cohort, read_score_csv(args.pred))
+    thresholds = [float(v) for v in args.thresholds.split(",")]
+    rows = survstats.dca_curve(pred, times, events, args.horizon, thresholds)
+    return {"dca.csv": (
+        ["threshold", "net_benefit", "treat_all", "treat_none"],
+        [[repr(r.threshold), repr(r.net_benefit), repr(r.treat_all), repr(r.treat_none)] for r in rows],
+    )}
+
+
+def _stats_nomogram(args, cohort, times, events):
+    variables = _collect_variables(args, cohort)
+    xmat = np.column_stack([variables[n] for n in variables])
+    fit = survstats.coxph_fit(times, events, xmat, list(variables))
+    ranges = {n: (float(np.min(v)), float(np.max(v))) for n, v in variables.items()}
+    model = survstats.nomogram_build(fit, ranges)
+    horizons = [float(v) for v in args.horizons.split(",")]
+    rows = [[repr(r["total_points"])] + [repr(r[f"s@{h}"]) for h in horizons]
+            for r in model.points_table(horizons)]
+    return {
+        "nomogram_points.csv": (["total_points"] + [f"surv@{h}" for h in horizons], rows),
+        "nomogram.json": {
             "names": model.names,
             "beta": [float(b) for b in model.beta],
             "refs": [float(r) for r in model.refs],
             "ranges": {k: list(v) for k, v in model.ranges.items()},
             "scale": model.scale,
-        }, seed, chash)
-    else:  # pragma: no cover - argparse restricts choices
-        raise DataError(f"unknown stats subcommand {sub!r}")
+        },
+    }
+
+
+# statistic -> (handler, score-file flags it cannot run without)
+STATS = {
+    "km": (_stats_km, ()),
+    "logrank": (_stats_logrank, ("risks",)),
+    "cox": (_stats_cox, ()),
+    "timeroc": (_stats_timeroc, ("risks",)),
+    "rmst": (_stats_rmst, ("risks",)),
+    "boot": (_stats_boot, ("risks", "risks_b")),
+    "calib": (_stats_calib, ("pred",)),
+    "dca": (_stats_dca, ("pred",)),
+    "nomogram": (_stats_nomogram, ()),
+}
+
+
+def cmd_stats(args, opts, seed, chash) -> int:
+    sub = args.stat
+    handler, needs = STATS[sub]
+    missing = [f"--{flag.replace('_', '-')}" for flag in needs if getattr(args, flag) is None]
+    if missing:
+        raise DataError(f"stats {sub} needs {' and '.join(missing)}")
+    out = Path(args.out)
+    cohort = bags.load_cohort_manifest(args.cohort)
+    for name, payload in handler(args, cohort, cohort.times(), cohort.events()).items():
+        if name.endswith(".json"):
+            write_json(out / name, payload, seed, chash)
+        else:
+            write_csv(out / name, *payload, seed, chash)
     print(f"wrote stats/{sub} outputs under {out}")
     return 0
 
@@ -543,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_erf)
 
     p = add_parser("stats", help="survival statistics on cohort + score files")
-    p.add_argument("stat", choices=STATS_SUBS)
+    p.add_argument("stat", choices=STATS)
     p.add_argument("--cohort", required=True)
     p.add_argument("--risks", default=None, help="risk CSV (patient_id,risk)")
     p.add_argument("--risks-b", default=None, help="second marker CSV for boot")

@@ -53,12 +53,7 @@ def _minmax_per_column(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def attention_heatmap(
-    bag: FeatureBag,
-    params: ModelParams,
-    config: ModelConfig | None = None,
-    pool_includes_class: bool = True,
-) -> HeatmapTable:
+def attention_heatmap(bag: FeatureBag, params: ModelParams) -> HeatmapTable:
     """Per-bin patch relevance mapped back onto the bag's coordinates.
 
     Padding tokens are dropped before emission, so the table has exactly one
@@ -66,7 +61,7 @@ def attention_heatmap(
     as all zeros.
     """
     params.check_finite()
-    _, trace = forward(bag, params, config, pool_includes_class=pool_includes_class)
+    _, trace = forward(bag, params)
     clf_w = params["clf.W"].data.astype(np.float64)  # (d_model, 4)
     n = bag.n_patches
     tokens = trace.z_norm[1 : 1 + n]  # grid tokens for real patches
@@ -107,7 +102,7 @@ def erf_map(
         grad = np.zeros_like(embedded.data)
     else:
         grad = np.asarray(embedded.grad)
-    intensity = np.abs(grad[1:]).sum(axis=1).astype(np.float64)  # skip class row
+    intensity = token_intensity(grad[1:])  # skip class row
     grid_side = math.isqrt(trace.n_prime)
     raw = intensity.reshape(grid_side, grid_side)
     if np.isnan(raw).all():
@@ -117,7 +112,7 @@ def erf_map(
 
 def token_intensity(grad_matrix: np.ndarray) -> np.ndarray:
     """Channel-summed absolute gradient per token (the ERF reduction)."""
-    return np.abs(np.asarray(grad_matrix, dtype=np.float64)).sum(axis=1)
+    return np.abs(np.asarray(grad_matrix)).sum(axis=1).astype(np.float64)
 
 
 def erf_to_pgm(erf: ErfMap, levels: int = 255, comment: str | None = None) -> str:

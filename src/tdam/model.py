@@ -82,14 +82,35 @@ class ModelConfig:
         return ModelConfig(**{**asdict(self), "ablation": ablation})
 
 
-def config_from_dict(d: dict) -> ModelConfig:
-    known = {f.name for f in fields(ModelConfig)}
-    unknown = set(d) - known
+def dataclass_from_dict(cls, d: dict, what: str):
+    """Build and validate a config dataclass from plain values.
+
+    Unknown keys and values that do not fit their field's type raise
+    DataError: an int field takes ints and integral floats, a float field
+    finite ints and floats, a str field strings.
+    """
+    kinds = {f.name: f.type for f in fields(cls)}
+    unknown = set(d) - set(kinds)
     if unknown:
-        raise DataError(f"unknown model config keys: {sorted(unknown)}")
-    cfg = ModelConfig(**d)
+        raise DataError(f"unknown {what} config keys: {sorted(unknown)}")
+    values = {}
+    for key, value in d.items():
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        fits = {
+            "int": number and (isinstance(value, int) or value.is_integer()),
+            "float": number and math.isfinite(value),
+            "str": isinstance(value, str),
+        }
+        if not fits[kinds[key]]:
+            raise DataError(f"{what} config {key}={value!r} is not a valid {kinds[key]}")
+        values[key] = int(value) if kinds[key] == "int" else value
+    cfg = cls(**values)
     cfg.validate()
     return cfg
+
+
+def config_from_dict(d: dict) -> ModelConfig:
+    return dataclass_from_dict(ModelConfig, d, "model")
 
 
 class ModelParams:
@@ -114,9 +135,6 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, {k: Tensor(t.data.copy()) for k, t in self.tensors.items()})
-
-    def astype(self, dtype) -> "ModelParams":
-        return ModelParams(self.config, {k: Tensor(t.data.astype(dtype)) for k, t in self.tensors.items()})
 
     def check_finite(self) -> None:
         for name, t in self.tensors.items():
@@ -221,23 +239,21 @@ def project_input(x: Tensor, params: ModelParams) -> Tensor:
     return gelu(x @ params["proj.W"] + params["proj.b"])
 
 
-def cycle_pad_rows(x: Tensor, target: int) -> Tensor:
-    """Extend to ``target`` rows by cycling tokens from the sequence start."""
-    n = x.shape[0]
-    if target == n:
-        return x
-    return x.take_rows(np.arange(target) % n)
-
-
 def pad_square_with_class(xp: Tensor, params: ModelParams) -> tuple[Tensor, int]:
-    """Cycle-pad to the next perfect square and prepend the class token."""
+    """Cycle tokens from the sequence start up to the next perfect square,
+    then prepend the class token."""
     n = xp.shape[0]
-    side = math.isqrt(n)
-    if side * side < n:
-        side += 1
-    n_prime = side * side
-    grid = cycle_pad_rows(xp, n_prime)
+    n_prime = (math.isqrt(n - 1) + 1) ** 2
+    grid = xp if n_prime == n else xp.take_rows(np.arange(n_prime) % n)
     return concat([params["cls_token"], grid], axis=0), n_prime
+
+
+def _grid_side(n_tokens: int) -> int:
+    """Side of the square token grid; the stages after padding need a square."""
+    side = math.isqrt(n_tokens)
+    if side * side != n_tokens:
+        raise ShapeError(f"{n_tokens} grid tokens do not form a square")
+    return side
 
 
 def _to_heads(x: Tensor, n_heads: int) -> Tensor:
@@ -316,9 +332,7 @@ def ppeg_encode(seq: Tensor, params: ModelParams) -> Tensor:
     square grid and receive Conv7 + Conv5 + Conv3 + identity.
     """
     n_grid = seq.shape[0] - 1
-    side = math.isqrt(n_grid)
-    if side * side != n_grid:
-        raise ShapeError(f"{n_grid} grid tokens do not form a square")
+    side = _grid_side(n_grid)
     cls_row = seq[0:1]
     img = seq[1:].reshape(side, side, seq.shape[1])
     out = (
@@ -341,19 +355,15 @@ def agent_attention(x: Tensor, params: ModelParams) -> Tensor:
 
     Agents attend over the tokens (A2P), tokens then attend over the updated
     agents (P2A); a depthwise conv over V on the 2-D grid adds a local path.
-    Token count is cycle-padded to a perfect square when needed; positional
-    biases are stored on a fixed square grid and nearest-neighbor resized.
+    The token count must be a perfect square; positional biases are stored
+    on a fixed square grid and nearest-neighbor resized.
     """
     cfg = params.config
     n = x.shape[0]
-    side = math.isqrt(n)
-    if side * side < n:
-        side += 1
-    n2 = side * side
-    xs = cycle_pad_rows(x, n2)
+    side = _grid_side(n)
     dm = cfg.d_model
-    q = xs @ params["agent.Wq"]
-    kv = xs @ params["agent.Wkv"]
+    q = x @ params["agent.Wq"]
+    kv = x @ params["agent.Wkv"]
     k, v = kv[:, :dm], kv[:, dm:]
     scale = 1.0 / math.sqrt(cfg.head_dim)
     qh = _to_heads(q, cfg.n_heads) * scale
@@ -370,9 +380,8 @@ def agent_attention(x: Tensor, params: ModelParams) -> Tensor:
     agents_updated = a2p @ vh
     p2a = (qh @ agents_updated.transpose(0, 2, 1) + bias_p2a).softmax()
     attended = _from_heads(p2a @ agents_updated)
-    local = dwconv2d(v.reshape(side, side, dm), params["agent.Wdw"]).reshape(n2, dm)
-    out = (local + attended) @ params["agent.Wout"]
-    return out[:n] if n2 != n else out
+    local = dwconv2d(v.reshape(side, side, dm), params["agent.Wdw"]).reshape(n, dm)
+    return (local + attended) @ params["agent.Wout"]
 
 
 def srmamba_reorder(n: int, rate: int) -> np.ndarray:
@@ -417,32 +426,25 @@ def selective_scan(x: Tensor, params: ModelParams, layer: int) -> Tensor:
 def attention_pool(
     z: Tensor,
     params: ModelParams,
-    include_class: bool = True,
     train: bool = False,
     rng: np.random.Generator | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Gated attention pooling over the (parameter-free) normalized tokens."""
+) -> tuple[Tensor, Tensor, Tensor]:
+    """Gated attention pooling over the (parameter-free) normalized tokens;
+    returns the pooled row, the per-token weights and the normalized tokens."""
     z_norm = layer_norm(z)
     scores = (z_norm @ params["pool.W1"] + params["pool.b1"]).tanh() @ params["pool.W2"] + params["pool.b2"]
     if train and params.config.dropout > 0:
         scores = _dropout(scores, params.config.dropout, rng)
-    if not include_class:
-        scores = scores[1:]
-        z_norm_pooled = z_norm[1:]
-    else:
-        z_norm_pooled = z_norm
     weights = scores.reshape(scores.shape[0]).softmax()
-    pooled = weights.reshape(1, -1) @ z_norm_pooled
-    return pooled, weights
+    pooled = weights.reshape(1, -1) @ z_norm
+    return pooled, weights, z_norm
 
 
 @dataclass
 class ForwardTrace:
-    n_patches: int
     n_prime: int
     logits: np.ndarray
-    pool_weights: np.ndarray  # per token, padding/class included, zeros if excluded
-    cls_out: np.ndarray
+    pool_weights: np.ndarray  # per token, class and padding tokens included
     z_norm: np.ndarray
     tensors: dict = field(default_factory=dict)
 
@@ -453,7 +455,6 @@ def forward(
     config: ModelConfig | None = None,
     mode: str = "eval",
     seed: int = 0,
-    pool_includes_class: bool = True,
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Run a bag through the model; returns (logits, trace).
 
@@ -492,24 +493,17 @@ def forward(
         for layer in range(struct.srmamba_layers):
             normed = layer_norm(seq, params[f"srmamba{layer}.ln_g"], params[f"srmamba{layer}.ln_b"])
             seq = seq + selective_scan(normed, params, layer)
-    pooled, weights = attention_pool(seq, params, pool_includes_class, train, rng)
+    pooled, weights, z_norm = attention_pool(seq, params, train, rng)
     logits_t = pooled @ params["clf.W"] + params["clf.b"]
     logits = logits_t.data.reshape(N_BINS).astype(np.float64)
     if not np.isfinite(logits).all():
         raise DataError("forward pass produced non-finite logits")
-    n_tokens = n_prime + 1
-    pool_w = np.zeros(n_tokens, dtype=np.float64)
-    offset = 0 if pool_includes_class else 1
-    pool_w[offset:] = weights.data.astype(np.float64)
-    z_norm = layer_norm(seq).data.astype(np.float64)
     trace = ForwardTrace(
-        n_patches=bag.n_patches,
         n_prime=n_prime,
         logits=logits,
-        pool_weights=pool_w,
-        cls_out=seq.data[0].astype(np.float64),
-        z_norm=z_norm,
-        tensors={"input": x, "embedded": embedded, "final_seq": seq, "logits": logits_t},
+        pool_weights=weights.data.astype(np.float64),
+        z_norm=z_norm.data.astype(np.float64),
+        tensors={"embedded": embedded, "final_seq": seq, "logits": logits_t},
     )
     return logits, trace
 
@@ -633,11 +627,15 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelConfig, int]:
         raise FormatError(f"{path}: missing {CKPT_MAGIC.decode()} header")
     (manifest_len,) = struct.unpack_from("<Q", raw, len(CKPT_MAGIC))
     start = len(CKPT_MAGIC) + 8
-    manifest = json.loads(raw[start : start + manifest_len].decode("utf-8"))
+    try:
+        manifest = json.loads(raw[start : start + manifest_len].decode("utf-8"))
+        config_dict, entries, seed = manifest["config"], manifest["tensors"], int(manifest["seed"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: unreadable checkpoint manifest ({type(exc).__name__}: {exc})") from exc
     blob = raw[start + manifest_len :]
-    config = config_from_dict(manifest["config"])
+    config = config_from_dict(config_dict)
     tensors: dict[str, Tensor] = {}
-    for entry in manifest["tensors"]:
+    for entry in entries:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         lo = entry["offset"]
@@ -648,4 +646,4 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelConfig, int]:
         tensors[entry["name"]] = Tensor(arr.copy())
     params = ModelParams(config, tensors)
     params.check_finite()
-    return params, config, int(manifest["seed"])
+    return params, config, seed

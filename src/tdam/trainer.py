@@ -11,7 +11,7 @@ import numpy as np
 
 from .bags import Cohort, FeatureBag
 from .errors import DataError, GradError, UndefinedError
-from .model import ModelConfig, ModelParams, forward, init_params, save_checkpoint
+from .model import ModelConfig, ModelParams, dataclass_from_dict, forward, init_params, save_checkpoint
 from .rng import substream
 from .survival import assign_bin, compute_bin_edges, concordance_index, nll_graph, risk_score
 
@@ -45,13 +45,7 @@ class TrainConfig:
 
 
 def train_config_from_dict(d: dict) -> TrainConfig:
-    known = set(TrainConfig.__dataclass_fields__)
-    unknown = set(d) - known
-    if unknown:
-        raise DataError(f"unknown train config keys: {sorted(unknown)}")
-    cfg = TrainConfig(**d)
-    cfg.validate()
-    return cfg
+    return dataclass_from_dict(TrainConfig, d, "train")
 
 
 # -- folds ----------------------------------------------------------------------
@@ -198,7 +192,6 @@ def train_fold(
     bags: dict[str, FeatureBag],
     model_cfg: ModelConfig,
     cfg: TrainConfig,
-    pool_includes_class: bool = True,
 ) -> FoldResult:
     by_id = {r.patient_id: r for r in cohort.records}
     train_cohort = Cohort(records=[by_id[p] for p in train_ids])
@@ -223,10 +216,7 @@ def train_fold(
         for pid, drop_seed in zip(order, drop_seeds):
             record = by_id[pid]
             params.clear_grads()
-            _, trace = forward(
-                bags[pid], params, mode="train", seed=int(drop_seed),
-                pool_includes_class=pool_includes_class,
-            )
+            _, trace = forward(bags[pid], params, mode="train", seed=int(drop_seed))
             loss = nll_graph(trace.tensors["logits"], bins[pid], 1 - record.event)
             loss.backward()
             grads = {name: params[name].grad for name in params.names() if params[name].grad is not None}
@@ -235,12 +225,7 @@ def train_fold(
             epoch_loss += float(loss.data)
         train_losses.append(epoch_loss / len(order))
 
-        risks = np.array(
-            [
-                risk_score(forward(bags[p], params, pool_includes_class=pool_includes_class)[0])
-                for p in val_ids
-            ]
-        )
+        risks = np.array([risk_score(forward(bags[p], params)[0]) for p in val_ids])
         try:
             val_c = concordance_index(risks, val_times, val_events)
         except UndefinedError:
@@ -275,7 +260,6 @@ def train(
     cfg: TrainConfig,
     out_dir=None,
     jobs: int = 1,
-    pool_includes_class: bool = True,
 ) -> TrainResult:
     """K-fold cross-validated training; returns per-fold best checkpoints.
 
@@ -293,7 +277,7 @@ def train(
     tasks = []
     for f, val_ids in enumerate(folds):
         train_ids = [p for p in all_ids if p not in set(val_ids)]
-        tasks.append((f, train_ids, val_ids, cohort, bags, model_cfg, cfg, pool_includes_class))
+        tasks.append((f, train_ids, val_ids, cohort, bags, model_cfg, cfg))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_train_fold_packed, tasks))
@@ -321,11 +305,7 @@ def predict_risks(
     bags: dict[str, FeatureBag],
     params: ModelParams,
     ids: list[str] | None = None,
-    pool_includes_class: bool = True,
 ) -> dict[str, float]:
     """Eval-mode risk score per patient."""
     ids = list(bags) if ids is None else ids
-    return {
-        pid: risk_score(forward(bags[pid], params, pool_includes_class=pool_includes_class)[0])
-        for pid in ids
-    }
+    return {pid: risk_score(forward(bags[pid], params)[0]) for pid in ids}

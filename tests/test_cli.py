@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from tdam import cli
 from tdam.bags import load_cohort_manifest
+from tdam.model import CKPT_MAGIC, ModelConfig, init_params, save_checkpoint
 
 TINY_OPTS = [
     "--opt", "model.d_in=8", "--opt", "model.d_model=8", "--opt", "model.n_heads=2",
@@ -222,22 +224,34 @@ def single_json_error(capsys) -> dict:
     return json.loads(lines[0])
 
 
-@pytest.mark.parametrize("stat,cell", [("timeroc", "nan"), ("logrank", "nan"), ("logrank", "abc")])
-def test_stats_rejects_bad_score(tmp_path, capsys, stat, cell):
+@pytest.mark.parametrize("stat,row", [
+    pytest.param("timeroc", "{pid},nan", id="timeroc-nan"),
+    pytest.param("logrank", "{pid},nan", id="logrank-nan"),
+    pytest.param("logrank", "{pid},abc", id="logrank-abc"),
+    pytest.param("logrank", "{pid}", id="logrank-short-row"),
+    pytest.param("km", "{pid},0.5\n{pid},0.5", id="km-duplicate-id"),
+    pytest.param("km", None, id="km-empty-file"),
+])
+def test_stats_rejects_bad_score(tmp_path, capsys, stat, row):
+    """``row`` replaces one data row of the score file; None empties the file."""
     data = synth(tmp_path, seed=11, n=30)
     risks = tmp_path / "risks.csv"
     write_risks_from_signal(data, risks)
     lines = risks.read_text().splitlines()
     pid = lines[5].split(",")[0]
-    lines[5] = f"{pid},{cell}"
-    risks.write_text("\n".join(lines) + "\n")
+    if row is None:
+        risks.write_text("")
+    else:
+        lines[5] = row.format(pid=pid)
+        risks.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     rc = cli.run(["stats", stat, "--cohort", str(data / "cohort.csv"), "--risks", str(risks),
                   "--out", str(tmp_path / "out")])
     assert rc == 3
     payload = single_json_error(capsys)
     assert payload["error"] == "DataError"
-    assert str(risks) in payload["message"] and pid in payload["message"]
+    assert str(risks) in payload["message"]
+    assert row is None or pid in payload["message"]
     assert not (tmp_path / "out").exists()
 
 
@@ -261,6 +275,47 @@ def test_stats_missing_score_flag_exits_3(tmp_path, capsys, stat, given, needed)
     payload = single_json_error(capsys)
     assert payload["error"] == "DataError"
     assert needed in payload["message"]
+
+
+@pytest.mark.parametrize("opt", ["model.d_model=oops", "model.ssm_state_dim=2.5", "train.max_epochs=abc"])
+def test_train_rejects_ill_typed_option(tmp_path, capsys, opt):
+    data = synth(tmp_path, seed=7, n=12)
+    capsys.readouterr()
+    rc = cli.run(["--seed", "3", *TINY_OPTS, "--opt", opt, "train",
+                  "--cohort", str(data / "cohort.csv"), "--out", str(tmp_path / "run")])
+    assert rc == 3
+    payload = single_json_error(capsys)
+    assert payload["error"] == "DataError"
+    assert opt.split(".")[1].split("=")[0] in payload["message"]
+
+
+def _rewrite_manifest(path: Path, edit) -> None:
+    """Replace a checkpoint's manifest bytes by ``edit(manifest_dict)``."""
+    raw = path.read_bytes()
+    start = len(CKPT_MAGIC) + 8
+    (size,) = struct.unpack_from("<Q", raw, len(CKPT_MAGIC))
+    payload = edit(json.loads(raw[start:start + size]))
+    path.write_bytes(CKPT_MAGIC + struct.pack("<Q", len(payload)) + payload + raw[start + size:])
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda m: b"{not json", id="invalid-json"),
+    pytest.param(lambda m: json.dumps({k: v for k, v in m.items() if k != "seed"}).encode(), id="no-seed"),
+])
+def test_predict_rejects_bad_checkpoint_manifest(tmp_path, capsys, edit):
+    data = synth(tmp_path, seed=7, n=12)
+    ckpt = tmp_path / "model.ckpt"
+    cfg = ModelConfig(d_in=8, d_model=8, n_heads=2, n_agents=2, n_landmarks=4,
+                      srmamba_layers=1, srmamba_rate=2, ssm_state_dim=2, agent_bias_side=3)
+    save_checkpoint(ckpt, init_params(cfg))
+    _rewrite_manifest(ckpt, edit)
+    capsys.readouterr()
+    rc = cli.run(["predict", "--cohort", str(data / "cohort.csv"), "--checkpoint", str(ckpt),
+                  "--out", str(tmp_path / "out")])
+    assert rc == 3
+    payload = single_json_error(capsys)
+    assert payload["error"] == "FormatError"
+    assert str(ckpt) in payload["message"]
 
 
 def test_netlink_command(tmp_path):

@@ -268,11 +268,13 @@ def test_agent_dense_two_stage_oracle():
     np.testing.assert_allclose(got, want, atol=1e-6)
 
 
-def test_agent_pads_non_square_input():
+def test_agent_rejects_non_square_input():
+    # forward hands agent attention the padded side x side grid; any other
+    # token count is a caller error, as in ppeg_encode
     params = tiny_params(seed=12)
     x = np.random.default_rng(12).standard_normal((7, 8))
-    out = model.agent_attention(Tensor(x.copy()), params)
-    assert out.shape == (7, 8)
+    with pytest.raises(ShapeError):
+        model.agent_attention(Tensor(x.copy()), params)
 
 
 # -- reorder and scan ------------------------------------------------------------
@@ -341,7 +343,8 @@ def test_pool_equal_scores_gives_mean():
     params = tiny_params(seed=13)
     params["pool.W1"].data[:] = 0  # constant scores
     z = np.random.default_rng(13).standard_normal((5, 8))
-    pooled, weights = model.attention_pool(Tensor(z.copy()), params)
+    pooled, weights, z_norm = model.attention_pool(Tensor(z.copy()), params)
+    np.testing.assert_allclose(z_norm.data, layer_norm_np(z), atol=1e-10)
     np.testing.assert_allclose(weights.data, 0.2, atol=1e-12)
     np.testing.assert_allclose(pooled.data[0], layer_norm_np(z).mean(0), atol=1e-10)
 
@@ -358,7 +361,7 @@ def test_pool_softmax_arithmetic():
     params["pool.b1"].data[:] = 0.0
     params["pool.W2"].data[:] = math.log(3.0) / (2.0 * math.tanh(1.0))
     params["pool.b2"].data[:] = 0.0
-    _, weights = model.attention_pool(Tensor(z), params)
+    _, weights, _ = model.attention_pool(Tensor(z), params)
     np.testing.assert_allclose(weights.data, [0.75, 0.25], atol=1e-5)
 
 
@@ -367,7 +370,7 @@ def test_pool_softmax_arithmetic():
 def test_pool_weights_are_a_distribution(n, seed):
     params = tiny_params(seed=1)
     z = np.random.default_rng(seed).standard_normal((n, 8))
-    _, weights = model.attention_pool(Tensor(z), params)
+    _, weights, _ = model.attention_pool(Tensor(z), params)
     assert (weights.data >= 0).all()
     assert weights.data.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -413,16 +416,6 @@ def test_forward_ablations_change_logits_but_not_shapes():
         assert logits.shape == (4,)
         assert trace.z_norm.shape == trace_full.z_norm.shape
         assert not np.allclose(logits, full)
-
-
-def test_forward_pool_class_flag():
-    params = tiny_params(seed=18)
-    bag = random_bag(n=5, seed=18)
-    a, ta = model.forward(bag, params, pool_includes_class=True)
-    b, tb = model.forward(bag, params, pool_includes_class=False)
-    assert ta.pool_weights[0] > 0
-    assert tb.pool_weights[0] == 0
-    assert not np.allclose(a, b)
 
 
 # -- gradient checking ---------------------------------------------------------------

@@ -1,0 +1,58 @@
+"""The benchmark's tracer (perfbench/layers.py) rebinds program names by
+attribute lookup. A renamed or deleted hook target, or a changed call shape,
+must fail here rather than only in a ``--trace 1`` benchmark run."""
+
+from pathlib import Path
+
+import numpy as np
+
+from tdam import autodiff, bags, model, netlink, survival, survstats, trainer
+from tdam.bags import FeatureBag, grid_coords
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+OWNERS = (autodiff.Tensor, bags, model, netlink, survival, survstats, trainer)
+TINY = model.ModelConfig(d_in=6, d_model=8, n_heads=2, n_agents=2, n_landmarks=4,
+                         srmamba_layers=1, srmamba_rate=2, ssm_state_dim=2, agent_bias_side=3)
+
+
+def test_trace_hooks_install_run_and_restore(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    from tracer import Tracer
+
+    before = [dict(vars(owner)) for owner in OWNERS]
+    t = Tracer()
+    try:
+        layers.install(t)
+        rebound = {
+            (owner.__name__, name)
+            for owner, snap in zip(OWNERS, before)
+            for name, value in vars(owner).items()
+            if snap.get(name) is not value
+        }
+        for attr, _ in layers.STAGES:
+            assert ("tdam.model", attr) in rebound
+        for name in ("forward", "train", "predict_risks", "adam_step", "nll_graph", "concordance_index"):
+            assert ("tdam.trainer", name) in rebound
+        assert {("tdam.model", "linear_recurrence"), ("tdam.model", "dwconv2d"),
+                ("tdam.model", "forward"), ("Tensor", "backward")} <= rebound
+
+        params = model.init_params(TINY, seed=1, dtype=np.float64)
+        bag = FeatureBag("b", np.random.default_rng(1).standard_normal((5, 6)), grid_coords(5))
+        model.forward(bag, params, TINY, "eval", 0)
+        _, trace = model.forward(bag, params, TINY, "train", 1)
+        survival.nll_graph(trace.tensors["logits"], 1, 0).backward()
+    finally:
+        t.restore()
+
+    for owner, snap in zip(OWNERS, before):
+        now = dict(vars(owner))
+        assert now.keys() == snap.keys()
+        assert all(now[name] is snap[name] for name in snap), owner.__name__
+    spans = t.self_times()
+    for mode in layers.MODES:
+        for _, stage in layers.STAGES:
+            assert f"model.{stage}.{mode}" in spans
+    assert {"autodiff.linear_recurrence", "autodiff.dwconv2d", "autodiff.backward"} <= spans.keys()
+    assert t.counts["forwards.eval"] == 1 and t.counts["forwards.train"] == 1
+    assert t.counts["nodes.eval"] > 0 and t.counts["nodes.train"] > 0
