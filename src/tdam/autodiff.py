@@ -4,11 +4,12 @@ Tape-style engine in the micrograd tradition, but tensor-valued: each op
 records a closure that maps the output adjoint onto the parents' adjoints.
 It carries only the ops the model in :mod:`tdam.model` and the survival
 loss reach: broadcasting add/sub/mul/div, batched matmul, the nonlinearities
-exp, expm1(x)/x, sqrt, tanh, erf, softplus and softmax, sum/mean/max
-reductions, shape and gather ops, a depthwise 2-D convolution, and the
-diagonal linear recurrence used by the selective scan. Forward dtype is
-preserved, so the same graph runs in float32 for training and float64 for
-gradient checking.
+sqrt, tanh, erf, softplus and softmax, sum/mean/max reductions, shape and
+gather ops, a depthwise 2-D convolution, and the selective scan as one fused
+op (:func:`linear_recurrence`: zero-order-hold discretization, diagonal
+recurrence and readout, run in chunks and recomputed in backward). Forward
+dtype is preserved, so the same graph runs in float32 for training and
+float64 for gradient checking.
 """
 
 from __future__ import annotations
@@ -19,7 +20,11 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-__all__ = ["Tensor", "as_tensor", "concat", "linear_recurrence", "dwconv2d"]
+__all__ = ["Tensor", "as_tensor", "concat", "linear_recurrence", "dwconv2d", "SCAN_CHUNK"]
+
+# Steps per chunk of the fused scan: the (chunk, d, s) intermediates of a
+# paper-width layer (d = 256, s = 16) stay near 1 MB each.
+SCAN_CHUNK = 64
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -170,31 +175,6 @@ class Tensor:
 
     # -- elementwise nonlinearities ---------------------------------------
 
-    def exp(self):
-        y = np.exp(self.data)
-        out = Tensor(y, (self,))
-        out._backward = lambda g: self._accum(g * y)
-        return out
-
-    def expm1x(self):
-        """expm1(x)/x with the removable singularity filled: f(0) = 1."""
-        z = self.data
-        small = np.abs(z) < 1e-5
-        safe = np.where(small, 1.0, z)
-        y = np.where(small, 1.0 + z * 0.5 + z * z / 6.0, np.expm1(z) / safe)
-        out = Tensor(y.astype(z.dtype), (self,))
-
-        def bw(g):
-            deriv = np.where(
-                small,
-                0.5 + z / 3.0 + z * z / 8.0,
-                (np.exp(z) * (z - 1.0) + 1.0) / (safe * safe),
-            )
-            self._accum(g * deriv)
-
-        out._backward = bw
-        return out
-
     def sqrt(self):
         y = np.sqrt(self.data)
         out = Tensor(y, (self,))
@@ -341,34 +321,122 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
-def linear_recurrence(abar: Tensor, c: Tensor) -> Tensor:
-    """Run ``h[t] = abar[t] * h[t-1] + c[t]`` along axis 0 (h[-1] = 0).
+def _scan_chunk(delta, a, b_in, u, h0, work, maybe_small):
+    """Discretize one chunk and run its recurrence from the state ``h0``.
 
-    Both inputs have shape (n, ...); the recurrence is elementwise over the
-    trailing axes. Backward is the reverse-time adjoint scan.
+    Fills ``work`` = (da, abar, expm1(da)/da, h), each (L, d, s), in place.
+    ``maybe_small`` is False when no |da| can fall below the series cutoff.
     """
-    a, cv = abar.data, c.data
-    if a.shape != cv.shape:
-        raise ValueError("linear_recurrence operands must share a shape")
-    h = np.empty_like(cv)
-    acc = np.zeros_like(cv[0])
-    for t in range(cv.shape[0]):
-        acc = a[t] * acc + cv[t]
-        h[t] = acc
-    out = Tensor(h, (abar, c))
+    da, abar, e, h = work
+    d3 = delta[:, :, None]
+    np.multiply(d3, a, out=da)
+    np.exp(da, out=abar)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.expm1(da, out=e)
+        e /= da
+    small = np.abs(da) < 1e-5 if maybe_small else None
+    if small is not None and small.any():
+        zs = da[small]
+        e[small] = 1.0 + zs * 0.5 + zs * zs / 6.0
+    # h[t] = contrib[t] + abar[t] * h[t-1], built in place over contrib
+    np.multiply(d3, e, out=h)
+    h *= b_in[:, None, :]
+    h *= u[:, :, None]
+    step = np.empty_like(h0)
+    prev = h0
+    for abar_t, h_t in zip(abar, h):
+        np.multiply(abar_t, prev, out=step)
+        h_t += step
+        prev = h_t
+    return small
+
+
+def linear_recurrence(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor, u: Tensor) -> Tensor:
+    """The selective scan's recurrence with its discretization and readout fused in.
+
+    ``delta`` and ``u`` are (n, d), ``b_in`` and ``c_out`` are (n, s) and
+    ``a`` is (d, s). With a zero-order hold, per step t::
+
+        abar[t] = exp(delta[t] a)
+        h[t]    = abar[t] * h[t-1] + delta[t] expm1(delta[t] a)/(delta[t] a) * b_in[t] * u[t]
+        y[t]    = sum_j h[t, :, j] * c_out[t, j]
+
+    with h[-1] = 0; returns y, (n, d). expm1(z)/z takes its series
+    1 + z/2 + z^2/6 where |z| < 1e-5, so A = 0 is no singularity. The
+    (n, d, s) intermediates never exist at once: the forward pass walks
+    chunks of SCAN_CHUNK steps and keeps only the state at each chunk start,
+    and the backward pass walks the chunks in reverse, recomputes each one
+    from its start state and runs the reverse-time adjoint scan through it.
+    """
+    dv, av, bv, cv, uv = delta.data, a.data, b_in.data, c_out.data, u.data
+    n, d = dv.shape
+    s = av.shape[1]
+    if uv.shape != (n, d) or av.shape != (d, s) or bv.shape != (n, s) or cv.shape != (n, s):
+        raise ValueError("linear_recurrence operands have inconsistent shapes")
+    dtype = np.result_type(dv, av, bv, uv)
+    chunks = [slice(lo, min(lo + SCAN_CHUNK, n)) for lo in range(0, n, SCAN_CHUNK)]
+    # |fl(delta a)| >= (1 - eps) min|delta| min|a|, so a product of the minima
+    # at twice the cutoff rules out the series branch for a whole chunk
+    a_min = np.abs(av).min()
+    maybe_small = [not np.abs(dv[ck]).min() * a_min >= 2e-5 for ck in chunks]
+    work = np.empty((4, min(n, SCAN_CHUNK), d, s), dtype=dtype)
+    starts = []
+    state = np.zeros((d, s), dtype=dtype)
+    y = np.empty((n, d), dtype=np.result_type(dtype, cv))
+    for ck, may in zip(chunks, maybe_small):
+        starts.append(state)
+        part = work[:, : ck.stop - ck.start]
+        _scan_chunk(dv[ck], av, bv[ck], uv[ck], state, part, may)
+        # expm1(da)/da is spent once h is built, so its buffer takes the readout product
+        h, prod = part[3], part[2]
+        np.multiply(h, cv[ck, None, :], out=prod)
+        prod.sum(axis=2, out=y[ck])
+        state = h[-1].copy()
+    out = Tensor(y, (delta, a, b_in, c_out, u))
 
     def bw(g):
-        n = cv.shape[0]
-        dc = np.empty_like(g)
-        da = np.empty_like(g)
-        carry = np.zeros_like(g[0])
-        for t in range(n - 1, -1, -1):
-            carry = g[t] + carry
-            dc[t] = carry
-            da[t] = carry * (h[t - 1] if t > 0 else 0.0)
-            carry = carry * a[t]
-        abar._accum(da)
-        c._accum(dc)
+        g_delta, g_b, g_c, g_u = (np.empty_like(x) for x in (dv, bv, cv, uv))
+        g_a = np.zeros_like(av)
+        carry = np.zeros_like(state)
+        for ck, h0, may in zip(reversed(chunks), reversed(starts), reversed(maybe_small)):
+            part = work[:, : ck.stop - ck.start]
+            small = _scan_chunk(dv[ck], av, bv[ck], uv[ck], h0, part, may)
+            da, abar, e, h = part
+            gk, dk, uk, bk = g[ck], dv[ck], uv[ck], bv[ck]
+            g_c[ck] = np.matmul(gk[:, None, :], h)[:, 0]
+            # adjoint of h[t]: its readout plus abar[t+1] times the adjoint of h[t+1]
+            gh = gk[:, :, None] * cv[ck, None, :]
+            for abar_t, gh_t in zip(abar[::-1], gh[::-1]):
+                gh_t += carry
+                np.multiply(abar_t, gh_t, out=carry)
+            # contrib = delta e b u: with w = gh e, g_b = (delta u) . w and
+            # g_u, g_delta collect delta (w b) and u (w b)
+            w = gh * e
+            wb = np.matmul(w, bk[:, :, None])[:, :, 0]
+            du = dk * uk
+            g_b[ck] = np.matmul(du[:, None, :], w)[:, 0]
+            g_u[ck] = dk * wb
+            # d/dz expm1(z)/z = (exp(z) - expm1(z)/z) / z
+            with np.errstate(divide="ignore", invalid="ignore"):
+                de = (abar - e) / da
+            if small is not None and small.any():
+                zs = da[small]
+                de[small] = 0.5 + zs / 3.0 + zs * zs / 8.0
+            # g_da: through abar = exp(da) into h[t] = abar h[t-1] + ..., and through e
+            h[1:] = h[:-1]
+            h[0] = h0
+            g_da = h
+            g_da *= abar
+            de *= du[:, :, None] * bk[:, None, :]
+            g_da += de
+            g_da *= gh
+            g_delta[ck] = uk * wb + np.einsum("tij,ij->ti", g_da, av)
+            g_a += np.einsum("tij,ti->ij", g_da, dk)
+        delta._accum(g_delta)
+        a._accum(g_a)
+        b_in._accum(g_b)
+        c_out._accum(g_c)
+        u._accum(g_u)
 
     out._backward = bw
     return out

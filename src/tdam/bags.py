@@ -151,7 +151,12 @@ def load_bag(path: str | Path) -> FeatureBag:
     sidecar_path = path.with_suffix(path.suffix + ".json")
     slide_id, meta = path.stem, {}
     if sidecar_path.exists():
-        side = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        try:
+            side = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise FormatError(f"{sidecar_path}: unreadable bag sidecar ({type(exc).__name__}: {exc})") from exc
+        if not isinstance(side, dict):
+            raise FormatError(f"{sidecar_path}: bag sidecar is not a JSON object")
         slide_id = side.get("slide_id", slide_id)
         meta = side.get("meta", {})
     return FeatureBag(slide_id=slide_id, features=features.copy(), coords=coords.copy(), meta=meta)
@@ -278,6 +283,15 @@ def synth_cohort(
 _MISSING = {"", "na", "nan", "null", "none"}
 
 
+def read_csv_rows(path: str | Path) -> list[list[str]]:
+    """The non-empty rows of a UTF-8 CSV file, ``#`` comment rows dropped."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: unreadable CSV ({type(exc).__name__}: {exc})") from exc
+
+
 def load_cohort_manifest(csv_path: str | Path) -> Cohort:
     """Parse a cohort CSV with header patient_id,time,event[,bag_path,...].
 
@@ -286,8 +300,7 @@ def load_cohort_manifest(csv_path: str | Path) -> Cohort:
     zero-OS-time exclusion applied when cohorts are assembled.
     """
     csv_path = Path(csv_path)
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+    rows = read_csv_rows(csv_path)
     if not rows:
         raise ParseError(f"{csv_path}: empty manifest")
     header = [h.strip() for h in rows[0]]

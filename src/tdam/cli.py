@@ -43,27 +43,30 @@ def load_options(config_path: str | None, overrides: list[str]) -> dict:
     opts: dict[str, object] = {}
     sources = []
     if config_path:
-        text = Path(config_path).read_text(encoding="utf-8")
+        try:
+            text = Path(config_path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{config_path}: config file is not UTF-8 text") from exc
         sources += [ln for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
     sources += overrides or []
     for item in sources:
         if "=" not in item:
             raise DataError(f"expected key=value, got {item!r}")
         key, raw = item.split("=", 1)
-        opts[key.strip()] = _parse_value(raw)
+        key = key.strip()
+        if not key.startswith(("model.", "train.")):
+            raise DataError(f"option key {key!r} must start with model. or train.")
+        opts[key] = _parse_value(raw)
     return opts
 
 
-def split_options(opts: dict) -> tuple[dict, dict, dict]:
-    model_opts, train_opts, rest = {}, {}, {}
+def split_options(opts: dict) -> tuple[dict, dict]:
+    """(model options, train options), each keyed without its prefix."""
+    model_opts, train_opts = {}, {}
     for key, val in opts.items():
-        if key.startswith("model."):
-            model_opts[key[len("model."):]] = val
-        elif key.startswith("train."):
-            train_opts[key[len("train."):]] = val
-        else:
-            rest[key] = val
-    return model_opts, train_opts, rest
+        group, name = key.split(".", 1)
+        (model_opts if group == "model" else train_opts)[name] = val
+    return model_opts, train_opts
 
 
 def config_hash(opts: dict, seed: int) -> str:
@@ -90,11 +93,20 @@ def write_json(path: Path, payload: dict, seed: int, chash: str) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
+def _finite(path: str, pid: str, cell: str, what: str) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise DataError(f"{path}: patient {pid} has {what} {cell!r}, not a finite number")
+    return value
+
+
 def read_score_csv(path: str) -> dict[str, float]:
     """patient_id -> score from a CSV with a patient_id column and a score
     column (``risk`` if present, else the first other column)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    rows = bags.read_csv_rows(path)
     if not rows:
         raise DataError(f"{path}: empty score file")
     header = rows[0]
@@ -111,13 +123,7 @@ def read_score_csv(path: str) -> dict[str, float]:
         pid = row[pid_col]
         if pid in scores:
             raise DataError(f"{path}: duplicate patient_id {pid!r}")
-        try:
-            score = float(row[val_col])
-        except ValueError:
-            score = np.nan
-        if not np.isfinite(score):
-            raise DataError(f"{path}: patient {pid} has score {row[val_col]!r}, not a finite number")
-        scores[pid] = score
+        scores[pid] = _finite(path, pid, row[val_col], "score")
     return scores
 
 
@@ -171,7 +177,7 @@ def cmd_synth(args, opts, seed, chash) -> int:
 
 
 def cmd_train(args, opts, seed, chash) -> int:
-    model_opts, train_opts, _ = split_options(opts)
+    model_opts, train_opts = split_options(opts)
     cohort, bag_map = _load_cohort_and_bags(args.cohort, args.bags_root)
     model_cfg = _model_config(model_opts)
     train_cfg = _train_config(train_opts, seed)
@@ -464,37 +470,48 @@ def cmd_netlink(args, opts, seed, chash) -> int:
 
 def _read_matrix_csv(path: str, ids: list[str]) -> tuple[list[str], np.ndarray]:
     """samples x columns layout: header patient_id,<name>,...; one row per patient."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    rows = bags.read_csv_rows(path)
+    if len(rows) < 2 or rows[0][0] != "patient_id":
+        raise DataError(f"{path}: needs a header starting with patient_id and at least one row")
     header = rows[0]
-    if header[0] != "patient_id":
-        raise DataError(f"{path}: first column must be patient_id")
-    names = header[1:]
-    by_id = {r[0]: [float(v) for v in r[1:]] for r in rows[1:]}
+    by_id: dict[str, list[float]] = {}
+    for r in rows[1:]:
+        pid = r[0]
+        if pid in by_id:
+            raise DataError(f"{path}: duplicate patient_id {pid!r}")
+        if len(r) != len(header):
+            raise DataError(f"{path}: patient {pid} has {len(r)} cells, the header has {len(header)}")
+        by_id[pid] = [_finite(path, pid, v, "value") for v in r[1:]]
     missing = [pid for pid in ids if pid not in by_id]
     if missing:
         raise DataError(f"{path}: rows missing for {len(missing)} patients (first: {missing[0]})")
-    return names, np.array([by_id[pid] for pid in ids], dtype=np.float64)
+    return header[1:], np.array([by_id[pid] for pid in ids], dtype=np.float64)
 
 
 def _read_matrix_csv_transposed(path: str, ids: list[str]) -> tuple[list[str], np.ndarray]:
     """genes x samples layout: header gene_id,<patient>,...; one row per gene."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    rows = bags.read_csv_rows(path)
+    if len(rows) < 2:
+        raise DataError(f"{path}: needs a header row and at least one gene row")
     header = rows[0]
-    cols = {pid: i for i, pid in enumerate(header[1:])}
+    cols = {pid: i for i, pid in enumerate(header) if i > 0}
+    if len(cols) != len(header) - 1:
+        raise DataError(f"{path}: a patient column is repeated")
     missing = [pid for pid in ids if pid not in cols]
     if missing:
         raise DataError(f"{path}: columns missing for {len(missing)} patients (first: {missing[0]})")
+    for r in rows[1:]:
+        if len(r) < len(header):
+            raise DataError(f"{path}: gene row {r[0]!r} ends before patient {header[len(r)]}")
     names = [r[0] for r in rows[1:]]
     data = np.array(
-        [[float(r[1 + cols[pid]]) for r in rows[1:]] for pid in ids], dtype=np.float64
+        [[_finite(path, pid, r[cols[pid]], "value") for r in rows[1:]] for pid in ids], dtype=np.float64
     )
     return names, data
 
 
 def cmd_ablate(args, opts, seed, chash) -> int:
-    model_opts, train_opts, _ = split_options(opts)
+    model_opts, train_opts = split_options(opts)
     cohort, bag_map = _load_cohort_and_bags(args.cohort, args.bags_root)
     base_cfg = _model_config(model_opts)
     train_cfg = _train_config(train_opts, seed)
@@ -621,10 +638,9 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    opts = dict(load_options(args.config, args.opt))
-    chash = config_hash(opts, args.seed)
     try:
-        return args.func(args, opts, args.seed, chash)
+        opts = load_options(args.config, args.opt)
+        return args.func(args, opts, args.seed, config_hash(opts, args.seed))
     except (ConvergenceError, GradError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 4

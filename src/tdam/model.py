@@ -396,28 +396,22 @@ def selective_scan(x: Tensor, params: ModelParams, layer: int) -> Tensor:
 
     delta_t = softplus(x_t W_delta + b_delta) per channel; the state matrix
     is discretized with a zero-order hold (abar = exp(delta A), bbar =
-    expm1(delta A)/A * B(x_t)); outputs are read through C(x_t) plus a
-    learned skip D. The scan runs on the stride-reordered sequence and the
-    result is permuted back; the residual is the caller's job.
+    expm1(delta A)/A * B(x_t); bbar is computed as delta * expm1(delta A) /
+    (delta A), so A = 0 is no singularity); outputs are read through C(x_t)
+    plus a learned skip D. Discretization, recurrence and readout run as the
+    one fused op :func:`tdam.autodiff.linear_recurrence`. The scan runs on
+    the stride-reordered sequence and the result is permuted back; the
+    residual is the caller's job.
     """
     p = f"srmamba{layer}"
     cfg = params.config
     n = x.shape[0]
     perm = srmamba_reorder(n, cfg.srmamba_rate)
     u = x.take_rows(perm) if cfg.srmamba_rate > 1 else x
-    a = params[f"{p}.A"]
     delta = (u @ params[f"{p}.W_delta"] + params[f"{p}.b_delta"]).softplus()
     b_in = u @ params[f"{p}.W_B"]
     c_out = u @ params[f"{p}.W_C"]
-    s = cfg.ssm_state_dim
-    dm = cfg.d_model
-    da = delta.reshape(n, dm, 1) * a
-    abar = da.exp()
-    # bbar = expm1(delta A)/A = delta * expm1x(delta A); no singularity at A = 0
-    phi = delta.reshape(n, dm, 1) * da.expm1x()
-    contrib = phi * b_in.reshape(n, 1, s) * u.reshape(n, dm, 1)
-    h = linear_recurrence(abar, contrib)
-    y = (h * c_out.reshape(n, 1, s)).sum(axis=2) + u * params[f"{p}.D"]
+    y = linear_recurrence(delta, params[f"{p}.A"], b_in, c_out, u) + u * params[f"{p}.D"]
     if cfg.srmamba_rate > 1:
         y = y.take_rows(np.argsort(perm))
     return y
@@ -633,17 +627,29 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelConfig, int]:
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: unreadable checkpoint manifest ({type(exc).__name__}: {exc})") from exc
     blob = raw[start + manifest_len :]
+    if not isinstance(config_dict, dict) or not isinstance(entries, list):
+        raise FormatError(f"{path}: checkpoint config must be a JSON object and tensors a list")
     config = config_from_dict(config_dict)
+    layout = {name: t.shape for name, t in init_params(config).tensors.items()}
     tensors: dict[str, Tensor] = {}
     for entry in entries:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        lo = entry["offset"]
-        hi = lo + count * 4
+        try:
+            name, shape, lo = entry["name"], entry["shape"], entry["offset"]
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"{path}: tensor entry {entry!r} lacks name, shape or offset") from exc
+        if not isinstance(name, str) or name not in layout or name in tensors:
+            raise FormatError(f"{path}: unexpected or repeated tensor {name!r}")
+        if shape != list(layout[name]):
+            raise FormatError(f"{path}: tensor {name} has shape {shape!r}, config implies {list(layout[name])}")
+        if not isinstance(lo, int) or isinstance(lo, bool) or lo < 0:
+            raise FormatError(f"{path}: tensor {name} has offset {lo!r}, not a byte offset")
+        hi = lo + math.prod(layout[name]) * 4
         if hi > len(blob):
-            raise TruncatedError(f"{path}: blob ends before tensor {entry['name']}")
-        arr = np.frombuffer(blob[lo:hi], dtype="<f4").reshape(shape).astype(np.float32)
-        tensors[entry["name"]] = Tensor(arr.copy())
-    params = ModelParams(config, tensors)
+            raise TruncatedError(f"{path}: blob ends before tensor {name}")
+        tensors[name] = Tensor(np.frombuffer(blob[lo:hi], dtype="<f4").reshape(layout[name]).astype(np.float32))
+    missing = [name for name in layout if name not in tensors]
+    if missing:
+        raise FormatError(f"{path}: checkpoint lacks {len(missing)} tensors (first: {missing[0]})")
+    params = ModelParams(config, {name: tensors[name] for name in layout})
     params.check_finite()
     return params, config, seed

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from tdam.autodiff import Tensor, concat, dwconv2d, linear_recurrence
+from tdam.autodiff import SCAN_CHUNK, Tensor, concat, dwconv2d, linear_recurrence
+
+# lengths on both sides of the fused scan's chunk boundaries
+SCAN_LENGTHS = (1, 2, SCAN_CHUNK - 1, SCAN_CHUNK, SCAN_CHUNK + 1, 3 * SCAN_CHUNK + 5)
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -52,7 +55,7 @@ def test_matmul_broadcast_leading():
 
 
 def test_unary_chain():
-    check_op(lambda a: (a.tanh().exp() + a.softplus() + a.erf()).sum(), (4, 3))
+    check_op(lambda a: (a.tanh() + a.softplus() + a.erf()).sum(), (4, 3))
 
 
 def test_sqrt_grad():
@@ -92,21 +95,33 @@ def test_concat_and_take():
 
 
 def test_linear_recurrence_matches_loop():
-    rng = np.random.default_rng(2)
-    a = rng.uniform(0.1, 0.9, size=(5, 2, 3))
-    c = rng.standard_normal((5, 2, 3))
-    h = linear_recurrence(Tensor(a), Tensor(c)).data
-    acc = np.zeros((2, 3))
-    for t in range(5):
-        acc = a[t] * acc + c[t]
-        np.testing.assert_allclose(h[t], acc)
+    """The fused scan against a per-step loop of the zero-order-hold scan;
+    one channel has A = 0, where bbar takes its limit delta * B."""
+    d, s = 2, 3
+    for n in SCAN_LENGTHS:
+        rng = np.random.default_rng(n)
+        delta = rng.uniform(0.01, 0.5, size=(n, d))
+        a = -rng.uniform(0.1, 2.0, size=(d, s))
+        a[1, 2] = 0.0
+        b, c, u = (rng.standard_normal(shape) for shape in ((n, s), (n, s), (n, d)))
+        y = linear_recurrence(*(Tensor(x) for x in (delta, a, b, c, u))).data
+        assert y.shape == (n, d)
+        h = np.zeros((d, s))
+        for t in range(n):
+            step = delta[t][:, None]
+            bbar = np.where(a == 0.0, step, np.expm1(step * a) / np.where(a == 0.0, 1.0, a))
+            h = np.exp(step * a) * h + bbar * b[t] * u[t][:, None]
+            np.testing.assert_allclose(y[t], h @ c[t], rtol=1e-12, atol=1e-14, err_msg=f"n={n} t={t}")
 
 
 def test_linear_recurrence_grad():
-    def f(a, c):
-        return (linear_recurrence(a.tanh() * 0.4 + 0.5, c) * 0.5).sum()
+    """Finite differences through all five operands, across chunk boundaries."""
+    def scan(delta, a, b, c, u):
+        # positive steps and decaying state keep long scans bounded
+        return (linear_recurrence(delta.softplus() * 0.2, -(a * a) - 0.1, b, c, u) * 0.5).sum()
 
-    check_op(f, (4, 2, 3), (4, 2, 3))
+    for n in SCAN_LENGTHS:
+        check_op(scan, (n, 2), (2, 3), (n, 3), (n, 3), (n, 2), seed=n)
 
 
 def test_dwconv2d_identity_kernel():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,19 @@ def test_bad_magic(tmp_path):
     path = tmp_path / "m.bag"
     path.write_bytes(b"NOTABAG0" + b"\0" * 16)
     with pytest.raises(FormatError):
+        bags.load_bag(path)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("{oops", id="invalid-json"),
+    pytest.param("[]", id="not-an-object"),
+])
+def test_corrupt_sidecar_rejected(tmp_path, text):
+    path = tmp_path / "s.bag"
+    bags.save_bag(make_bag(), path)
+    sidecar = tmp_path / "s.bag.json"
+    sidecar.write_text(text)
+    with pytest.raises(FormatError, match=re.escape(str(sidecar))):
         bags.load_bag(path)
 
 

@@ -1,11 +1,17 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import shutil
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdam import cli
 from tdam.bags import load_cohort_manifest
@@ -255,6 +261,22 @@ def test_stats_rejects_bad_score(tmp_path, capsys, stat, row):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("target", ["risks", "cohort", "config"])
+def test_non_utf8_input_exits_3(tmp_path, capsys, target):
+    data = synth(tmp_path, seed=11, n=30)
+    risks = tmp_path / "risks.csv"
+    write_risks_from_signal(data, risks)
+    config = tmp_path / "run.cfg"
+    config.write_text("train.lr=0.001\n")
+    bad = {"risks": risks, "cohort": data / "cohort.csv", "config": config}[target]
+    bad.write_bytes(b"\xff\xfe" + bad.read_bytes())
+    capsys.readouterr()
+    rc = cli.run(["--config", str(config), "stats", "logrank", "--cohort", str(data / "cohort.csv"),
+                  "--risks", str(risks), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert str(bad) in single_json_error(capsys)["message"]
+
+
 @pytest.mark.parametrize("stat,given,needed", [
     ("boot", ["--risks"], "--risks-b"),
     ("calib", [], "--pred"),
@@ -298,9 +320,24 @@ def _rewrite_manifest(path: Path, edit) -> None:
     path.write_bytes(CKPT_MAGIC + struct.pack("<Q", len(payload)) + payload + raw[start + size:])
 
 
+def _edit_tensors(edit):
+    """A manifest edit that rewrites the tensor list by ``edit(entries)``."""
+    return lambda m: json.dumps({**m, "tensors": edit(m["tensors"])}).encode()
+
+
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda m: b"{not json", id="invalid-json"),
     pytest.param(lambda m: json.dumps({k: v for k, v in m.items() if k != "seed"}).encode(), id="no-seed"),
+    pytest.param(_edit_tensors(lambda ts: ts[1:]), id="missing-tensor"),
+    pytest.param(_edit_tensors(lambda ts: ts + [{**ts[0], "name": "extra.W"}]), id="extra-tensor"),
+    pytest.param(_edit_tensors(lambda ts: ts + [ts[0]]), id="repeated-tensor"),
+    pytest.param(_edit_tensors(lambda ts: [{**ts[0], "shape": [8, 7]}] + ts[1:]), id="wrong-shape"),
+    pytest.param(_edit_tensors(lambda ts: [{k: v for k, v in ts[0].items() if k != "shape"}] + ts[1:]),
+                 id="no-shape"),
+    pytest.param(_edit_tensors(lambda ts: [{k: v for k, v in ts[0].items() if k != "offset"}] + ts[1:]),
+                 id="no-offset"),
+    pytest.param(_edit_tensors(lambda ts: [{**ts[0], "offset": "0"}] + ts[1:]), id="bad-offset"),
+    pytest.param(_edit_tensors(lambda ts: {"proj.W": ts[0]}), id="tensors-not-a-list"),
 ])
 def test_predict_rejects_bad_checkpoint_manifest(tmp_path, capsys, edit):
     data = synth(tmp_path, seed=7, n=12)
@@ -371,6 +408,40 @@ def test_netlink_transposed_genes(tmp_path):
     assert any(r[0] == "HUB1" for r in rows)
 
 
+def write_matrix(path: Path, ids: list[str], orientation: str) -> None:
+    """A 3-gene expression CSV in either layout."""
+    values = np.random.default_rng(0).standard_normal((len(ids), 3)).tolist()
+    if orientation == "samples":
+        rows = [["patient_id", "G0", "G1", "G2"]] + [[pid, *map(repr, v)] for pid, v in zip(ids, values)]
+    else:
+        rows = [["gene_id", *ids]] + [[f"G{g}", *(repr(v[g]) for v in values)] for g in range(3)]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+@pytest.mark.parametrize("orientation,defect", [
+    ("samples", "cell"), ("samples", "short-row"), ("genes", "cell"), ("genes", "short-row"),
+])
+def test_netlink_rejects_bad_matrix_csv(tmp_path, capsys, orientation, defect):
+    """Both matrix readers name the file and the patient of a bad cell or a short row."""
+    data = synth(tmp_path, seed=21, n=12)
+    risks = tmp_path / "risks.csv"
+    write_risks_from_signal(data, risks)
+    ids = [r.patient_id for r in load_cohort_manifest(data / "cohort.csv").records]
+    genes = tmp_path / "genes.csv"
+    write_matrix(genes, ids, orientation)
+    # the cell of patient ids[3], gene G1, in either layout
+    row, col = (4, 2) if orientation == "samples" else (2, 4)
+    _apply_csv_edit(genes, ("cell", (row, col, "x")) if defect == "cell" else ("short-row", (row, col)))
+    capsys.readouterr()
+    rc = cli.run(["netlink", "--cohort", str(data / "cohort.csv"), "--risks", str(risks),
+                  "--genes", str(genes), "--genes-orientation", orientation, "--out", str(tmp_path / "net")])
+    assert rc == 3
+    payload = single_json_error(capsys)
+    assert payload["error"] == "DataError"
+    assert str(genes) in payload["message"] and ids[3] in payload["message"]
+
+
 def test_ablate_command(tmp_path):
     data = synth(tmp_path, seed=7, n=12)
     out = tmp_path / "ablate"
@@ -387,3 +458,177 @@ def test_outputs_embed_version_seed_confighash(tmp_path):
     data = synth(tmp_path, seed=7)
     first = (data / "cohort.csv").read_text().splitlines()[0]
     assert first.startswith("# tdam=") and "seed=7" in first and "config=" in first
+
+
+# -- fuzz gate: every malformed input ends in exit 2/3/4 with one JSON line ------------
+
+BAD_CELLS = ["", "abc", "nan", "-inf", "1e999", "0x1p3", "1,5"]
+BAD_VALUES = ["oops", "2.5", "-3", "nan", "inf", "true", "", "frob"]
+# every option here is invalid; train.lr=2.5 is valid (it diverges), so 2.5 is not offered to the float keys
+BAD_OPTS = sorted(
+    {f"{key}={value}" for key in ("model.d_model", "model.ssm_state_dim", "train.max_epochs",
+                                  "train.folds", "model.frobnicate") for value in BAD_VALUES}
+    | {f"{key}={value}" for key in ("model.dropout", "train.lr") for value in BAD_VALUES if value != "2.5"}
+    | {f"model.ablation={value}" for value in BAD_VALUES}
+    | {"model.d_model", "", "=", "d_model=8", "seed=3"}
+)
+
+
+def _is_json_object(raw: bytes) -> bool:
+    try:
+        return isinstance(json.loads(raw.decode("utf-8")), dict)
+    except ValueError:
+        return False
+
+
+@st.composite
+def csv_edits(draw, n_rows: int, n_cols: int, layout: str):
+    """An edit that makes a CSV of a header plus ``n_rows`` rows of ``n_cols``
+    cells malformed. A gene row may be dropped or repeated, and a gene named
+    anything, so those edits are left out of the gene-rows layout."""
+    kinds = ["cell", "short-row", "empty", "bytes"]
+    if layout != "genes":
+        kinds += ["drop-row", "duplicate-row"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "bytes":
+        return kind, draw(st.binary(max_size=40))
+    if kind == "cell":
+        row = draw(st.integers(0 if layout == "genes" else 1, n_rows))
+        return kind, (row, draw(st.integers(1, n_cols - 1)), draw(st.sampled_from(BAD_CELLS)))
+    return kind, (draw(st.integers(1, n_rows)), draw(st.integers(1, n_cols - 1)))
+
+
+def _apply_csv_edit(path: Path, edit) -> None:
+    kind, arg = edit
+    if kind == "bytes":
+        path.write_bytes(arg)
+        return
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    if kind == "empty":
+        rows = []
+    elif kind == "cell":
+        row, col, cell = arg
+        rows[row][col] = cell
+    elif kind == "short-row":
+        row, keep = arg
+        rows[row] = rows[row][:keep]
+    elif kind == "drop-row":
+        del rows[arg[0]]
+    else:
+        rows.append(rows[arg[0]])
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+JUNK_SHAPES = [None, "8", [], [8, 7], [-1], [0.5]]
+JUNK_OFFSETS = [None, -1, "0", 1.5, True, 10**12]
+
+
+@st.composite
+def manifest_edits(draw):
+    """An edit that makes a checkpoint manifest malformed or inconsistent with its config."""
+    kind = draw(st.sampled_from(["drop-key", "shape", "offset", "drop-entry", "repeat-entry",
+                                 "rename-entry", "config", "text"]))
+    if kind == "text":
+        return kind, draw(st.text(max_size=30))
+    if kind == "config":
+        return kind, (draw(st.sampled_from(["d_model", "ablation", "frob"])), draw(st.sampled_from(BAD_VALUES)))
+    index = draw(st.integers(0, 40))
+    if kind == "drop-key":
+        return kind, (index, draw(st.sampled_from(["name", "shape", "offset"])))
+    if kind == "shape":
+        return kind, (index, draw(st.sampled_from(JUNK_SHAPES)))
+    if kind == "offset":
+        return kind, (index, draw(st.sampled_from(JUNK_OFFSETS)))
+    return kind, (index, None)
+
+
+def _apply_manifest_edit(manifest: dict, edit) -> bytes:
+    kind, arg = edit
+    if kind == "text":
+        return arg.encode()
+    if kind == "config":
+        key, value = arg
+        manifest["config"][key] = cli._parse_value(value)
+        return json.dumps(manifest).encode()
+    index, value = arg
+    entries = manifest["tensors"]
+    entry = entries[index % len(entries)]
+    if kind == "drop-key":
+        del entry[value]
+    elif kind in ("shape", "offset"):
+        entry[kind] = value
+    elif kind == "drop-entry":
+        entries.remove(entry)
+    elif kind == "repeat-entry":
+        entries.append(entry)
+    else:
+        entry["name"] = entry["name"] + ".x"
+    return json.dumps(manifest).encode()
+
+
+FUZZ_CASES = st.one_of(
+    st.tuples(st.just("score"), csv_edits(12, 2, "samples")),
+    st.tuples(st.sampled_from(["genes", "features"]), csv_edits(12, 4, "samples")),
+    st.tuples(st.just("genes-transposed"), csv_edits(3, 13, "genes")),
+    st.tuples(st.just("sidecar"), st.binary(max_size=30).filter(lambda b: not _is_json_object(b))),
+    st.tuples(st.just("checkpoint"), manifest_edits()),
+    st.tuples(st.just("opt"), st.sampled_from(BAD_OPTS)),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A 12-patient cohort, its risks, a samples x genes matrix and a tiny checkpoint."""
+    root = tmp_path_factory.mktemp("fuzz")
+    data = synth(root, seed=7, n=12)
+    write_risks_from_signal(data, data / "risks.csv")
+    ids = [r.patient_id for r in load_cohort_manifest(data / "cohort.csv").records]
+    write_matrix(data / "genes.csv", ids, "samples")
+    write_matrix(data / "genes_t.csv", ids, "genes")
+    cfg = ModelConfig(d_in=8, d_model=8, n_heads=2, n_agents=2, n_landmarks=4,
+                      srmamba_layers=1, srmamba_rate=2, ssm_state_dim=2, agent_bias_side=3)
+    save_checkpoint(data / "model.ckpt", init_params(cfg))
+    return data
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=FUZZ_CASES)
+def test_cli_fuzz_malformed_inputs_exit_cleanly(fuzz_base, case):
+    """Malformed score, matrix, bag-sidecar, checkpoint-manifest and --opt
+    inputs exit with 2, 3 or 4 and print exactly one JSON line on stderr."""
+    kind, edit = case
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data"
+        shutil.copytree(fuzz_base, data)
+        cohort, risks, genes = str(data / "cohort.csv"), str(data / "risks.csv"), str(data / "genes.csv")
+        out = str(Path(tmp) / "out")
+        predict = ["predict", "--cohort", cohort, "--checkpoint", str(data / "model.ckpt"), "--out", out]
+        netlink = ["netlink", "--cohort", cohort, "--risks", risks, "--out", out]
+        if kind == "score":
+            _apply_csv_edit(data / "risks.csv", edit)
+            argv = ["stats", "logrank", "--cohort", cohort, "--risks", risks, "--out", out]
+        elif kind in ("genes", "features"):
+            _apply_csv_edit(data / "genes.csv", edit)
+            argv = netlink + (["--genes", genes] if kind == "genes" else ["--features", genes, "--genes", genes])
+        elif kind == "genes-transposed":
+            _apply_csv_edit(data / "genes_t.csv", edit)
+            argv = netlink + ["--genes", str(data / "genes_t.csv"), "--genes-orientation", "genes"]
+        elif kind == "sidecar":
+            next(data.rglob("*.bag.json")).write_bytes(edit)
+            argv = predict
+        elif kind == "checkpoint":
+            _rewrite_manifest(data / "model.ckpt", lambda m: _apply_manifest_edit(m, edit))
+            argv = predict
+        else:
+            argv = [*TINY_OPTS, "--opt", edit, "train", "--cohort", cohort, "--out", out]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.run(argv)
+    lines = err.getvalue().strip().splitlines()
+    assert rc in (2, 3, 4), (kind, edit, rc)
+    assert "Traceback" not in err.getvalue()
+    if rc != 2:  # argparse prints its usage text for exit 2
+        assert len(lines) == 1, lines
+        assert {"error", "message"} <= json.loads(lines[0]).keys()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdam import model
-from tdam.autodiff import Tensor
+from tdam.autodiff import SCAN_CHUNK, Tensor
 from tdam.bags import FeatureBag, grid_coords
 from tdam.errors import DataError, FormatError, ShapeError, TruncatedError
 
@@ -334,6 +335,121 @@ def test_scan_toy_two_steps():
     assert out.data[0, 0] == pytest.approx(bbar, abs=1e-6)
     assert out.data[1, 0] == pytest.approx(y2, abs=1e-6)
     assert round(y2, 5) == 0.86466
+
+
+def _exp(x):
+    """exp as a tape op of its own, as the scan composed it."""
+    y = np.exp(x.data)
+    out = Tensor(y, (x,))
+    out._backward = lambda g: x._accum(g * y)
+    return out
+
+
+def _expm1x(x):
+    """expm1(x)/x as a tape op of its own, with the series below |x| = 1e-5."""
+    z = x.data
+    small = np.abs(z) < 1e-5
+    safe = np.where(small, 1.0, z)
+    y = np.where(small, 1.0 + z * 0.5 + z * z / 6.0, np.expm1(z) / safe)
+    out = Tensor(y.astype(z.dtype), (x,))
+
+    def bw(g):
+        deriv = np.where(
+            small,
+            0.5 + z / 3.0 + z * z / 8.0,
+            (np.exp(z) * (z - 1.0) + 1.0) / (safe * safe),
+        )
+        x._accum(g * deriv)
+
+    out._backward = bw
+    return out
+
+
+def _recurrence(abar, c):
+    """h[t] = abar[t] * h[t-1] + c[t] over the whole sequence, as one tape op."""
+    a, cv = abar.data, c.data
+    h = np.empty_like(cv)
+    acc = np.zeros_like(cv[0])
+    for t in range(cv.shape[0]):
+        acc = a[t] * acc + cv[t]
+        h[t] = acc
+    out = Tensor(h, (abar, c))
+
+    def bw(g):
+        dc = np.empty_like(g)
+        da = np.empty_like(g)
+        carry = np.zeros_like(g[0])
+        for t in range(cv.shape[0] - 1, -1, -1):
+            carry = g[t] + carry
+            dc[t] = carry
+            da[t] = carry * (h[t - 1] if t > 0 else 0.0)
+            carry = carry * a[t]
+        abar._accum(da)
+        c._accum(dc)
+
+    out._backward = bw
+    return out
+
+
+def composed_selective_scan(x, params, layer):
+    """The scan as a chain of tape ops (exp, expm1x, a whole-sequence
+    recurrence, multiply and sum): the reference for the fused op."""
+    p = f"srmamba{layer}"
+    cfg = params.config
+    n = x.shape[0]
+    perm = model.srmamba_reorder(n, cfg.srmamba_rate)
+    u = x.take_rows(perm) if cfg.srmamba_rate > 1 else x
+    a = params[f"{p}.A"]
+    delta = (u @ params[f"{p}.W_delta"] + params[f"{p}.b_delta"]).softplus()
+    b_in = u @ params[f"{p}.W_B"]
+    c_out = u @ params[f"{p}.W_C"]
+    s = cfg.ssm_state_dim
+    dm = cfg.d_model
+    da = delta.reshape(n, dm, 1) * a
+    abar = _exp(da)
+    phi = delta.reshape(n, dm, 1) * _expm1x(da)
+    contrib = phi * b_in.reshape(n, 1, s) * u.reshape(n, dm, 1)
+    h = _recurrence(abar, contrib)
+    y = (h * c_out.reshape(n, 1, s)).sum(axis=2) + u * params[f"{p}.D"]
+    if cfg.srmamba_rate > 1:
+        y = y.take_rows(np.argsort(perm))
+    return y
+
+
+@pytest.mark.parametrize("rate", [1, 5])
+def test_fused_scan_matches_composed_chain(rate):
+    """float64: output and every gradient within 1e-10 of the largest entry;
+    float32: the output is bitwise the composed chain's. The scaled-down A
+    puts delta * A inside the series branch of expm1(z)/z."""
+    cfg = dataclasses.replace(TINY, d_model=8, ssm_state_dim=4, srmamba_rate=rate)
+    for n in (1, SCAN_CHUNK - 1, SCAN_CHUNK + 1, 3 * SCAN_CHUNK + 5):
+        for a_scale in (1.0, 1e-6):
+            rng = np.random.default_rng(n)
+            x = rng.standard_normal((n, cfg.d_model))
+            weights = rng.standard_normal((n, cfg.d_model))
+            results = []
+            for scan in (model.selective_scan, composed_selective_scan):
+                params = model.init_params(cfg, seed=n, dtype=np.float64)
+                params["srmamba0.A"].data *= a_scale
+                xt = Tensor(x.copy())
+                out = scan(xt, params, 0)
+                (out * weights).sum().backward()
+                grads = {name: params[f"srmamba0.{name}"].grad for name in ("A", "W_delta", "b_delta", "W_B", "W_C", "D")}
+                grads["x"] = xt.grad
+                results.append((out.data, grads))
+            (got, got_grads), (want, want_grads) = results
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+            for name, want_g in want_grads.items():
+                err = np.abs(got_grads[name] - want_g).max()
+                assert err <= 1e-10 * np.abs(want_g).max(), (n, a_scale, name, err)
+
+            params = model.init_params(cfg, seed=n, dtype=np.float32)
+            params["srmamba0.A"].data *= np.float32(a_scale)
+            x32 = Tensor(x.astype(np.float32))
+            fused = model.selective_scan(x32, params, 0).data
+            composed = composed_selective_scan(x32, params, 0).data
+            assert fused.dtype == composed.dtype == np.float32
+            assert np.array_equal(fused, composed), (n, a_scale)
 
 
 # -- pooling -----------------------------------------------------------------------
