@@ -321,11 +321,11 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
-def _scan_chunk(delta, a, b_in, u, h0, work, maybe_small):
+def _scan_chunk(delta, a, b_in, u, h0, work):
     """Discretize one chunk and run its recurrence from the state ``h0``.
 
-    Fills ``work`` = (da, abar, expm1(da)/da, h), each (L, d, s), in place.
-    ``maybe_small`` is False when no |da| can fall below the series cutoff.
+    Fills ``work`` = (da, abar, expm1(da)/da, h), each (L, d, s), in place,
+    and returns the mask of entries where expm1(da)/da took its series.
     """
     da, abar, e, h = work
     d3 = delta[:, :, None]
@@ -334,8 +334,8 @@ def _scan_chunk(delta, a, b_in, u, h0, work, maybe_small):
     with np.errstate(divide="ignore", invalid="ignore"):
         np.expm1(da, out=e)
         e /= da
-    small = np.abs(da) < 1e-5 if maybe_small else None
-    if small is not None and small.any():
+    small = np.abs(da) < 1e-5
+    if small.any():
         zs = da[small]
         e[small] = 1.0 + zs * 0.5 + zs * zs / 6.0
     # h[t] = contrib[t] + abar[t] * h[t-1], built in place over contrib
@@ -375,18 +375,14 @@ def linear_recurrence(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor, u: 
         raise ValueError("linear_recurrence operands have inconsistent shapes")
     dtype = np.result_type(dv, av, bv, uv)
     chunks = [slice(lo, min(lo + SCAN_CHUNK, n)) for lo in range(0, n, SCAN_CHUNK)]
-    # |fl(delta a)| >= (1 - eps) min|delta| min|a|, so a product of the minima
-    # at twice the cutoff rules out the series branch for a whole chunk
-    a_min = np.abs(av).min()
-    maybe_small = [not np.abs(dv[ck]).min() * a_min >= 2e-5 for ck in chunks]
     work = np.empty((4, min(n, SCAN_CHUNK), d, s), dtype=dtype)
     starts = []
     state = np.zeros((d, s), dtype=dtype)
     y = np.empty((n, d), dtype=np.result_type(dtype, cv))
-    for ck, may in zip(chunks, maybe_small):
+    for ck in chunks:
         starts.append(state)
         part = work[:, : ck.stop - ck.start]
-        _scan_chunk(dv[ck], av, bv[ck], uv[ck], state, part, may)
+        _scan_chunk(dv[ck], av, bv[ck], uv[ck], state, part)
         # expm1(da)/da is spent once h is built, so its buffer takes the readout product
         h, prod = part[3], part[2]
         np.multiply(h, cv[ck, None, :], out=prod)
@@ -398,9 +394,9 @@ def linear_recurrence(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor, u: 
         g_delta, g_b, g_c, g_u = (np.empty_like(x) for x in (dv, bv, cv, uv))
         g_a = np.zeros_like(av)
         carry = np.zeros_like(state)
-        for ck, h0, may in zip(reversed(chunks), reversed(starts), reversed(maybe_small)):
+        for ck, h0 in zip(reversed(chunks), reversed(starts)):
             part = work[:, : ck.stop - ck.start]
-            small = _scan_chunk(dv[ck], av, bv[ck], uv[ck], h0, part, may)
+            small = _scan_chunk(dv[ck], av, bv[ck], uv[ck], h0, part)
             da, abar, e, h = part
             gk, dk, uk, bk = g[ck], dv[ck], uv[ck], bv[ck]
             g_c[ck] = np.matmul(gk[:, None, :], h)[:, 0]
@@ -419,7 +415,7 @@ def linear_recurrence(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor, u: 
             # d/dz expm1(z)/z = (exp(z) - expm1(z)/z) / z
             with np.errstate(divide="ignore", invalid="ignore"):
                 de = (abar - e) / da
-            if small is not None and small.any():
+            if small.any():
                 zs = da[small]
                 de[small] = 0.5 + zs / 3.0 + zs * zs / 8.0
             # g_da: through abar = exp(da) into h[t] = abar h[t-1] + ..., and through e

@@ -147,61 +147,71 @@ def _xavier(rng, shape, fan_in, fan_out, dtype):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
+def param_layout(config: ModelConfig):
+    """Yield each parameter's name, shape and initializer kind in checkpoint
+    order. No weights are made, so a loader can size a config up first."""
+    config.validate()
+    d, dm, s = config.d_in, config.d_model, config.ssm_state_dim
+    yield "proj.W", (d, dm), "xavier"
+    yield "proj.b", (dm,), "zeros"
+    yield "cls_token", (1, dm), "token"
+    for blk in ("attn1", "attn2"):
+        yield f"{blk}.ln_g", (dm,), "ones"
+        yield f"{blk}.ln_b", (dm,), "zeros"
+        for w in ("Wq", "Wk", "Wv", "Wo"):
+            yield f"{blk}.{w}", (dm, dm), "xavier"
+    for k in (7, 5, 3):
+        yield f"ppeg.K{k}", (k, k, dm), "xavier"
+    yield "agent.P_agent", (config.n_agents, dm), "token"
+    yield "agent.Wq", (dm, dm), "xavier"
+    yield "agent.Wkv", (dm, 2 * dm), "xavier"
+    yield "agent.Wdw", (3, 3, dm), "xavier"
+    yield "agent.Wout", (dm, dm), "xavier"
+    g2 = config.agent_bias_side ** 2
+    yield "agent.B_A2P", (config.n_heads, config.n_agents, g2), "zeros"
+    yield "agent.B_P2A", (config.n_heads, g2, config.n_agents), "zeros"
+    for layer in range(config.srmamba_layers):
+        p = f"srmamba{layer}"
+        yield f"{p}.ln_g", (dm,), "ones"
+        yield f"{p}.ln_b", (dm,), "zeros"
+        yield f"{p}.A", (dm, s), "ssm_A"
+        yield f"{p}.W_delta", (dm, dm), "xavier"
+        yield f"{p}.b_delta", (dm,), "ssm_step"
+        yield f"{p}.W_B", (dm, s), "xavier"
+        yield f"{p}.W_C", (dm, s), "xavier"
+        yield f"{p}.D", (dm,), "ones"
+    hid = config.pool_hidden_dim
+    yield "pool.W1", (dm, hid), "xavier"
+    yield "pool.b1", (hid,), "zeros"
+    yield "pool.W2", (hid, 1), "xavier"
+    yield "pool.b2", (1,), "zeros"
+    yield "clf.W", (dm, N_BINS), "xavier"
+    yield "clf.b", (N_BINS,), "zeros"
+
+
 def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelParams:
     """Xavier-uniform weights, zero biases, unit layernorm gains; the class
     and agent tokens start at N(0, 0.02); the scan's state matrix starts at
     -(1..state_dim) per channel with a small initial discretization step."""
-    config.validate()
     rng = substream(seed, "init")
-    d, dm = config.d_in, config.d_model
     t: dict[str, Tensor] = {}
-
-    def xav(shape, fan_in, fan_out):
-        return Tensor(_xavier(rng, shape, fan_in, fan_out, dtype))
-
-    def zeros(shape):
-        return Tensor(np.zeros(shape, dtype=dtype))
-
-    def ones(shape):
-        return Tensor(np.ones(shape, dtype=dtype))
-
-    t["proj.W"] = xav((d, dm), d, dm)
-    t["proj.b"] = zeros((dm,))
-    t["cls_token"] = Tensor((rng.normal(0.0, 0.02, size=(1, dm))).astype(dtype))
-    for blk in ("attn1", "attn2"):
-        t[f"{blk}.ln_g"] = ones((dm,))
-        t[f"{blk}.ln_b"] = zeros((dm,))
-        for w in ("Wq", "Wk", "Wv", "Wo"):
-            t[f"{blk}.{w}"] = xav((dm, dm), dm, dm)
-    for k in (7, 5, 3):
-        t[f"ppeg.K{k}"] = xav((k, k, dm), k * k, k * k)
-    t["agent.P_agent"] = Tensor(rng.normal(0.0, 0.02, size=(config.n_agents, dm)).astype(dtype))
-    t["agent.Wq"] = xav((dm, dm), dm, dm)
-    t["agent.Wkv"] = xav((dm, 2 * dm), dm, 2 * dm)
-    t["agent.Wdw"] = xav((3, 3, dm), 9, 9)
-    t["agent.Wout"] = xav((dm, dm), dm, dm)
-    g2 = config.agent_bias_side ** 2
-    t["agent.B_A2P"] = zeros((config.n_heads, config.n_agents, g2))
-    t["agent.B_P2A"] = zeros((config.n_heads, g2, config.n_agents))
-    s = config.ssm_state_dim
-    for layer in range(config.srmamba_layers):
-        p = f"srmamba{layer}"
-        t[f"{p}.ln_g"] = ones((dm,))
-        t[f"{p}.ln_b"] = zeros((dm,))
-        t[f"{p}.A"] = Tensor(np.tile(-np.arange(1.0, s + 1.0), (dm, 1)).astype(dtype))
-        t[f"{p}.W_delta"] = xav((dm, dm), dm, dm)
-        # softplus(b_delta) = 0.05: the scan starts with a short memory step
-        t[f"{p}.b_delta"] = Tensor(np.full((dm,), math.log(math.expm1(0.05)), dtype=dtype))
-        t[f"{p}.W_B"] = xav((dm, s), dm, s)
-        t[f"{p}.W_C"] = xav((dm, s), dm, s)
-        t[f"{p}.D"] = ones((dm,))
-    hid = config.pool_hidden_dim
-    t["pool.W1"] = xav((dm, hid), dm, hid)
-    t["pool.b1"] = zeros((hid,))
-    t["pool.W2"] = xav((hid, 1), hid, 1)
-    t["pool.b2"] = zeros((1,))
-    t["clf.W"] = xav((dm, N_BINS), dm, N_BINS)
-    t["clf.b"] = zeros((N_BINS,))
+    for name, shape, kind in param_layout(config):
+        if kind == "xavier":
+            # a (k, k, C) depthwise kernel has fan k*k on both sides
+            fans = shape if len(shape) == 2 else (shape[0] * shape[1],) * 2
+            v = _xavier(rng, shape, *fans, dtype)
+        elif kind == "token":
+            v = rng.normal(0.0, 0.02, size=shape).astype(dtype)
+        elif kind == "ssm_A":
+            v = np.tile(-np.arange(1.0, shape[1] + 1.0), (shape[0], 1)).astype(dtype)
+        elif kind == "ssm_step":
+            # softplus(b_delta) = 0.05: the scan starts with a short memory step
+            v = np.full(shape, math.log(math.expm1(0.05)), dtype=dtype)
+        elif kind == "ones":
+            v = np.ones(shape, dtype=dtype)
+        else:
+            v = np.zeros(shape, dtype=dtype)
+        t[name] = Tensor(v)
     return ModelParams(config, t)
 
 
@@ -630,7 +640,15 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelConfig, int]:
     if not isinstance(config_dict, dict) or not isinstance(entries, list):
         raise FormatError(f"{path}: checkpoint config must be a JSON object and tensors a list")
     config = config_from_dict(config_dict)
-    layout = {name: t.shape for name, t in init_params(config).tensors.items()}
+    # the config comes from the file, so its weights must fit the blob before
+    # anything is allocated; this also bounds the walk over a huge layer count
+    layout: dict[str, tuple[int, ...]] = {}
+    implied = 0
+    for name, shape, _ in param_layout(config):
+        implied += math.prod(shape) * 4
+        if implied > len(blob):
+            raise TruncatedError(f"{path}: config implies more than the {len(blob)} bytes of weights the file holds")
+        layout[name] = shape
     tensors: dict[str, Tensor] = {}
     for entry in entries:
         try:

@@ -325,21 +325,27 @@ def _edit_tensors(edit):
     return lambda m: json.dumps({**m, "tensors": edit(m["tensors"])}).encode()
 
 
-@pytest.mark.parametrize("edit", [
-    pytest.param(lambda m: b"{not json", id="invalid-json"),
-    pytest.param(lambda m: json.dumps({k: v for k, v in m.items() if k != "seed"}).encode(), id="no-seed"),
-    pytest.param(_edit_tensors(lambda ts: ts[1:]), id="missing-tensor"),
-    pytest.param(_edit_tensors(lambda ts: ts + [{**ts[0], "name": "extra.W"}]), id="extra-tensor"),
-    pytest.param(_edit_tensors(lambda ts: ts + [ts[0]]), id="repeated-tensor"),
-    pytest.param(_edit_tensors(lambda ts: [{**ts[0], "shape": [8, 7]}] + ts[1:]), id="wrong-shape"),
+@pytest.mark.parametrize("edit, error", [
+    pytest.param(lambda m: b"{not json", "FormatError", id="invalid-json"),
+    pytest.param(lambda m: json.dumps({k: v for k, v in m.items() if k != "seed"}).encode(), "FormatError",
+                 id="no-seed"),
+    pytest.param(_edit_tensors(lambda ts: ts[1:]), "FormatError", id="missing-tensor"),
+    pytest.param(_edit_tensors(lambda ts: ts + [{**ts[0], "name": "extra.W"}]), "FormatError", id="extra-tensor"),
+    pytest.param(_edit_tensors(lambda ts: ts + [ts[0]]), "FormatError", id="repeated-tensor"),
+    pytest.param(_edit_tensors(lambda ts: [{**ts[0], "shape": [8, 7]}] + ts[1:]), "FormatError", id="wrong-shape"),
     pytest.param(_edit_tensors(lambda ts: [{k: v for k, v in ts[0].items() if k != "shape"}] + ts[1:]),
-                 id="no-shape"),
+                 "FormatError", id="no-shape"),
     pytest.param(_edit_tensors(lambda ts: [{k: v for k, v in ts[0].items() if k != "offset"}] + ts[1:]),
-                 id="no-offset"),
-    pytest.param(_edit_tensors(lambda ts: [{**ts[0], "offset": "0"}] + ts[1:]), id="bad-offset"),
-    pytest.param(_edit_tensors(lambda ts: {"proj.W": ts[0]}), id="tensors-not-a-list"),
+                 "FormatError", id="no-offset"),
+    pytest.param(_edit_tensors(lambda ts: [{**ts[0], "offset": "0"}] + ts[1:]), "FormatError", id="bad-offset"),
+    pytest.param(_edit_tensors(lambda ts: {"proj.W": ts[0]}), "FormatError", id="tensors-not-a-list"),
+    # a config whose weights would not fit the file is refused before any is built
+    pytest.param(lambda m: json.dumps({**m, "config": {**m["config"], "d_model": 65536, "n_heads": 1}}).encode(),
+                 "TruncatedError", id="huge-d-model"),
+    pytest.param(lambda m: json.dumps({**m, "config": {**m["config"], "srmamba_layers": 10**9}}).encode(),
+                 "TruncatedError", id="huge-layer-count"),
 ])
-def test_predict_rejects_bad_checkpoint_manifest(tmp_path, capsys, edit):
+def test_predict_rejects_bad_checkpoint_manifest(tmp_path, capsys, edit, error):
     data = synth(tmp_path, seed=7, n=12)
     ckpt = tmp_path / "model.ckpt"
     cfg = ModelConfig(d_in=8, d_model=8, n_heads=2, n_agents=2, n_landmarks=4,
@@ -351,7 +357,7 @@ def test_predict_rejects_bad_checkpoint_manifest(tmp_path, capsys, edit):
                   "--out", str(tmp_path / "out")])
     assert rc == 3
     payload = single_json_error(capsys)
-    assert payload["error"] == "FormatError"
+    assert payload["error"] == error
     assert str(ckpt) in payload["message"]
 
 
