@@ -261,25 +261,12 @@ class Tensor:
         return out
 
     def __getitem__(self, idx):
-        """Basic indexing only (ints/slices); use take/take_rows for fancy."""
+        """Basic indexing only (ints/slices); use take for fancy."""
         out = Tensor(self.data[idx], (self,))
 
         def bw(g):
             full = np.zeros_like(self.data)
             full[idx] += g
-            self._accum(full)
-
-        out._backward = bw
-        return out
-
-    def take_rows(self, indices: np.ndarray):
-        """Gather rows (axis 0) by an integer index array; duplicates allowed."""
-        idx = np.asarray(indices)
-        out = Tensor(self.data[idx], (self,))
-
-        def bw(g):
-            full = np.zeros_like(self.data)
-            np.add.at(full, idx, g)
             self._accum(full)
 
         out._backward = bw

@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Subcommands: synth, train, eval, predict, heatmap, erf, stats (km, logrank,
-cox, timeroc, rmst, boot, calib, dca, nomogram), netlink, ablate. Every
-output artifact embeds the tool version, the run seed, and a hash of the
-effective configuration, either in a leading comment line (CSV) or a "meta"
-object (JSON). Exit codes: 0 success, 2 usage, 3 data error, 4 solver error.
+cox, timeroc, rmst, boot, calib, dca, nomogram), netlink, ablate. Each
+accepts only the flags it reads: --jobs, --config and --opt belong to train
+and ablate, and each statistic has its own flags. Every output artifact
+embeds the tool version, the run seed, and a hash of the effective
+configuration, either in a leading comment line (CSV) or a "meta" object
+(JSON). Exit codes: 0 success, 2 usage, 3 data error, 4 solver error.
 """
 
 from __future__ import annotations
@@ -60,13 +62,14 @@ def load_options(config_path: str | None, overrides: list[str]) -> dict:
     return opts
 
 
-def split_options(opts: dict) -> tuple[dict, dict]:
-    """(model options, train options), each keyed without its prefix."""
-    model_opts, train_opts = {}, {}
+def training_configs(opts: dict, seed: int) -> tuple[ModelConfig, trainer.TrainConfig]:
+    """The model and training configs that ``model.``/``train.`` options set;
+    the run seed seeds training unless ``train.seed`` is given."""
+    groups: dict[str, dict] = {"model": {}, "train": {"seed": seed}}
     for key, val in opts.items():
         group, name = key.split(".", 1)
-        (model_opts if group == "model" else train_opts)[name] = val
-    return model_opts, train_opts
+        groups[group][name] = val
+    return config_from_dict(groups["model"]), trainer.train_config_from_dict(groups["train"])
 
 
 def config_hash(opts: dict, seed: int) -> str:
@@ -140,15 +143,6 @@ def _load_cohort_and_bags(cohort_path: str, bags_root: str | None):
     return cohort, bags.load_bags(cohort, root)
 
 
-def _model_config(model_opts: dict) -> ModelConfig:
-    return config_from_dict(model_opts) if model_opts else ModelConfig()
-
-
-def _train_config(train_opts: dict, seed: int) -> trainer.TrainConfig:
-    merged = {"seed": seed, **train_opts}
-    return trainer.train_config_from_dict(merged)
-
-
 # -- subcommands ------------------------------------------------------------------
 
 
@@ -177,11 +171,9 @@ def cmd_synth(args, opts, seed, chash) -> int:
 
 
 def cmd_train(args, opts, seed, chash) -> int:
-    model_opts, train_opts = split_options(opts)
     cohort, bag_map = _load_cohort_and_bags(args.cohort, args.bags_root)
-    model_cfg = _model_config(model_opts)
-    train_cfg = _train_config(train_opts, seed)
-    result = trainer.train(cohort, bag_map, model_cfg, train_cfg, out_dir=args.out, jobs=args.jobs)
+    model_cfg, train_cfg = training_configs(opts, seed)
+    result = trainer.train(cohort, bag_map, model_cfg, train_cfg, out_dir=args.out, jobs=args.jobs or 1)
     out = Path(args.out)
     write_json(out / "cv_report.json", result.report(), seed, chash)
     print(f"mean C-index {result.formatted()}")
@@ -250,9 +242,7 @@ def cmd_heatmap(args, opts, seed, chash) -> int:
 
 def cmd_erf(args, opts, seed, chash) -> int:
     params, _, _ = load_checkpoint(args.checkpoint)
-    cfg = None
-    if args.ablation != "full":
-        cfg = params.config.with_ablation(args.ablation)
+    cfg = params.config.with_ablation(args.ablation or params.config.ablation)
     bag = bags.load_bag(args.bag) if args.bag else None
     erf = explain.erf_map(bag, params, cfg, side=args.side, seed=seed)
     out = Path(args.out)
@@ -386,34 +376,43 @@ def _stats_nomogram(args, cohort, times, events):
     }
 
 
-# statistic -> (handler, score-file flags it cannot run without)
+# each stats flag's argparse keywords; a statistic declares only the flags it reads
+STAT_FLAGS = {
+    "--risks": {"help": "risk CSV (patient_id,risk)"},
+    "--risks-b": {"help": "second marker CSV"},
+    "--pred": {"help": "prediction CSV"},
+    "--vars": {"help": "comma-separated covariate columns"},
+    "--horizon": {"type": float, "default": 36.0},
+    "--horizons": {"default": "12,36,60"},
+    "--tau": {"type": float, "default": 60.0},
+    "--thresholds": {"default": "0.1,0.2,0.3,0.4,0.5"},
+    "--n-boot": {"type": int, "default": 500},
+}
+
+# statistic -> (handler, flags it reads, flags it cannot run without)
 STATS = {
-    "km": (_stats_km, ()),
-    "logrank": (_stats_logrank, ("risks",)),
-    "cox": (_stats_cox, ()),
-    "timeroc": (_stats_timeroc, ("risks",)),
-    "rmst": (_stats_rmst, ("risks",)),
-    "boot": (_stats_boot, ("risks", "risks_b")),
-    "calib": (_stats_calib, ("pred",)),
-    "dca": (_stats_dca, ("pred",)),
-    "nomogram": (_stats_nomogram, ()),
+    "km": (_stats_km, ("--risks",), ()),
+    "logrank": (_stats_logrank, ("--risks",), ("--risks",)),
+    "cox": (_stats_cox, ("--risks", "--vars"), ()),
+    "timeroc": (_stats_timeroc, ("--risks", "--horizons"), ("--risks",)),
+    "rmst": (_stats_rmst, ("--risks", "--tau"), ("--risks",)),
+    "boot": (_stats_boot, ("--risks", "--risks-b", "--horizon", "--n-boot"), ("--risks", "--risks-b")),
+    "calib": (_stats_calib, ("--pred", "--horizon"), ("--pred",)),
+    "dca": (_stats_dca, ("--pred", "--horizon", "--thresholds"), ("--pred",)),
+    "nomogram": (_stats_nomogram, ("--risks", "--vars", "--horizons"), ()),
 }
 
 
 def cmd_stats(args, opts, seed, chash) -> int:
-    sub = args.stat
-    handler, needs = STATS[sub]
-    missing = [f"--{flag.replace('_', '-')}" for flag in needs if getattr(args, flag) is None]
-    if missing:
-        raise DataError(f"stats {sub} needs {' and '.join(missing)}")
     out = Path(args.out)
     cohort = bags.load_cohort_manifest(args.cohort)
+    handler = STATS[args.stat][0]
     for name, payload in handler(args, cohort, cohort.times(), cohort.events()).items():
         if name.endswith(".json"):
             write_json(out / name, payload, seed, chash)
         else:
             write_csv(out / name, *payload, seed, chash)
-    print(f"wrote stats/{sub} outputs under {out}")
+    print(f"wrote stats/{args.stat} outputs under {out}")
     return 0
 
 
@@ -511,16 +510,14 @@ def _read_matrix_csv_transposed(path: str, ids: list[str]) -> tuple[list[str], n
 
 
 def cmd_ablate(args, opts, seed, chash) -> int:
-    model_opts, train_opts = split_options(opts)
     cohort, bag_map = _load_cohort_and_bags(args.cohort, args.bags_root)
-    base_cfg = _model_config(model_opts)
-    train_cfg = _train_config(train_opts, seed)
+    base_cfg, train_cfg = training_configs(opts, seed)
     out = Path(args.out)
     rows = []
     for ablation in ABLATIONS:
         cfg = base_cfg.with_ablation(ablation)
         result = trainer.train(cohort, bag_map, cfg, train_cfg,
-                               out_dir=out / ablation, jobs=args.jobs)
+                               out_dir=out / ablation, jobs=args.jobs or 1)
         write_json(out / ablation / "cv_report.json", result.report(), seed, chash)
         rows.append([ablation, repr(result.mean_cindex), repr(result.std_cindex), result.formatted()])
     write_csv(out / "ablation.csv", ["variant", "mean_cindex", "std_cindex", "formatted"],
@@ -535,20 +532,23 @@ def cmd_ablate(args, opts, seed, chash) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tdam", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="run seed; all randomness derives from it")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers (folds); 1 = bitwise deterministic")
+    # only train and ablate read these three; run() rejects them before any other command
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="parallel workers (folds); 1 (default) = bitwise deterministic")
     parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--opt", action="append", default=[], metavar="K=V",
+    parser.add_argument("--opt", action="append", default=None, metavar="K=V",
                         help="config override (repeatable), e.g. model.d_model=64")
-    # the same global flags are accepted after the subcommand too
+    # a command also accepts the global flags it reads after its name
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--config", default=argparse.SUPPRESS)
-    common.add_argument("--opt", action="append", default=argparse.SUPPRESS, metavar="K=V")
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
+    training.add_argument("--config", default=argparse.SUPPRESS)
+    training.add_argument("--opt", action="append", default=argparse.SUPPRESS, metavar="K=V")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
-        return subs.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name, *parents, **kwargs):
+        return subs.add_parser(name, parents=[common, *parents], **kwargs)
 
     p = add_parser("synth", help="generate a synthetic cohort with bags")
     p.add_argument("--n", type=int, required=True)
@@ -559,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = add_parser("train", help="5-fold cross-validated training")
+    p = add_parser("train", training, help="5-fold cross-validated training")
     p.add_argument("--cohort", required=True)
     p.add_argument("--bags-root", default=None)
     p.add_argument("--out", required=True)
@@ -593,24 +593,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--bag", default=None)
     p.add_argument("--side", type=int, default=8, help="synthetic grid side when no bag is given")
-    p.add_argument("--ablation", default="full", choices=ABLATIONS)
+    p.add_argument("--ablation", default=None, choices=ABLATIONS,
+                   help="stages to run (default: the checkpoint's own ablation)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_erf)
 
-    p = add_parser("stats", help="survival statistics on cohort + score files")
-    p.add_argument("stat", choices=STATS)
-    p.add_argument("--cohort", required=True)
-    p.add_argument("--risks", default=None, help="risk CSV (patient_id,risk)")
-    p.add_argument("--risks-b", default=None, help="second marker CSV for boot")
-    p.add_argument("--pred", default=None, help="prediction CSV for calib/dca")
-    p.add_argument("--vars", default=None, help="comma-separated covariate columns")
-    p.add_argument("--horizon", type=float, default=36.0)
-    p.add_argument("--horizons", default="12,36,60")
-    p.add_argument("--tau", type=float, default=60.0)
-    p.add_argument("--thresholds", default="0.1,0.2,0.3,0.4,0.5")
-    p.add_argument("--n-boot", type=int, default=500)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_stats)
+    stats = subs.add_parser("stats", help="survival statistics on cohort + score files")
+    stats.set_defaults(func=cmd_stats)
+    stat_subs = stats.add_subparsers(dest="stat", required=True)
+    for name, (_, flags, required) in STATS.items():
+        p = stat_subs.add_parser(name, parents=[common])
+        p.add_argument("--cohort", required=True)
+        for flag in flags:
+            p.add_argument(flag, required=flag in required, **STAT_FLAGS[flag])
+        p.add_argument("--out", required=True)
 
     p = add_parser("netlink", help="feature/gene network + centrality table")
     p.add_argument("--cohort", required=True)
@@ -624,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_netlink)
 
-    p = add_parser("ablate", help="train all ablation variants and compare")
+    p = add_parser("ablate", training, help="train all ablation variants and compare")
     p.add_argument("--cohort", required=True)
     p.add_argument("--bags-root", default=None)
     p.add_argument("--out", required=True)
@@ -636,6 +632,9 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        stray = [f"--{flag}" for flag in ("jobs", "config", "opt") if getattr(args, flag) is not None]
+        if stray and args.func not in (cmd_train, cmd_ablate):
+            parser.error(f"{args.command} does not take {', '.join(stray)}; only train and ablate do")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

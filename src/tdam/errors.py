@@ -37,6 +37,10 @@ class ShapeError(DataError):
     """Tensor shapes are inconsistent with the model configuration."""
 
 
+class NonFiniteError(DataError):
+    """A computation on finite inputs produced NaN or infinity."""
+
+
 class UndefinedError(TdamError):
     """The statistic is undefined on this input (e.g. no comparable pairs)."""
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .autodiff import Tensor, concat, dwconv2d, linear_recurrence
 from .bags import FeatureBag
-from .errors import DataError, FormatError, GradError, ShapeError, TruncatedError
+from .errors import DataError, FormatError, GradError, NonFiniteError, ShapeError, TruncatedError
 from .rng import substream
 from .survival import N_BINS, nll_graph
 
@@ -254,7 +254,7 @@ def pad_square_with_class(xp: Tensor, params: ModelParams) -> tuple[Tensor, int]
     then prepend the class token."""
     n = xp.shape[0]
     n_prime = (math.isqrt(n - 1) + 1) ** 2
-    grid = xp if n_prime == n else xp.take_rows(np.arange(n_prime) % n)
+    grid = xp if n_prime == n else xp.take(np.arange(n_prime) % n, axis=0)
     return concat([params["cls_token"], grid], axis=0), n_prime
 
 
@@ -417,13 +417,13 @@ def selective_scan(x: Tensor, params: ModelParams, layer: int) -> Tensor:
     cfg = params.config
     n = x.shape[0]
     perm = srmamba_reorder(n, cfg.srmamba_rate)
-    u = x.take_rows(perm) if cfg.srmamba_rate > 1 else x
+    u = x.take(perm, axis=0) if cfg.srmamba_rate > 1 else x
     delta = (u @ params[f"{p}.W_delta"] + params[f"{p}.b_delta"]).softplus()
     b_in = u @ params[f"{p}.W_B"]
     c_out = u @ params[f"{p}.W_C"]
     y = linear_recurrence(delta, params[f"{p}.A"], b_in, c_out, u) + u * params[f"{p}.D"]
     if cfg.srmamba_rate > 1:
-        y = y.take_rows(np.argsort(perm))
+        y = y.take(np.argsort(perm), axis=0)
     return y
 
 
@@ -501,7 +501,7 @@ def forward(
     logits_t = pooled @ params["clf.W"] + params["clf.b"]
     logits = logits_t.data.reshape(N_BINS).astype(np.float64)
     if not np.isfinite(logits).all():
-        raise DataError("forward pass produced non-finite logits")
+        raise NonFiniteError("forward pass produced non-finite logits")
     trace = ForwardTrace(
         n_prime=n_prime,
         logits=logits,

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceError, DataError, EmptyNetworkError, UndefinedError
 from .rng import substream
@@ -227,24 +229,10 @@ def elastic_net_fit(
 
 
 def _components(adj: np.ndarray) -> list[np.ndarray]:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        members = [start]
-        while stack:
-            u = stack.pop()
-            for v in np.flatnonzero(adj[u] > 0):
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-                    members.append(v)
-        comps.append(np.array(sorted(members)))
-    return comps
+    """Connected components of the graph with an edge wherever ``adj > 0``,
+    ordered by their smallest node, each as sorted node indices."""
+    count, labels = connected_components(csr_matrix(adj > 0), directed=False)
+    return [np.flatnonzero(labels == k) for k in range(count)]
 
 
 def eigenvector_centrality(adjacency, tol: float = 1e-10, max_iter: int = 10_000) -> np.ndarray:

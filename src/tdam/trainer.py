@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bags import Cohort, FeatureBag
-from .errors import DataError, GradError, UndefinedError
+from .errors import ConvergenceError, DataError, GradError, NonFiniteError, UndefinedError
 from .model import ModelConfig, ModelParams, dataclass_from_dict, forward, init_params, save_checkpoint
 from .rng import substream
 from .survival import assign_bin, compute_bin_edges, concordance_index, nll_graph, risk_score
@@ -207,36 +207,41 @@ def train_fold(
     step = 0
     train_losses: list[float] = []
     val_curve: list[float] = []
-    for epoch in range(1, cfg.max_epochs + 1):
-        rng = substream(cfg.seed, "shuffle", fold, epoch)
-        order = [train_ids[i] for i in rng.permutation(len(train_ids))]
-        drop_rng = substream(cfg.seed, "dropout", fold, epoch)
-        drop_seeds = drop_rng.integers(0, 2**62, size=len(order))
-        epoch_loss = 0.0
-        for pid, drop_seed in zip(order, drop_seeds):
-            record = by_id[pid]
-            params.clear_grads()
-            _, trace = forward(bags[pid], params, mode="train", seed=int(drop_seed))
-            loss = nll_graph(trace.tensors["logits"], bins[pid], 1 - record.event)
-            loss.backward()
-            grads = {name: params[name].grad for name in params.names() if params[name].grad is not None}
-            step += 1
-            adam_step(params, grads, adam, step, cfg)
-            epoch_loss += float(loss.data)
-        train_losses.append(epoch_loss / len(order))
+    try:
+        # a diverging run overflows; it is reported below, not warned about step by step
+        with np.errstate(all="ignore"):
+            for epoch in range(1, cfg.max_epochs + 1):
+                rng = substream(cfg.seed, "shuffle", fold, epoch)
+                order = [train_ids[i] for i in rng.permutation(len(train_ids))]
+                drop_rng = substream(cfg.seed, "dropout", fold, epoch)
+                drop_seeds = drop_rng.integers(0, 2**62, size=len(order))
+                epoch_loss = 0.0
+                for pid, drop_seed in zip(order, drop_seeds):
+                    step += 1
+                    record = by_id[pid]
+                    params.clear_grads()
+                    _, trace = forward(bags[pid], params, mode="train", seed=int(drop_seed))
+                    loss = nll_graph(trace.tensors["logits"], bins[pid], 1 - record.event)
+                    loss.backward()
+                    grads = {n: params[n].grad for n in params.names() if params[n].grad is not None}
+                    adam_step(params, grads, adam, step, cfg)
+                    epoch_loss += float(loss.data)
+                train_losses.append(epoch_loss / len(order))
 
-        risks = np.array([risk_score(forward(bags[p], params)[0]) for p in val_ids])
-        try:
-            val_c = concordance_index(risks, val_times, val_events)
-        except UndefinedError:
-            log.warning("fold %d epoch %d: no comparable validation pairs", fold, epoch)
-            val_c = 0.5
-        val_curve.append(val_c)
-        stop = early_stop_update(stop, epoch, val_c, cfg)
-        if stop.best_epoch == epoch:
-            best_params = params.copy()
-        if stop.stopped:
-            break
+                risks = np.array([risk_score(forward(bags[p], params)[0]) for p in val_ids])
+                try:
+                    val_c = concordance_index(risks, val_times, val_events)
+                except UndefinedError:
+                    log.warning("fold %d epoch %d: no comparable validation pairs", fold, epoch)
+                    val_c = 0.5
+                val_curve.append(val_c)
+                stop = early_stop_update(stop, epoch, val_c, cfg)
+                if stop.best_epoch == epoch:
+                    best_params = params.copy()
+                if stop.stopped:
+                    break
+    except (NonFiniteError, GradError) as exc:
+        raise ConvergenceError(f"training diverged in fold {fold}, epoch {epoch}, step {step}: {exc}") from exc
     return FoldResult(
         fold=fold,
         best_epoch=stop.best_epoch,

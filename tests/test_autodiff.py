@@ -87,7 +87,7 @@ def test_reshape_transpose_slice():
 def test_concat_and_take():
     def f(a, b):
         c = concat([a, b], axis=0)
-        picked = c.take_rows(np.array([0, 2, 2, 3]))
+        picked = c.take(np.array([0, 2, 2, 3]), axis=0)
         cols = c.take(np.array([1, 1]), axis=1)
         return picked.sum() + cols.sum()
 

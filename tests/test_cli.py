@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdam import cli
+from tdam import cli, explain
 from tdam.bags import load_cohort_manifest
-from tdam.model import CKPT_MAGIC, ModelConfig, init_params, save_checkpoint
+from tdam.model import CKPT_MAGIC, ModelConfig, init_params, load_checkpoint, save_checkpoint
 
 TINY_OPTS = [
     "--opt", "model.d_in=8", "--opt", "model.d_model=8", "--opt", "model.n_heads=2",
@@ -139,6 +140,25 @@ def test_heatmap_and_erf_outputs(tmp_path):
     assert lines[0].startswith("# tdam=")
     assert len(lines) == 1 + 3
     assert (erf_dir / "erf.pgm").read_text().startswith("P2")
+
+
+def test_erf_ablation_defaults_to_the_checkpoint_and_overrides_it(tmp_path):
+    cfg = ModelConfig(d_in=8, d_model=8, n_heads=2, n_agents=2, n_landmarks=4, srmamba_layers=1,
+                      srmamba_rate=2, ssm_state_dim=2, agent_bias_side=3, ablation="no_transformer")
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_params(cfg, seed=5))
+    params, _, _ = load_checkpoint(ckpt)
+    grids = {}
+    for ablation in (None, "full"):
+        out = tmp_path / f"erf_{ablation}"
+        flag = [] if ablation is None else ["--ablation", ablation]
+        assert cli.run(["--seed", "3", "erf", "--checkpoint", str(ckpt), "--side", "3", *flag,
+                        "--out", str(out)]) == 0
+        grids[ablation] = (out / "erf.txt").read_text().splitlines()[1:]
+        config = params.config.with_ablation(ablation or "no_transformer")
+        expected = explain.erf_map(None, params, config, side=3, seed=3).grid
+        assert grids[ablation] == [" ".join(f"{v:.6g}" for v in row) for row in expected]
+    assert grids[None] != grids["full"]
 
 
 def write_risks_from_signal(data: Path, path: Path, jitter: float = 0.05) -> None:
@@ -271,9 +291,12 @@ def test_non_utf8_input_exits_3(tmp_path, capsys, target):
     bad = {"risks": risks, "cohort": data / "cohort.csv", "config": config}[target]
     bad.write_bytes(b"\xff\xfe" + bad.read_bytes())
     capsys.readouterr()
-    rc = cli.run(["--config", str(config), "stats", "logrank", "--cohort", str(data / "cohort.csv"),
-                  "--risks", str(risks), "--out", str(tmp_path / "out")])
-    assert rc == 3
+    cohort, out = str(data / "cohort.csv"), str(tmp_path / "out")
+    if target == "config":
+        argv = ["--config", str(config), "train", "--cohort", cohort, "--out", out]
+    else:
+        argv = ["stats", "logrank", "--cohort", cohort, "--risks", str(risks), "--out", out]
+    assert cli.run(argv) == 3
     assert str(bad) in single_json_error(capsys)["message"]
 
 
@@ -285,7 +308,7 @@ def test_non_utf8_input_exits_3(tmp_path, capsys, target):
     ("timeroc", [], "--risks"),
     ("rmst", [], "--risks"),
 ])
-def test_stats_missing_score_flag_exits_3(tmp_path, capsys, stat, given, needed):
+def test_stats_missing_score_flag_exits_2(tmp_path, capsys, stat, given, needed):
     data = synth(tmp_path, seed=11, n=30)
     risks = tmp_path / "risks.csv"
     write_risks_from_signal(data, risks)
@@ -293,10 +316,76 @@ def test_stats_missing_score_flag_exits_3(tmp_path, capsys, stat, given, needed)
     argv = ["stats", stat, "--cohort", str(data / "cohort.csv"), "--out", str(tmp_path / "out")]
     for flag in given:
         argv += [flag, str(risks)]
-    assert cli.run(argv) == 3
-    payload = single_json_error(capsys)
-    assert payload["error"] == "DataError"
-    assert needed in payload["message"]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert "usage" in err and needed in err
+    assert not (tmp_path / "out").exists()
+
+
+# every entry point and the flags it accepts; each is a flag its handler reads
+FLAG_SURFACE = {
+    "synth": "--seed --n --patches --dim --signal --censor --out",
+    "train": "--seed --jobs --config --opt --cohort --bags-root --out",
+    "eval": "--seed --cohort --bags-root --checkpoint --out",
+    "predict": "--seed --cohort --bags-root --checkpoint --out",
+    "heatmap": "--seed --checkpoint --bag --cohort --bags-root --pgm --pgm-bin --out",
+    "erf": "--seed --checkpoint --bag --side --ablation --out",
+    "stats km": "--seed --cohort --risks --out",
+    "stats logrank": "--seed --cohort --risks --out",
+    "stats cox": "--seed --cohort --risks --vars --out",
+    "stats timeroc": "--seed --cohort --risks --horizons --out",
+    "stats rmst": "--seed --cohort --risks --tau --out",
+    "stats boot": "--seed --cohort --risks --risks-b --horizon --n-boot --out",
+    "stats calib": "--seed --cohort --pred --horizon --out",
+    "stats dca": "--seed --cohort --pred --horizon --thresholds --out",
+    "stats nomogram": "--seed --cohort --risks --vars --horizons --out",
+    "netlink": "--seed --cohort --bags-root --features --genes --genes-orientation --risks "
+               "--binary-adjacency --out",
+    "ablate": "--seed --jobs --config --opt --cohort --bags-root --out",
+}
+
+
+def _entry_points(parser, prefix=""):
+    """(command path, the long flags its innermost parser declares) for every leaf."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield prefix.strip(), {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _entry_points(sub, f"{prefix}{name} ")
+
+
+def test_each_entry_point_accepts_only_the_flags_it_reads():
+    parser = cli.build_parser()
+    surface = dict(_entry_points(parser))
+    assert surface == {name: set(flags.split()) for name, flags in FLAG_SURFACE.items()}
+    assert sum(len(flags) for flags in surface.values()) == 101
+    # the global flags; run() accepts the training ones only before train and ablate
+    top = {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+    assert top == {"--seed", "--jobs", "--config", "--opt"}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["predict", "--opt", "model.ablation=no_agent", "--cohort", "{cohort}",
+                  "--checkpoint", "{ckpt}", "--out", "{out}"], id="predict-opt"),
+    pytest.param(["--jobs", "2", "eval", "--cohort", "{cohort}", "--checkpoint", "{ckpt}", "--out", "{out}"],
+                 id="eval-jobs"),
+    pytest.param(["stats", "km", "--cohort", "{cohort}", "--risks", "{risks}", "--tau", "5", "--out", "{out}"],
+                 id="km-tau"),
+    pytest.param(["stats", "calib", "--cohort", "{cohort}", "--risks", "{risks}", "--out", "{out}"],
+                 id="calib-risks"),
+    pytest.param(["--config", "{config}", "stats", "logrank", "--cohort", "{cohort}", "--risks", "{risks}",
+                  "--out", "{out}"], id="logrank-config"),
+])
+def test_unread_flag_exits_2(fuzz_base, tmp_path, capsys, argv):
+    config = tmp_path / "run.cfg"
+    config.write_text("model.ablation=no_agent\n")
+    paths = {"cohort": fuzz_base / "cohort.csv", "ckpt": fuzz_base / "model.ckpt", "risks": fuzz_base / "risks.csv",
+             "config": config, "out": tmp_path / "out"}
+    capsys.readouterr()
+    assert cli.run([arg.format(**paths) for arg in argv]) == 2
+    assert "usage" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("opt", ["model.d_model=oops", "model.ssm_state_dim=2.5", "train.max_epochs=abc"])
@@ -309,6 +398,24 @@ def test_train_rejects_ill_typed_option(tmp_path, capsys, opt):
     payload = single_json_error(capsys)
     assert payload["error"] == "DataError"
     assert opt.split(".")[1].split("=")[0] in payload["message"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("opt,rc,error", [
+    pytest.param("train.lr=2.5", 4, "ConvergenceError", id="divergent-lr"),
+    pytest.param("model.d_in=9", 3, "ShapeError", id="wrong-bag-width"),
+])
+def test_failed_training_prints_one_json_line(tmp_path, capsys, opt, rc, error):
+    """A diverging run exits 4 naming where it diverged, with no numpy warning
+    on the way; a bag that does not fit the model stays a data error."""
+    data = synth(tmp_path, seed=7, n=12)
+    capsys.readouterr()
+    assert cli.run(["--seed", "3", *TINY_OPTS, "--opt", opt, "train",
+                    "--cohort", str(data / "cohort.csv"), "--out", str(tmp_path / "run")]) == rc
+    payload = single_json_error(capsys)
+    assert payload["error"] == error
+    if rc == 4:
+        assert "fold" in payload["message"] and "epoch" in payload["message"]
 
 
 def _rewrite_manifest(path: Path, edit) -> None:

@@ -398,7 +398,7 @@ def composed_selective_scan(x, params, layer):
     cfg = params.config
     n = x.shape[0]
     perm = model.srmamba_reorder(n, cfg.srmamba_rate)
-    u = x.take_rows(perm) if cfg.srmamba_rate > 1 else x
+    u = x.take(perm, axis=0) if cfg.srmamba_rate > 1 else x
     a = params[f"{p}.A"]
     delta = (u @ params[f"{p}.W_delta"] + params[f"{p}.b_delta"]).softplus()
     b_in = u @ params[f"{p}.W_B"]
@@ -412,7 +412,7 @@ def composed_selective_scan(x, params, layer):
     h = _recurrence(abar, contrib)
     y = (h * c_out.reshape(n, 1, s)).sum(axis=2) + u * params[f"{p}.D"]
     if cfg.srmamba_rate > 1:
-        y = y.take_rows(np.argsort(perm))
+        y = y.take(np.argsort(perm), axis=0)
     return y
 
 
