@@ -9,22 +9,45 @@ gather ops, a depthwise 2-D convolution, and the selective scan as one fused
 op (:func:`linear_recurrence`: zero-order-hold discretization, diagonal
 recurrence and readout, run in chunks and recomputed in backward). Forward
 dtype is preserved, so the same graph runs in float32 for training and
-float64 for gradient checking.
+float64 for gradient checking. Inside :func:`no_grad` the ops compute the
+same values but record nothing: each output has no parents and no closure,
+so inference builds no backward graph.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
 from scipy import special
 
-__all__ = ["Tensor", "as_tensor", "concat", "linear_recurrence", "dwconv2d", "SCAN_CHUNK"]
+__all__ = ["Tensor", "as_tensor", "concat", "linear_recurrence", "dwconv2d", "no_grad", "SCAN_CHUNK"]
 
 # Steps per chunk of the fused scan: the (chunk, d, s) intermediates of a
 # paper-width layer (d = 256, s = 16) stay near 1 MB each.
 SCAN_CHUNK = 64
+
+# False inside no_grad(). Process-global: folds run in worker processes, not threads.
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Run ops without recording them; nests, and restores the mode on exit."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
+def _node(data, parents: tuple, backward) -> Tensor:
+    """An op's output: a tape node with ``parents`` and ``backward`` while
+    recording, a bare tensor inside no_grad()."""
+    return Tensor(data, parents, backward) if _recording else Tensor(data)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -105,25 +128,18 @@ class Tensor:
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
-            out = Tensor(self.data + other, (self,))
-            out._backward = lambda g: self._accum(g)
-            return out
+            return _node(self.data + other, (self,), self._accum)
         other = as_tensor(other)
-        out = Tensor(self.data + other.data, (self, other))
 
         def bw(g):
             self._accum(_unbroadcast(g, self.data.shape))
             other._accum(_unbroadcast(g, other.data.shape))
-
-        out._backward = bw
-        return out
+        return _node(self.data + other.data, (self, other), bw)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.data, (self,))
-        out._backward = lambda g: self._accum(-g)
-        return out
+        return _node(-self.data, (self,), lambda g: self._accum(-g))
 
     def __sub__(self, other):
         if isinstance(other, (int, float)):
@@ -132,18 +148,13 @@ class Tensor:
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            out = Tensor(self.data * other, (self,))
-            out._backward = lambda g: self._accum(g * other)
-            return out
+            return _node(self.data * other, (self,), lambda g: self._accum(g * other))
         other = as_tensor(other)
-        out = Tensor(self.data * other.data, (self, other))
 
         def bw(g):
             self._accum(_unbroadcast(g * other.data, self.data.shape))
             other._accum(_unbroadcast(g * self.data, other.data.shape))
-
-        out._backward = bw
-        return out
+        return _node(self.data * other.data, (self, other), bw)
 
     __rmul__ = __mul__
 
@@ -151,79 +162,59 @@ class Tensor:
         if isinstance(other, (int, float)):
             return self * (1.0 / other)
         other = as_tensor(other)
-        out = Tensor(self.data / other.data, (self, other))
 
         def bw(g):
             self._accum(_unbroadcast(g / other.data, self.data.shape))
             other._accum(_unbroadcast(-g * self.data / (other.data * other.data), other.data.shape))
-
-        out._backward = bw
-        return out
+        return _node(self.data / other.data, (self, other), bw)
 
     def __matmul__(self, other):
         other = as_tensor(other)
         if self.data.ndim < 2 or other.data.ndim < 2:
             raise ValueError("matmul operands must be at least 2-D")
-        out = Tensor(self.data @ other.data, (self, other))
 
         def bw(g):
             self._accum(_unbroadcast(g @ other.data.swapaxes(-1, -2), self.data.shape))
             other._accum(_unbroadcast(self.data.swapaxes(-1, -2) @ g, other.data.shape))
-
-        out._backward = bw
-        return out
+        return _node(self.data @ other.data, (self, other), bw)
 
     # -- elementwise nonlinearities ---------------------------------------
 
     def sqrt(self):
         y = np.sqrt(self.data)
-        out = Tensor(y, (self,))
-        out._backward = lambda g: self._accum(g * 0.5 / y)
-        return out
+        return _node(y, (self,), lambda g: self._accum(g * 0.5 / y))
 
     def tanh(self):
         y = np.tanh(self.data)
-        out = Tensor(y, (self,))
-        out._backward = lambda g: self._accum(g * (1.0 - y * y))
-        return out
+        return _node(y, (self,), lambda g: self._accum(g * (1.0 - y * y)))
 
     def erf(self):
-        y = special.erf(self.data)
-        out = Tensor(y, (self,))
         coeff = 2.0 / math.sqrt(math.pi)
-        out._backward = lambda g: self._accum(g * coeff * np.exp(-self.data * self.data))
-        return out
+        return _node(special.erf(self.data), (self,),
+                     lambda g: self._accum(g * coeff * np.exp(-self.data * self.data)))
 
     def softplus(self):
-        out = Tensor(np.logaddexp(0.0, self.data).astype(self.data.dtype), (self,))
-        out._backward = lambda g: self._accum(g * special.expit(self.data))
-        return out
+        return _node(np.logaddexp(0.0, self.data).astype(self.data.dtype), (self,),
+                     lambda g: self._accum(g * special.expit(self.data)))
 
     def softmax(self, axis: int = -1):
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
         e = np.exp(shifted)
         y = e / e.sum(axis=axis, keepdims=True)
-        out = Tensor(y, (self,))
 
         def bw(g):
             inner = (g * y).sum(axis=axis, keepdims=True)
             self._accum(y * (g - inner))
-
-        out._backward = bw
-        return out
+        return _node(y, (self,), bw)
 
     # -- reductions -------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-
         def bw(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             self._accum(np.broadcast_to(g, self.data.shape))
-
-        out._backward = bw
-        return out
+        return _node(self.data.sum(axis=axis, keepdims=keepdims), (self,), bw)
 
     def mean(self, axis=None, keepdims: bool = False):
         n = self.data.size if axis is None else self.data.shape[axis]
@@ -231,7 +222,6 @@ class Tensor:
 
     def max(self, axis=None, keepdims: bool = False):
         y = self.data.max(axis=axis, keepdims=keepdims)
-        out = Tensor(y, (self,))
 
         def bw(g):
             yk = y if keepdims or axis is None else np.expand_dims(y, axis)
@@ -239,51 +229,39 @@ class Tensor:
             mask = (self.data == yk).astype(self.data.dtype)
             mask /= mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
             self._accum(mask * gk)
-
-        out._backward = bw
-        return out
+        return _node(y, (self,), bw)
 
     # -- shape ops --------------------------------------------------------
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = Tensor(self.data.reshape(shape), (self,))
-        out._backward = lambda g: self._accum(g.reshape(self.data.shape))
-        return out
+        return _node(self.data.reshape(shape), (self,), lambda g: self._accum(g.reshape(self.data.shape)))
 
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         inv = np.argsort(axes)
-        out = Tensor(self.data.transpose(axes), (self,))
-        out._backward = lambda g: self._accum(g.transpose(inv))
-        return out
+        return _node(self.data.transpose(axes), (self,), lambda g: self._accum(g.transpose(inv)))
 
     def __getitem__(self, idx):
         """Basic indexing only (ints/slices); use take for fancy."""
-        out = Tensor(self.data[idx], (self,))
 
         def bw(g):
             full = np.zeros_like(self.data)
             full[idx] += g
             self._accum(full)
-
-        out._backward = bw
-        return out
+        return _node(self.data[idx], (self,), bw)
 
     def take(self, indices: np.ndarray, axis: int):
         """Gather along ``axis`` by a 1-D integer index array."""
         idx = np.asarray(indices)
-        out = Tensor(np.take(self.data, idx, axis=axis), (self,))
 
         def bw(g):
             full = np.zeros_like(self.data)
             np.add.at(np.moveaxis(full, axis, 0), idx, np.moveaxis(g, axis, 0))
             self._accum(full)
-
-        out._backward = bw
-        return out
+        return _node(np.take(self.data, idx, axis=axis), (self,), bw)
 
 
 def as_tensor(x) -> Tensor:
@@ -294,18 +272,14 @@ def as_tensor(x) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
     def bw(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
             t._accum(g[tuple(sl)])
-
-    out._backward = bw
-    return out
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bw)
 
 
 def _scan_chunk(delta, a, b_in, u, h0, work):
@@ -375,7 +349,6 @@ def linear_recurrence(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor, u: 
         np.multiply(h, cv[ck, None, :], out=prod)
         prod.sum(axis=2, out=y[ck])
         state = h[-1].copy()
-    out = Tensor(y, (delta, a, b_in, c_out, u))
 
     def bw(g):
         g_delta, g_b, g_c, g_u = (np.empty_like(x) for x in (dv, bv, cv, uv))
@@ -420,9 +393,7 @@ def linear_recurrence(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor, u: 
         b_in._accum(g_b)
         c_out._accum(g_c)
         u._accum(g_u)
-
-    out._backward = bw
-    return out
+    return _node(y, (delta, a, b_in, c_out, u), bw)
 
 
 def dwconv2d(x: Tensor, kernel: Tensor) -> Tensor:
@@ -441,7 +412,6 @@ def dwconv2d(x: Tensor, kernel: Tensor) -> Tensor:
     for i in range(kh):
         for j in range(kw):
             y += xpad[i:i + H, j:j + W] * kv[i, j]
-    out = Tensor(y, (x, kernel))
 
     def bw(g):
         dk = np.empty_like(kv)
@@ -453,6 +423,4 @@ def dwconv2d(x: Tensor, kernel: Tensor) -> Tensor:
                 dxpad[i:i + H, j:j + W] += g * kv[i, j]
         kernel._accum(dk)
         x._accum(dxpad[ph:ph + H, pw:pw + W])
-
-    out._backward = bw
-    return out
+    return _node(y, (x, kernel), bw)

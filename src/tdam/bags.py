@@ -292,10 +292,18 @@ def read_csv_rows(path: str | Path) -> list[list[str]]:
         raise ParseError(f"{path}: unreadable CSV ({type(exc).__name__}: {exc})") from exc
 
 
+def finite_float(text: str) -> float:
+    """A CSV cell or command-line value as a float; ValueError unless it is finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def load_cohort_manifest(csv_path: str | Path) -> Cohort:
     """Parse a cohort CSV with header patient_id,time,event[,bag_path,...].
 
-    Extra columns become named covariates (missing cells turn into None).
+    Extra columns become named covariates: missing cells are None, others finite numbers.
     Rows with non-positive follow-up time are excluded, mirroring the usual
     zero-OS-time exclusion applied when cohorts are assembled.
     """
@@ -338,9 +346,10 @@ def load_cohort_manifest(csv_path: str | Path) -> Cohort:
                 covariates[col] = None
             else:
                 try:
-                    covariates[col] = float(cell)
+                    covariates[col] = finite_float(cell)
                 except ValueError as exc:
-                    raise ParseError(f"{csv_path}:{lineno}: non-numeric {col} {cell!r}") from exc
+                    message = f"{csv_path}:{lineno}: column {col} has {cell!r}, not a finite number"
+                    raise ParseError(message) from exc
         records.append(SurvivalRecord(pid, time, int(raw_event), covariates))
         if "bag_path" in idx and row[idx["bag_path"]].strip():
             bag_paths[pid] = row[idx["bag_path"]].strip()

@@ -98,12 +98,9 @@ def write_json(path: Path, payload: dict, seed: int, chash: str) -> None:
 
 def _finite(path: str, pid: str, cell: str, what: str) -> float:
     try:
-        value = float(cell)
+        return bags.finite_float(cell)
     except ValueError:
-        value = np.nan
-    if not np.isfinite(value):
-        raise DataError(f"{path}: patient {pid} has {what} {cell!r}, not a finite number")
-    return value
+        raise DataError(f"{path}: patient {pid} has {what} {cell!r}, not a finite number") from None
 
 
 def read_score_csv(path: str) -> dict[str, float]:
@@ -148,16 +145,8 @@ def _load_cohort_and_bags(cohort_path: str, bags_root: str | None):
 
 def cmd_synth(args, opts, seed, chash) -> int:
     out = Path(args.out)
-    lo, hi = (int(v) for v in args.patches.split(":"))
-    slo, shi = (float(v) for v in args.signal.split(":"))
-    sc = bags.synth_cohort(
-        n_patients=args.n,
-        n_patches_range=(lo, hi),
-        d=args.dim,
-        signal_fraction_range=(slo, shi),
-        censor_rate=args.censor,
-        seed=seed,
-    )
+    sc = bags.synth_cohort(n_patients=args.n, n_patches_range=args.patches, d=args.dim,
+                           signal_fraction_range=args.signal, censor_rate=args.censor, seed=seed)
     bag_dir = out / "bags"
     bag_dir.mkdir(parents=True, exist_ok=True)
     for pid, bag in sc.bags.items():
@@ -304,7 +293,7 @@ def _stats_cox(args, cohort, times, events):
 def _stats_timeroc(args, cohort, times, events):
     aligned = _aligned_scores(cohort, read_score_csv(args.risks))
     rows = []
-    for h in (float(v) for v in args.horizons.split(",")):
+    for h in args.horizons:
         try:
             auc = survstats.timeroc_auc(aligned, times, events, h)
             rows.append([repr(h), repr(auc), ""])
@@ -347,8 +336,7 @@ def _stats_calib(args, cohort, times, events):
 
 def _stats_dca(args, cohort, times, events):
     pred = _aligned_scores(cohort, read_score_csv(args.pred))
-    thresholds = [float(v) for v in args.thresholds.split(",")]
-    rows = survstats.dca_curve(pred, times, events, args.horizon, thresholds)
+    rows = survstats.dca_curve(pred, times, events, args.horizon, args.thresholds)
     return {"dca.csv": (
         ["threshold", "net_benefit", "treat_all", "treat_none"],
         [[repr(r.threshold), repr(r.net_benefit), repr(r.treat_all), repr(r.treat_none)] for r in rows],
@@ -361,11 +349,10 @@ def _stats_nomogram(args, cohort, times, events):
     fit = survstats.coxph_fit(times, events, xmat, list(variables))
     ranges = {n: (float(np.min(v)), float(np.max(v))) for n, v in variables.items()}
     model = survstats.nomogram_build(fit, ranges)
-    horizons = [float(v) for v in args.horizons.split(",")]
-    rows = [[repr(r["total_points"])] + [repr(r[f"s@{h}"]) for h in horizons]
-            for r in model.points_table(horizons)]
+    rows = [[repr(r["total_points"])] + [repr(r[f"s@{h}"]) for h in args.horizons]
+            for r in model.points_table(args.horizons)]
     return {
-        "nomogram_points.csv": (["total_points"] + [f"surv@{h}" for h in horizons], rows),
+        "nomogram_points.csv": (["total_points"] + [f"surv@{h}" for h in args.horizons], rows),
         "nomogram.json": {
             "names": model.names,
             "beta": [float(b) for b in model.beta],
@@ -376,17 +363,41 @@ def _stats_nomogram(args, cohort, times, events):
     }
 
 
+# argparse types: argparse reports their ValueError as a usage error (exit 2)
+
+
+def finite_floats(text: str) -> list[float]:
+    return [bags.finite_float(v) for v in text.split(",")]
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{text!r} is not a positive integer")
+    return value
+
+
+def span_of(cast):
+    """The argparse type of a ``LO:HI`` pair whose ends ``cast`` parses."""
+
+    def span(text: str) -> tuple:
+        lo, _, hi = text.partition(":")
+        return cast(lo), cast(hi)
+
+    return span
+
+
 # each stats flag's argparse keywords; a statistic declares only the flags it reads
 STAT_FLAGS = {
     "--risks": {"help": "risk CSV (patient_id,risk)"},
     "--risks-b": {"help": "second marker CSV"},
     "--pred": {"help": "prediction CSV"},
     "--vars": {"help": "comma-separated covariate columns"},
-    "--horizon": {"type": float, "default": 36.0},
-    "--horizons": {"default": "12,36,60"},
-    "--tau": {"type": float, "default": 60.0},
-    "--thresholds": {"default": "0.1,0.2,0.3,0.4,0.5"},
-    "--n-boot": {"type": int, "default": 500},
+    "--horizon": {"type": bags.finite_float, "default": 36.0},
+    "--horizons": {"type": finite_floats, "default": "12,36,60"},
+    "--tau": {"type": bags.finite_float, "default": 60.0},
+    "--thresholds": {"type": finite_floats, "default": "0.1,0.2,0.3,0.4,0.5"},
+    "--n-boot": {"type": positive_int, "default": 500},
 }
 
 # statistic -> (handler, flags it reads, flags it cannot run without)
@@ -530,7 +541,8 @@ def cmd_ablate(args, opts, seed, chash) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="tdam", description=__doc__)
+    # no prefix matching: a flag a command does not declare is an error
+    parser = argparse.ArgumentParser(prog="tdam", description=__doc__, allow_abbrev=False)
     parser.add_argument("--seed", type=int, default=0, help="run seed; all randomness derives from it")
     # only train and ablate read these three; run() rejects them before any other command
     parser.add_argument("--jobs", type=int, default=None,
@@ -544,17 +556,20 @@ def build_parser() -> argparse.ArgumentParser:
     training = argparse.ArgumentParser(add_help=False)
     training.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
     training.add_argument("--config", default=argparse.SUPPRESS)
-    training.add_argument("--opt", action="append", default=argparse.SUPPRESS, metavar="K=V")
+    # kept apart from the top-level --opt, which a sub-parser's list would replace; run() joins them
+    training.add_argument("--opt", action="append", dest="command_opt", default=argparse.SUPPRESS,
+                          metavar="K=V")
     subs = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, *parents, **kwargs):
-        return subs.add_parser(name, parents=[common, *parents], **kwargs)
+        return subs.add_parser(name, parents=[common, *parents], allow_abbrev=False, **kwargs)
 
     p = add_parser("synth", help="generate a synthetic cohort with bags")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--patches", default="9:16", help="LO:HI patches per bag")
+    p.add_argument("--patches", type=span_of(positive_int), default="9:16", help="LO:HI patches per bag")
     p.add_argument("--dim", type=int, default=512)
-    p.add_argument("--signal", default="0:1", help="LO:HI planted signal fraction")
+    p.add_argument("--signal", type=span_of(bags.finite_float), default="0:1",
+                   help="LO:HI planted signal fraction")
     p.add_argument("--censor", type=float, default=0.25)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
@@ -598,11 +613,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_erf)
 
-    stats = subs.add_parser("stats", help="survival statistics on cohort + score files")
+    stats = subs.add_parser("stats", help="survival statistics on cohort + score files", allow_abbrev=False)
     stats.set_defaults(func=cmd_stats)
     stat_subs = stats.add_subparsers(dest="stat", required=True)
     for name, (_, flags, required) in STATS.items():
-        p = stat_subs.add_parser(name, parents=[common])
+        p = stat_subs.add_parser(name, parents=[common], allow_abbrev=False)
         p.add_argument("--cohort", required=True)
         for flag in flags:
             p.add_argument(flag, required=flag in required, **STAT_FLAGS[flag])
@@ -638,7 +653,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        opts = load_options(args.config, args.opt)
+        opts = load_options(args.config, (args.opt or []) + getattr(args, "command_opt", []))
         return args.func(args, opts, args.seed, config_hash(opts, args.seed))
     except (ConvergenceError, GradError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)

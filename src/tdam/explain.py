@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import no_grad
 from .bags import FeatureBag, grid_coords
 from .errors import DataError
 from .model import ModelConfig, ModelParams, forward
@@ -61,7 +62,8 @@ def attention_heatmap(bag: FeatureBag, params: ModelParams) -> HeatmapTable:
     as all zeros.
     """
     params.check_finite()
-    _, trace = forward(bag, params)
+    with no_grad():
+        _, trace = forward(bag, params)
     clf_w = params["clf.W"].data.astype(np.float64)  # (d_model, 4)
     n = bag.n_patches
     tokens = trace.z_norm[1 : 1 + n]  # grid tokens for real patches
@@ -98,11 +100,9 @@ def erf_map(
     y_c = final_seq[0:1].sum()
     y_c.backward()
     embedded = trace.tensors["embedded"]
-    if embedded.grad is None:
-        grad = np.zeros_like(embedded.data)
-    else:
-        grad = np.asarray(embedded.grad)
-    intensity = token_intensity(grad[1:])  # skip class row
+    if embedded.grad is None:  # the class row always reaches it, unless nothing was recorded
+        raise RuntimeError("erf_map needs gradients and cannot run inside no_grad()")
+    intensity = token_intensity(embedded.grad[1:])  # skip class row
     grid_side = math.isqrt(trace.n_prime)
     raw = intensity.reshape(grid_side, grid_side)
     if np.isnan(raw).all():

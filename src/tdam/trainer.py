@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import no_grad
 from .bags import Cohort, FeatureBag
 from .errors import ConvergenceError, DataError, GradError, NonFiniteError, UndefinedError
 from .model import ModelConfig, ModelParams, dataclass_from_dict, forward, init_params, save_checkpoint
@@ -228,7 +229,8 @@ def train_fold(
                     epoch_loss += float(loss.data)
                 train_losses.append(epoch_loss / len(order))
 
-                risks = np.array([risk_score(forward(bags[p], params)[0]) for p in val_ids])
+                with no_grad():
+                    risks = np.array([risk_score(forward(bags[p], params)[0]) for p in val_ids])
                 try:
                     val_c = concordance_index(risks, val_times, val_events)
                 except UndefinedError:
@@ -311,6 +313,7 @@ def predict_risks(
     params: ModelParams,
     ids: list[str] | None = None,
 ) -> dict[str, float]:
-    """Eval-mode risk score per patient."""
+    """Eval-mode risk score per patient, computed without a backward graph."""
     ids = list(bags) if ids is None else ids
-    return {pid: risk_score(forward(bags[pid], params)[0]) for pid in ids}
+    with no_grad():
+        return {pid: risk_score(forward(bags[pid], params)[0]) for pid in ids}

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tdam.autodiff import SCAN_CHUNK, Tensor, concat, dwconv2d, linear_recurrence
+from tdam import autodiff
+from tdam.autodiff import SCAN_CHUNK, Tensor, concat, dwconv2d, linear_recurrence, no_grad
 
 # lengths on both sides of the fused scan's chunk boundaries
 SCAN_LENGTHS = (1, 2, SCAN_CHUNK - 1, SCAN_CHUNK, SCAN_CHUNK + 1, 3 * SCAN_CHUNK + 5)
@@ -148,3 +149,68 @@ def test_grad_accumulates_over_reuse():
     y = x * x + x * 3.0
     y.backward(np.ones(1))
     np.testing.assert_allclose(x.grad, [2 * 2.0 + 3.0])
+
+
+# every tape op, applied to operands drawn by ``operands`` below
+TAPE_OPS = {
+    "add": lambda a, b: a + b,
+    "add-scalar": lambda a, b: a + 2.0,
+    "neg": lambda a, b: -a,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "mul-scalar": lambda a, b: a * 2.0,
+    "div": lambda a, b: a / (b * b + 1.0),
+    "div-scalar": lambda a, b: a / 2.0,
+    "matmul": lambda a, b: a @ b.transpose(1, 0),
+    "sqrt": lambda a, b: (a * a + 1.0).sqrt(),
+    "tanh": lambda a, b: a.tanh(),
+    "erf": lambda a, b: a.erf(),
+    "softplus": lambda a, b: a.softplus(),
+    "softmax": lambda a, b: a.softmax(axis=-1),
+    "sum": lambda a, b: a.sum(axis=0),
+    "mean": lambda a, b: a.mean(),
+    "max": lambda a, b: a.max(axis=1),
+    "reshape": lambda a, b: a.reshape(6, 2),
+    "transpose": lambda a, b: a.transpose(1, 0),
+    "getitem": lambda a, b: a[1:],
+    "take": lambda a, b: a.take(np.array([2, 0, 2]), axis=1),
+    "concat": lambda a, b: concat([a, b], axis=0),
+    "linear_recurrence": lambda a, b: linear_recurrence(
+        a.softplus(), -b.transpose(1, 0)[:, :2].softplus(), a[:, :2], b[:, 2:], a),
+    "dwconv2d": lambda a, b: dwconv2d(a.reshape(2, 2, 3), b[:, :3].reshape(3, 1, 3)),
+}
+
+
+def operands():
+    rng = np.random.default_rng(5)
+    return Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((3, 4)))
+
+
+@pytest.mark.parametrize("name", sorted(TAPE_OPS))
+def test_no_grad_ops_record_no_parents_and_no_backward(name):
+    """Inside no_grad() each op gives the recorded op's values as a bare tensor."""
+    recorded = TAPE_OPS[name](*operands())
+    assert recorded._parents and recorded._backward is not None
+    with no_grad():
+        bare = TAPE_OPS[name](*operands())
+    assert bare._parents == () and bare._backward is None
+    assert bare.dtype == recorded.dtype
+    np.testing.assert_array_equal(bare.data, recorded.data)
+
+
+def test_no_grad_nests_and_restores_after_an_exception():
+    a, _ = operands()
+    with no_grad():
+        with no_grad():
+            assert (a * 2.0)._parents == ()
+        assert (a * 2.0)._parents == ()
+        with pytest.raises(ZeroDivisionError):
+            with no_grad():
+                raise ZeroDivisionError
+        assert (a * 2.0)._parents == ()
+    assert (a * 2.0)._parents == (a,)
+    with pytest.raises(ZeroDivisionError):
+        with no_grad():
+            raise ZeroDivisionError
+    assert autodiff._recording
+    assert (a * 2.0)._parents == (a,)

@@ -188,6 +188,16 @@ def test_manifest_non_numeric_time(tmp_path):
         bags.load_cohort_manifest(path)
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e999", "abc"])
+def test_manifest_covariate_must_be_finite(tmp_path, cell):
+    """A covariate cell that is not missing must be a finite number; the error
+    names the file, the line and the column."""
+    path = tmp_path / "cohort.csv"
+    path.write_text(f"patient_id,time,event,age\nA,5,1,60\nB,6,0,{cell}\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}:3: column age has {cell!r}")):
+        bags.load_cohort_manifest(path)
+
+
 def test_cohort_csv_roundtrip(tmp_path):
     sc = bags.synth_cohort(12, (4, 6), d=4, seed=9)
     path = tmp_path / "c.csv"

@@ -376,6 +376,11 @@ def test_each_entry_point_accepts_only_the_flags_it_reads():
                  id="calib-risks"),
     pytest.param(["--config", "{config}", "stats", "logrank", "--cohort", "{cohort}", "--risks", "{risks}",
                   "--out", "{out}"], id="logrank-config"),
+    # a prefix of a declared flag is not that flag
+    pytest.param(["stats", "timeroc", "--cohort", "{cohort}", "--risks", "{risks}", "--horizon", "6",
+                  "--out", "{out}"], id="timeroc-horizons-prefix"),
+    pytest.param(["stats", "km", "--coh", "{cohort}", "--out", "{out}"], id="km-cohort-prefix"),
+    pytest.param(["--se", "3", "stats", "km", "--cohort", "{cohort}", "--out", "{out}"], id="seed-prefix"),
 ])
 def test_unread_flag_exits_2(fuzz_base, tmp_path, capsys, argv):
     config = tmp_path / "run.cfg"
@@ -386,6 +391,45 @@ def test_unread_flag_exits_2(fuzz_base, tmp_path, capsys, argv):
     assert cli.run([arg.format(**paths) for arg in argv]) == 2
     assert "usage" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["synth", "--n", "12", "--patches", "9", "--out", "{out}"], id="synth-patches-one-end"),
+    pytest.param(["synth", "--n", "12", "--signal", "a:b", "--out", "{out}"], id="synth-signal-not-numbers"),
+    pytest.param(["stats", "timeroc", "--cohort", "{cohort}", "--risks", "{risks}", "--horizons", "abc",
+                  "--out", "{out}"], id="timeroc-horizons-abc"),
+    pytest.param(["stats", "timeroc", "--cohort", "{cohort}", "--risks", "{risks}", "--horizons", "12,nan",
+                  "--out", "{out}"], id="timeroc-horizons-nan"),
+    pytest.param(["stats", "nomogram", "--cohort", "{cohort}", "--vars", "signal_fraction",
+                  "--horizons", "abc", "--out", "{out}"], id="nomogram-horizons-abc"),
+    pytest.param(["stats", "dca", "--cohort", "{cohort}", "--pred", "{risks}", "--thresholds", "x",
+                  "--out", "{out}"], id="dca-thresholds-x"),
+    pytest.param(["stats", "rmst", "--cohort", "{cohort}", "--risks", "{risks}", "--tau", "nan",
+                  "--out", "{out}"], id="rmst-tau-nan"),
+    pytest.param(["stats", "rmst", "--cohort", "{cohort}", "--risks", "{risks}", "--tau", "inf",
+                  "--out", "{out}"], id="rmst-tau-inf"),
+    pytest.param(["stats", "boot", "--cohort", "{cohort}", "--risks", "{risks}", "--risks-b", "{risks}",
+                  "--n-boot", "0", "--out", "{out}"], id="boot-n-boot-0"),
+])
+def test_malformed_number_flag_exits_2(fuzz_base, tmp_path, capsys, argv):
+    paths = {"cohort": fuzz_base / "cohort.csv", "risks": fuzz_base / "risks.csv", "out": tmp_path / "out"}
+    capsys.readouterr()
+    assert cli.run([arg.format(**paths) for arg in argv]) == 2
+    assert "usage" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_opt_after_the_command_adds_to_those_before(tmp_path):
+    """--opt before and after the command name merge in order, a later key
+    winning; the run equals one with every --opt before the command."""
+    data = synth(tmp_path, seed=7, n=12)
+    cohort = str(data / "cohort.csv")
+    split = TINY_OPTS.index("train.max_epochs=2") - 1
+    assert cli.run(["--seed", "3", *TINY_OPTS, "train", "--cohort", cohort,
+                    "--out", str(tmp_path / "a")]) == 0
+    assert cli.run(["--seed", "3", *TINY_OPTS[:split], "--opt", "train.lr=0.5", "train", *TINY_OPTS[split:],
+                    "--cohort", cohort, "--out", str(tmp_path / "b")]) == 0
+    assert tree_hash(tmp_path / "a") == tree_hash(tmp_path / "b")
 
 
 @pytest.mark.parametrize("opt", ["model.d_model=oops", "model.ssm_state_dim=2.5", "train.max_epochs=abc"])
@@ -628,10 +672,28 @@ def _apply_csv_edit(path: Path, edit) -> None:
         rows[row] = rows[row][:keep]
     elif kind == "drop-row":
         del rows[arg[0]]
+    elif kind == "drop-column":
+        rows = [r[:arg] + r[arg + 1:] for r in rows]
     else:
         rows.append(rows[arg[0]])
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
+
+
+@st.composite
+def cohort_edits(draw):
+    """An edit that makes a cohort manifest (header patient_id,time,event,
+    signal_fraction,bag_path; P0000 first) malformed. A dropped row or a
+    non-positive time is valid input, so neither is drawn."""
+    kind = draw(st.sampled_from(["time", "event", "covariate", "repeat-id", "short-row", "drop-column"]))
+    row = draw(st.integers(2, 12))
+    if kind == "drop-column":
+        return kind, draw(st.integers(0, 2))
+    if kind == "short-row":
+        return kind, (row, draw(st.integers(1, 4)))
+    col, cells = {"time": (1, ["soon", "", "0x1p3"]), "event": (2, ["2", "-1", "", "1.0"]),
+                  "covariate": (3, ["inf", "-inf", "1e999"]), "repeat-id": (0, ["P0000"])}[kind]
+    return "cell", (row, col, draw(st.sampled_from(cells)))
 
 
 JUNK_SHAPES = [None, "8", [], [8, 7], [-1], [0.5]]
@@ -688,6 +750,7 @@ FUZZ_CASES = st.one_of(
     st.tuples(st.just("sidecar"), st.binary(max_size=30).filter(lambda b: not _is_json_object(b))),
     st.tuples(st.just("checkpoint"), manifest_edits()),
     st.tuples(st.just("opt"), st.sampled_from(BAD_OPTS)),
+    st.tuples(st.just("cohort"), cohort_edits()),
 )
 
 
@@ -709,8 +772,9 @@ def fuzz_base(tmp_path_factory):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(case=FUZZ_CASES)
 def test_cli_fuzz_malformed_inputs_exit_cleanly(fuzz_base, case):
-    """Malformed score, matrix, bag-sidecar, checkpoint-manifest and --opt
-    inputs exit with 2, 3 or 4 and print exactly one JSON line on stderr."""
+    """Malformed score, matrix, bag-sidecar, checkpoint-manifest, --opt and
+    cohort-manifest inputs exit with 2, 3 or 4 and print exactly one JSON line
+    on stderr."""
     kind, edit = case
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "data"
@@ -734,8 +798,11 @@ def test_cli_fuzz_malformed_inputs_exit_cleanly(fuzz_base, case):
         elif kind == "checkpoint":
             _rewrite_manifest(data / "model.ckpt", lambda m: _apply_manifest_edit(m, edit))
             argv = predict
-        else:
+        elif kind == "opt":
             argv = [*TINY_OPTS, "--opt", edit, "train", "--cohort", cohort, "--out", out]
+        else:
+            _apply_csv_edit(data / "cohort.csv", edit)
+            argv = ["stats", "cox", "--cohort", cohort, "--vars", "signal_fraction", "--out", out]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             rc = cli.run(argv)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tdam import explain, model
-from tdam.autodiff import Tensor
+from tdam.autodiff import Tensor, no_grad
 from tdam.bags import FeatureBag, grid_coords
 from tdam.errors import DataError
 
@@ -80,6 +80,21 @@ def test_erf_nonzero_for_random_params():
     assert erf.grid.shape == (3, 3)
     assert np.isfinite(erf.grid).all()
     assert erf.raw.sum() > 0
+
+
+def test_erf_after_no_grad_still_backpropagates():
+    """ERF maps need eval-mode gradients: after a no_grad() scope has closed,
+    erf_map gets the same nonzero map as before it, and inside one it refuses
+    to run instead of returning a zero map."""
+    params = trained_like_params(6)
+    before = explain.erf_map(None, params, side=3, seed=1)
+    with no_grad():
+        explain.attention_heatmap(bag_of(n=5, seed=6), params)
+    after = explain.erf_map(None, params, side=3, seed=1)
+    assert after.raw.sum() > 0
+    np.testing.assert_array_equal(after.raw, before.raw)
+    with no_grad(), pytest.raises(RuntimeError, match="no_grad"):
+        explain.erf_map(None, params, side=3, seed=1)
 
 
 def test_erf_zero_params_gives_zero_map():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdam import model
-from tdam.autodiff import SCAN_CHUNK, Tensor
+from tdam.autodiff import SCAN_CHUNK, Tensor, no_grad
 from tdam.bags import FeatureBag, grid_coords
 from tdam.errors import DataError, FormatError, ShapeError, TruncatedError
 
@@ -520,6 +520,22 @@ def test_forward_train_dropout_seeded():
     c, _ = model.forward(bag, params, mode="train", seed=2)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_forward_under_no_grad_gives_the_same_logits_and_no_graph():
+    """float32 eval logits are bitwise those of a recorded forward, and a
+    backward from them reaches no parameter."""
+    params = tiny_params(seed=18, dtype=np.float32)
+    bag = random_bag(n=7, seed=18)
+    _, recorded = model.forward(bag, params)
+    with no_grad():
+        _, trace = model.forward(bag, params)
+    bare = trace.tensors["logits"]
+    assert bare.dtype == np.float32
+    np.testing.assert_array_equal(bare.data, recorded.tensors["logits"].data)
+    params.clear_grads()
+    bare.backward(np.ones_like(bare.data))
+    assert all(params[name].grad is None for name in params.names())
 
 
 def test_forward_ablations_change_logits_but_not_shapes():

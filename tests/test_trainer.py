@@ -3,8 +3,8 @@ import copy
 import numpy as np
 import pytest
 
+from tdam import autodiff, explain, trainer
 from tdam import bags as bagmod
-from tdam import trainer
 from tdam.autodiff import Tensor
 from tdam.bags import Cohort, SurvivalRecord
 from tdam.errors import DataError, GradError
@@ -246,3 +246,26 @@ def test_predict_risks_in_range():
     risks = trainer.predict_risks(sc.bags, params)
     assert set(risks) == set(sc.bags)
     assert all(-4 < v < 0 for v in risks.values())
+
+
+def test_inference_forwards_record_no_tape(monkeypatch):
+    """Validation, predict_risks and heatmaps run their forwards under
+    no_grad(); training forwards record."""
+    seen = []
+
+    def spy(real):
+        def forward(bag, params, *args, mode="eval", **kwargs):
+            seen.append((mode, autodiff._recording))
+            return real(bag, params, *args, mode=mode, **kwargs)
+        return forward
+
+    monkeypatch.setattr(trainer, "forward", spy(trainer.forward))
+    monkeypatch.setattr(explain, "forward", spy(explain.forward))
+    sc = synthetic(12, seed=13)
+    ids = [r.patient_id for r in sc.cohort.records]
+    cfg = trainer.TrainConfig(lr=1e-3, max_epochs=1, warmup_epochs=0, folds=2, seed=3)
+    res = trainer.train_fold(0, ids[:8], ids[8:], sc.cohort, sc.bags, SMALL_MODEL, cfg)
+    trainer.predict_risks(sc.bags, res.params, ids[:3])
+    explain.attention_heatmap(sc.bags[ids[0]], res.params)
+    assert sorted(set(seen)) == [("eval", False), ("train", True)]
+    assert seen.count(("eval", False)) == 4 + 3 + 1
