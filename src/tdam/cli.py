@@ -474,6 +474,11 @@ def cmd_netlink(args, opts, seed, chash) -> int:
     write_csv(out / "centrality.csv", ["Term", "Group", "Degree", "Eigenvector Centrality"],
               [[r.term, r.group, r.degree, f"{r.centrality:.3f}"] for r in result.table],
               seed, chash)
+    enet = result.enet
+    write_csv(out / "enet_path.csv", ["lambda", "cv_mse", "selected"],
+              [[repr(float(lam)), repr(float(mse)), int(lam == enet.lambda_)]
+               for lam, mse in zip(enet.lambdas, enet.cv_mse)],
+              seed, chash)
     print(f"network: {len(result.cross_edges)} feature-gene edges, top hub {result.table[0].term}")
     return 0
 

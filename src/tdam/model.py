@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, concat, dwconv2d, linear_recurrence
+from .autodiff import Tensor, concat, dwconv2d, linear_recurrence, no_grad
 from .bags import FeatureBag
 from .errors import DataError, FormatError, GradError, NonFiniteError, ShapeError, TruncatedError
 from .rng import substream
@@ -556,8 +556,9 @@ def grad_check(
     bag.features = bag.features.astype(np.float64)
 
     def loss_value() -> float:
-        _, trace = forward(bag, params, config, mode="eval")
-        return float(nll_graph(trace.tensors["logits"], bin_index, censored).data)
+        with no_grad():
+            _, trace = forward(bag, params, config, mode="eval")
+            return float(nll_graph(trace.tensors["logits"], bin_index, censored).data)
 
     params.clear_grads()
     _, trace = forward(bag, params, config, mode="eval")

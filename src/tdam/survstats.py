@@ -234,12 +234,14 @@ def coxph_fit(times, events, x, names=None, max_iter: int = 50, tol: float = 1e-
             step = np.linalg.solve(info, score)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular information matrix at iteration {n_iter}") from exc
-        # halve the step until the likelihood does not decrease
+        # halve the step until the likelihood does not decrease by more
+        # than its rounding: a few hundred ulps of |ll|
+        slack = 256 * np.spacing(max(1.0, abs(ll)))
         scale = 1.0
         for _ in range(30):
             cand = beta + scale * step
             ll_new, _, _ = _cox_quantities(cand, times, events, x)
-            if np.isfinite(ll_new) and ll_new >= ll - 1e-12:
+            if np.isfinite(ll_new) and ll_new >= ll - slack:
                 break
             scale *= 0.5
         else:

@@ -512,7 +512,15 @@ def test_predict_rejects_bad_checkpoint_manifest(tmp_path, capsys, edit, error):
     assert str(ckpt) in payload["message"]
 
 
-def test_netlink_command(tmp_path):
+def test_netlink_command(tmp_path, monkeypatch):
+    built = []
+    build_network = cli.netlink.build_network
+
+    def recorded(*args, **kwargs):
+        built.append(build_network(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli.netlink, "build_network", recorded)
     data = synth(tmp_path, seed=21, n=60)
     risks = tmp_path / "risks.csv"
     write_risks_from_signal(data, risks)
@@ -535,6 +543,16 @@ def test_netlink_command(tmp_path):
     assert rows[0][3] == "1.000"
     assert any(r[0] == "HUB1" and r[1] == "Gene" for r in rows)
     assert (out / "edges.csv").exists()
+    first_lines = {(out / name).read_text().splitlines()[0]
+                   for name in ("centrality.csv", "edges.csv", "enet_path.csv")}
+    assert len(first_lines) == 1 and first_lines.pop().startswith("# tdam=")
+    header, rows = read_csv_rows(out / "enet_path.csv")
+    assert header == ["lambda", "cv_mse", "selected"]
+    assert len(rows) == 100
+    assert [r[2] for r in rows].count("1") == 1 and {r[2] for r in rows} == {"0", "1"}
+    chosen = next(r for r in rows if r[2] == "1")
+    assert float(chosen[0]) == built[0].enet.lambda_
+    assert float(chosen[1]) == min(float(r[1]) for r in rows)
 
 
 def test_netlink_transposed_genes(tmp_path):

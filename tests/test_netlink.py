@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from tdam import netlink as nl
-from tdam.errors import DataError, EmptyNetworkError
+from tdam.errors import ConvergenceError, DataError, EmptyNetworkError
 
 
 # -- Spearman -------------------------------------------------------------------
@@ -131,7 +131,7 @@ def test_enet_single_feature_closed_form():
     lam, alpha = 0.3, 0.5
     fit = nl.elastic_net_fit(x, y, alpha=alpha, lambda_=lam)
     rho = float(x[:, 0] @ y) / 50
-    want = nl._soft_threshold(rho, lam * alpha) / (1 + lam * (1 - alpha))
+    want = np.sign(rho) * max(abs(rho) - lam * alpha, 0.0) / (1 + lam * (1 - alpha))
     assert fit.beta[0] == pytest.approx(want, abs=1e-12)
 
 
@@ -144,6 +144,89 @@ def test_enet_cv_fit_satisfies_kkt():
     # deterministic in seed
     fit2 = nl.elastic_net_fit(x, y, alpha=0.5, seed=1)
     np.testing.assert_array_equal(fit.beta, fit2.beta)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_enet_duplicated_column_fits(alpha):
+    # X'X is singular; the copy's KKT violation is rounding and must stay out
+    x, y = enet_data(n=80, p=6, seed=5)
+    dup = nl.standardize(np.column_stack([x, x[:, 0]]))
+    fit = nl.elastic_net_fit(dup, y, alpha=alpha, seed=1)
+    assert fit.kkt < 1e-6
+    assert nl.kkt_residual(dup, y, fit.beta, fit.lambda_, alpha) < 1e-12
+    if alpha == 1.0:  # the lasso splits the weight freely; fitted values match
+        plain = nl.elastic_net_fit(dup[:, :-1], y, alpha=alpha, seed=1)
+        assert fit.lambda_ == pytest.approx(plain.lambda_, rel=1e-12)
+        np.testing.assert_allclose(dup @ fit.beta, dup[:, :-1] @ plain.beta, atol=1e-9)
+    else:  # the ridge term splits it evenly
+        assert fit.beta[0] == pytest.approx(fit.beta[-1], abs=1e-12)
+
+
+# Cyclic coordinate descent, the solver elastic_net_fit used before the
+# active-set method; kept verbatim as the reference the new solver must match.
+def _soft_threshold(z: float, g: float) -> float:
+    if z > g:
+        return z - g
+    if z < -g:
+        return z + g
+    return 0.0
+
+
+def _cd_solve(x, y, lam, alpha, beta0, tol=1e-10, max_iter=100_000, gram=None, xty=None):
+    """Cyclic coordinate descent with soft-thresholding (X standardized).
+
+    Uses covariance updates: with G = X'X precomputed, each coordinate step
+    costs O(p) instead of O(n)."""
+    n, p = x.shape
+    beta = beta0.copy()
+    if gram is None:
+        gram = x.T @ x
+    if xty is None:
+        xty = x.T @ y
+    s = gram @ beta
+    diag = np.diag(gram) / n
+    denoms = diag + lam * (1.0 - alpha)
+    gate = lam * alpha
+    for _ in range(max_iter):
+        delta = 0.0
+        for j in range(p):
+            old = beta[j]
+            rho = (xty[j] - s[j]) / n + diag[j] * old
+            new = _soft_threshold(rho, gate) / denoms[j]
+            if new != old:
+                s += gram[:, j] * (new - old)
+                beta[j] = new
+                step = abs(new - old)
+                if step > delta:
+                    delta = step
+        if delta < tol:
+            return beta
+    raise ConvergenceError(f"coordinate descent did not reach tol={tol}")
+
+
+def hub_enet_data(seed):
+    """The 25 features and centered risk of a planted-hub network input."""
+    features, risk, *_ = planted_hub_data(seed, n=120, n_features=25, n_driver=8)
+    return nl.standardize(features), risk - risk.mean()
+
+
+@pytest.mark.parametrize("make, alpha", [
+    (lambda: enet_data(), 0.5),
+    (lambda: enet_data(n=80, p=6, seed=5), 1.0),
+    (lambda: hub_enet_data(3), 0.5),
+    (lambda: hub_enet_data(4), 1.0),
+], ids=["enet4-a0.5", "enet6-a1", "hub25-a0.5", "hub25-a1"])
+def test_active_set_matches_coordinate_descent_on_the_path(make, alpha):
+    x, y = make()
+    n, p = x.shape
+    gram, xty = x.T @ x, x.T @ y
+    lam_max = np.abs(xty).max() / (n * alpha)
+    beta_cd = beta_as = np.zeros(p)
+    for lam in np.geomspace(lam_max, lam_max * 1e-3, 100):
+        beta_cd = _cd_solve(x, y, lam, alpha, beta_cd, tol=1e-13, gram=gram, xty=xty)
+        beta_as = nl._active_set_solve(gram / n, xty / n, lam, alpha, beta_as)
+        np.testing.assert_allclose(beta_as, beta_cd, rtol=0, atol=1e-10)
+        assert nl.kkt_residual(x, y, beta_as, lam, alpha) < 1e-13
 
 
 def test_enet_rejects_unstandardized():

@@ -3,6 +3,7 @@ import pytest
 from scipy import optimize
 
 from tdam import survstats as ss
+from tdam.rng import substream
 from tdam.errors import ConvergenceError, DataError, DegenerateError, RangeError, UndefinedError
 from tdam.survival import concordance_index
 
@@ -185,6 +186,41 @@ def test_cox_baseline_cumhaz_monotone():
     fit = ss.coxph_fit(times, events, x)
     assert (np.diff(fit.baseline_cumhaz) > 0).all()
     assert fit.cumhaz_at(0.0) == 0.0
+
+
+def stats_cohort(seed, n):
+    """The benchmark's 10k-patient tied cohort: risk, age and stage covariates,
+    exponential times rounded to whole days, 25% censored."""
+    rng = substream(seed, "perfbench-stats")
+    risk = rng.standard_normal(n)
+    age = rng.normal(62.0, 9.0, n)
+    stage = rng.integers(1, 5, n).astype(np.float64)
+    hazard = np.exp(0.8 * risk + 0.03 * (age - 62.0) + 0.25 * (stage - 2.5)) / 2200.0
+    rate_c = optimize.brentq(lambda c: np.mean(c / (c + hazard)) - 0.25, 1e-12, 1e3)
+    t_event = rng.exponential(1.0 / hazard)
+    t_cens = rng.exponential(1.0 / rate_c, n)
+    times = np.maximum(1.0, np.round(np.minimum(t_event, t_cens)))
+    events = (t_event <= t_cens).astype(np.int64)
+    return np.column_stack([risk, age, stage]), times, events
+
+
+def test_cox_accepts_a_last_step_that_loses_only_rounding(monkeypatch):
+    # At |ll| ~ 6e4 the converged step's log-likelihood reads 1.5e-11 lower:
+    # one rounding, which must not trigger a step halving (one extra call).
+    x, times, events = stats_cohort(1, 10_000)
+    calls = []
+    quantities = ss._cox_quantities
+
+    def counted(*args):
+        calls.append(1)
+        return quantities(*args)
+
+    monkeypatch.setattr(ss, "_cox_quantities", counted)
+    fit = ss.coxph_fit(times, events, x)
+    # null, then per iteration one Newton point and one candidate, then the final
+    assert len(calls) == 2 + 2 * fit.n_iter
+    _, score, info = quantities(fit.beta, times, events, x)
+    assert score @ np.linalg.solve(info, score) < 1e-8  # Rao's statistic at the estimate
 
 
 # -- risk-set counting against per-event-time loop references ------------------------
