@@ -115,42 +115,39 @@ def token_intensity(grad_matrix: np.ndarray) -> np.ndarray:
     return np.abs(np.asarray(grad_matrix)).sum(axis=1).astype(np.float64)
 
 
-def erf_to_pgm(erf: ErfMap, levels: int = 255, comment: str | None = None) -> str:
-    """Render the scaled grid as a plain-text PGM (P2) image."""
-    grid = erf.grid
-    hi = grid.max()
-    scaled = np.zeros_like(grid, dtype=np.int64) if hi <= 0 else np.rint(grid / hi * levels).astype(np.int64)
-    lines = ["P2"] + ([f"# {comment}"] if comment else []) + [f"{erf.side} {erf.side}", str(levels)]
-    lines += [" ".join(str(v) for v in row) for row in scaled]
+PGM_LEVELS = 255
+
+
+def _pgm(unit: np.ndarray, comment: str | None) -> str:
+    """Plain-text PGM (P2) image of a square grid of values in [0, 1]."""
+    side = unit.shape[0]
+    lines = ["P2"] + ([f"# {comment}"] if comment else []) + [f"{side} {side}", str(PGM_LEVELS)]
+    lines += [" ".join(str(v) for v in row) for row in np.rint(unit * PGM_LEVELS).astype(np.int64)]
     return "\n".join(lines) + "\n"
 
 
-def heatmap_to_pgm(
-    table: HeatmapTable,
-    bin_index: int,
-    raster_side: int | None = None,
-    levels: int = 255,
-    comment: str | None = None,
-) -> str:
-    """Nearest-neighbor binning of one heatmap column onto a square raster."""
+def erf_to_pgm(erf: ErfMap, comment: str | None = None) -> str:
+    """Render the scaled grid, max-normalized, as a PGM image."""
+    hi = erf.grid.max()
+    return _pgm(np.zeros_like(erf.grid) if hi <= 0 else erf.grid / hi, comment)
+
+
+def heatmap_to_pgm(table: HeatmapTable, bin_index: int, comment: str | None = None) -> str:
+    """Nearest-neighbor binning of one heatmap column onto a square raster
+    of side isqrt(n_patches), as a PGM image."""
     if not (0 <= bin_index < 4):
         raise DataError("bin_index must be 0..3")
     coords = table.coords.astype(np.float64)
-    n = coords.shape[0]
-    if raster_side is None:
-        raster_side = max(1, math.isqrt(n))
-    raster = np.zeros((raster_side, raster_side))
-    counts = np.zeros((raster_side, raster_side))
+    side = max(1, math.isqrt(coords.shape[0]))
+    raster = np.zeros((side, side))
+    counts = np.zeros((side, side))
     spans = coords.max(axis=0) - coords.min(axis=0)
     spans[spans == 0] = 1.0
     norm = (coords - coords.min(axis=0)) / spans
-    cells = np.minimum((norm * raster_side).astype(int), raster_side - 1)
+    cells = np.minimum((norm * side).astype(int), side - 1)
     for (cx, cy), w in zip(cells, table.weights[:, bin_index]):
         raster[cy, cx] += w
         counts[cy, cx] += 1
     filled = counts > 0
     raster[filled] /= counts[filled]
-    scaled = np.rint(raster * levels).astype(np.int64)
-    lines = ["P2"] + ([f"# {comment}"] if comment else []) + [f"{raster_side} {raster_side}", str(levels)]
-    lines += [" ".join(str(v) for v in row) for row in scaled]
-    return "\n".join(lines) + "\n"
+    return _pgm(raster, comment)

@@ -21,6 +21,15 @@ from .rng import substream
 from .survstats import coxph_fit
 
 RISK_NODE = "risk_score"
+RHO_MIN = 0.2
+FDR_MAX = 0.05
+GENE_P_MAX = 0.01
+N_LAMBDAS = 100
+LAMBDA_MIN_RATIO = 1e-3
+CV_FOLDS = 10
+CENTRALITY_TOL = 1e-10
+CENTRALITY_MAX_ITER = 10_000
+_SPAN_TOL = 1e-9
 
 
 # -- Spearman -----------------------------------------------------------------
@@ -104,10 +113,14 @@ def _active_set_solve(g, c, lam, alpha, beta0):
     from the active set and signs s of ``beta0``: solve (g_AA + lam(1-alpha)I)
     b_A = c_A - lam alpha s_A. If a coefficient would change sign, step toward
     that solution only as far as the first zero crossing and drop that
-    coordinate; else add the worst KKT violator. Every step lowers the
-    objective, so no active set repeats. A violation within a few hundred
-    ulps is rounding and stays out, which keeps g_AA nonsingular when
-    columns repeat.
+    coordinate; else add the worst KKT violator. Without a ridge term, a
+    violator whose column lies in the span of the active ones (its Schur
+    complement is below _SPAN_TOL of its norm) is exchanged: along the null
+    direction of the enlarged block the fit stays and |b|_1 falls, so b
+    moves to the first zero crossing, which leaves as the violator enters.
+    Every step lowers the objective, so no active set repeats. A violation
+    within a few hundred ulps is rounding and stays out, which keeps g_AA
+    nonsingular when columns repeat.
     """
     l1, l2 = lam * alpha, lam * (1.0 - alpha)
     beta = beta0.copy()
@@ -136,7 +149,21 @@ def _active_set_solve(g, c, lam, alpha, beta0):
         j = int(np.argmax(viol))
         if viol[j] <= 256 * np.spacing((np.abs(c) + np.abs(g) @ np.abs(beta)).max()):
             return beta
-        active[j], signs[j] = True, np.sign(corr[j])
+        s_j = np.sign(corr[j])
+        if l2 == 0.0 and idx.size:
+            u = np.linalg.solve(g[np.ix_(idx, idx)], g[idx, j])
+            if g[j, j] - g[j, idx] @ u <= _SPAN_TOL * g[j, j]:
+                move = -s_j * u  # change of b_A per unit |b_j|
+                shrink = np.flatnonzero(beta[idx] * move < 0.0)
+                if not shrink.size:
+                    raise ConvergenceError(f"exchange found no crossing at lambda={lam:.3e}")
+                taus = -beta[idx[shrink]] / move[shrink]
+                k = int(np.argmin(taus))
+                beta[idx] += taus[k] * move
+                beta[j] = s_j * taus[k]
+                drop = idx[shrink[k]]
+                beta[drop], active[drop], signs[drop] = 0.0, False, 0.0
+        active[j], signs[j] = True, s_j
     raise ConvergenceError(f"active set did not settle at lambda={lam:.3e}")
 
 
@@ -160,23 +187,15 @@ class EnetFit:
     cv_mse: np.ndarray | None = None
 
 
-def elastic_net_fit(
-    x,
-    y,
-    alpha: float = 0.5,
-    lambda_: float | None = None,
-    n_lambdas: int = 100,
-    lambda_min_ratio: float = 1e-3,
-    cv_folds: int = 10,
-    seed: int = 0,
-) -> EnetFit:
+def elastic_net_fit(x, y, alpha: float = 0.5, lambda_: float | None = None, seed: int = 0) -> EnetFit:
     """Elastic net (1/2n)||y - Xb||^2 + lam(alpha |b|_1 + (1-alpha)/2 |b|_2^2).
 
     ``X`` must be standardized and ``y`` centered. Each lambda is solved
     exactly by an active-set method warm-started from the previous lambda,
     so the returned solution meets the KKT conditions to rounding. With
-    ``lambda_=None`` the penalty is chosen at the minimum of
-    ``cv_folds``-fold CV MSE over a log-spaced path from lambda_max down.
+    ``lambda_=None`` the penalty is chosen at the minimum of CV_FOLDS-fold
+    CV MSE over N_LAMBDAS log-spaced values from lambda_max down to
+    LAMBDA_MIN_RATIO * lambda_max.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -198,10 +217,10 @@ def elastic_net_fit(
     lam_max = np.abs(x.T @ y).max() / (n * alpha)
     if lam_max <= 0:
         raise DataError("X'y vanishes; nothing to fit")
-    lambdas = np.geomspace(lam_max, lam_max * lambda_min_ratio, n_lambdas)
+    lambdas = np.geomspace(lam_max, lam_max * LAMBDA_MIN_RATIO, N_LAMBDAS)
     rng = substream(seed, "enet-cv")
     perm = rng.permutation(n)
-    folds = [perm[f::cv_folds] for f in range(min(cv_folds, n))]
+    folds = [perm[f::CV_FOLDS] for f in range(min(CV_FOLDS, n))]
     cv_mse = np.zeros(lambdas.size)
     for fold in folds:
         mask = np.ones(n, dtype=bool)
@@ -234,13 +253,15 @@ def _components(adj: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(labels == k) for k in range(count)]
 
 
-def eigenvector_centrality(adjacency, tol: float = 1e-10, max_iter: int = 10_000) -> np.ndarray:
+def eigenvector_centrality(adjacency) -> np.ndarray:
     """Principal-eigenvector scores, max-normalized to 1.
 
     The power iteration runs on A + I (same eigenvectors, strictly dominant
-    top eigenvalue even on bipartite graphs). Scores are computed per
-    connected component; nodes outside the largest component are scaled by
-    their component-size ratio so the global top score stays exactly 1.
+    top eigenvalue even on bipartite graphs) until no score moves by
+    CENTRALITY_TOL, for at most CENTRALITY_MAX_ITER steps. Scores are
+    computed per connected component; nodes outside the largest component
+    are scaled by their component-size ratio so the global top score stays
+    exactly 1.
     """
     a = np.asarray(adjacency, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -259,13 +280,13 @@ def eigenvector_centrality(adjacency, tol: float = 1e-10, max_iter: int = 10_000
             local = np.ones(1)
         else:
             v = np.full(len(comp), 1.0 / np.sqrt(len(comp)))
-            for _ in range(max_iter):
+            for _ in range(CENTRALITY_MAX_ITER):
                 w = sub @ v + v
                 norm = np.linalg.norm(w)
                 if norm == 0:
                     break
                 w /= norm
-                if np.abs(w - v).max() < tol:
+                if np.abs(w - v).max() < CENTRALITY_TOL:
                     v = w
                     break
                 v = w
@@ -315,17 +336,14 @@ def build_network(
     events,
     feature_names: list[str] | None = None,
     gene_names: list[str] | None = None,
-    rho_min: float = 0.2,
-    fdr_max: float = 0.05,
-    gene_p_max: float = 0.01,
     binary_adjacency: bool = False,
     seed: int = 0,
 ) -> NetworkResult:
     """Run both screening branches and assemble the centrality table.
 
-    Branch 1: |Spearman(feature, risk)| >= rho_min with BH q < fdr_max, then an
+    Branch 1: |Spearman(feature, risk)| >= RHO_MIN with BH q < FDR_MAX, then an
     elastic net (alpha 0.5) keeps nonzero-coefficient features. Branch 2:
-    univariable Cox per gene at p < gene_p_max with a non-degenerate hazard
+    univariable Cox per gene at p < GENE_P_MAX with a non-degenerate hazard
     ratio. Cross edges between survivors at the same rho/FDR gate form the
     network scored by eigenvector centrality.
     """
@@ -344,7 +362,7 @@ def build_network(
     rho_fr, p_fr = spearman_matrix(features, risk.reshape(-1, 1))
     rho_fr, p_fr = rho_fr[:, 0], p_fr[:, 0]
     q_fr = bh_fdr(p_fr)
-    screened = np.flatnonzero((np.abs(rho_fr) >= rho_min) & (q_fr < fdr_max))
+    screened = np.flatnonzero((np.abs(rho_fr) >= RHO_MIN) & (q_fr < FDR_MAX))
     if screened.size == 0:
         raise EmptyNetworkError("no feature passed the risk-correlation screen")
     x = standardize(features[:, screened])
@@ -368,7 +386,7 @@ def build_network(
             fit = coxph_fit(times, events, col.reshape(-1, 1), [gene_names[g]])
         except (ConvergenceError, DataError, UndefinedError):
             continue
-        if fit.wald_p[0] < gene_p_max and abs(fit.beta[0]) > 0:
+        if fit.wald_p[0] < GENE_P_MAX and abs(fit.beta[0]) > 0:
             prognostic_idx.append(g)
     if not prognostic_idx:
         raise EmptyNetworkError("no gene passed the prognostic screen")
@@ -382,7 +400,7 @@ def build_network(
         for j in range(rho_fg.shape[1]):
             if np.isnan(rho_fg[i, j]):
                 continue
-            if abs(rho_fg[i, j]) >= rho_min and q_fg[i, j] < fdr_max:
+            if abs(rho_fg[i, j]) >= RHO_MIN and q_fg[i, j] < FDR_MAX:
                 cross_edges.append(
                     CorrEdge(core_names[i], prog_names[j], float(rho_fg[i, j]),
                              float(p_fg[i, j]), float(q_fg[i, j]))

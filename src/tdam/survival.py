@@ -113,64 +113,35 @@ def nll_graph(logits: Tensor, bin_index: int, censored: int) -> Tensor:
 # -- concordance --------------------------------------------------------------
 
 
-class _Fenwick:
-    def __init__(self, n: int):
-        self.tree = np.zeros(n + 1, dtype=np.int64)
-
-    def add(self, i: int) -> None:
-        i += 1
-        while i < len(self.tree):
-            self.tree[i] += 1
-            i += i & (-i)
-
-    def prefix(self, i: int) -> int:
-        # count of inserted ranks <= i
-        total = 0
-        i += 1
-        while i > 0:
-            total += self.tree[i]
-            i -= i & (-i)
-        return int(total)
+# boolean entries per comparison block: rows * n stays near 4M
+_BLOCK = 1 << 22
 
 
 def _concordance_counts(risks, times, events, horizon=None):
     """(concordant, tied, total) over pairs t_i < t_j with event_i = 1.
 
-    Streams subjects in decreasing time order through a Fenwick tree over
-    risk ranks, so each event subject is compared against everyone with a
-    strictly larger time in O(log n).
+    Compares a block of ``_BLOCK // n`` event rows with every subject at
+    once. Risks are compared by rank among the distinct risks, so a NaN
+    risk ranks above every number and ties with other NaNs.
     """
     risks = np.asarray(risks, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=np.int64)
     if not (risks.shape == times.shape == events.shape):
         raise ValueError("risks, times, events must share a shape")
-    uniq = np.unique(risks)
-    ranks = np.searchsorted(uniq, risks)
-    order = np.argsort(-times, kind="stable")
-    tree = _Fenwick(len(uniq))
-    inserted = 0
-    concordant = tied = 0.0
-    total = 0
-    i = 0
-    n = len(order)
-    while i < n:
-        j = i
-        while j < n and times[order[j]] == times[order[i]]:
-            j += 1
-        group = order[i:j]
-        for idx in group:
-            if events[idx] == 1 and (horizon is None or times[idx] < horizon) and inserted:
-                # everyone already inserted has a strictly larger time
-                below = tree.prefix(ranks[idx] - 1) if ranks[idx] > 0 else 0
-                at = tree.prefix(ranks[idx]) - below
-                concordant += below
-                tied += at
-                total += inserted
-        for idx in group:
-            tree.add(ranks[idx])
-        inserted += len(group)
-        i = j
+    ranks = np.searchsorted(np.unique(risks), risks)
+    keep = events == 1
+    if horizon is not None:
+        keep &= times < horizon
+    rows = np.flatnonzero(keep)
+    step = max(1, _BLOCK // max(1, times.size))
+    concordant = tied = total = 0
+    for start in range(0, rows.size, step):
+        i = rows[start : start + step]
+        later = times > times[i, None]
+        concordant += int(np.count_nonzero(later & (ranks < ranks[i, None])))
+        tied += int(np.count_nonzero(later & (ranks == ranks[i, None])))
+        total += int(np.count_nonzero(later))
     return concordant, tied, total
 
 

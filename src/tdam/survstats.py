@@ -25,6 +25,11 @@ __all__ = [
     "dca_curve", "NomogramModel", "nomogram_build", "nomogram_score",
 ]
 
+COX_MAX_ITER = 50
+COX_TOL = 1e-8
+CALIBRATION_GROUPS = 10
+NOMOGRAM_STEP = 10.0
+
 
 def _clean(times, events):
     times = np.asarray(times, dtype=np.float64)
@@ -38,6 +43,14 @@ def _clean(times, events):
     if not np.isin(events, (0, 1)).all():
         raise DataError("events must be 0 or 1")
     return times, events
+
+
+def _step_at(knots, values, before, t, side="right"):
+    """Step function with ``values`` from each knot on, ``before`` ahead of
+    the first; ``side="left"`` reads the left limit at ``t``."""
+    idx = np.searchsorted(knots, np.asarray(t, dtype=np.float64), side=side)
+    out = np.concatenate([[before], values])[idx]
+    return float(out) if np.isscalar(t) else out
 
 
 # -- Kaplan-Meier ---------------------------------------------------------------
@@ -56,17 +69,10 @@ class KmCurve:
 
     def survival_at(self, t, left: bool = False) -> np.ndarray | float:
         """Step-function value S(t); ``left`` gives the left limit S(t-)."""
-        side = "left" if left else "right"
-        idx = np.searchsorted(self.times, np.asarray(t, dtype=np.float64), side=side) - 1
-        surv = np.concatenate([[1.0], self.surv])
-        out = surv[idx + 1]
-        return float(out) if np.isscalar(t) else out
+        return _step_at(self.times, self.surv, 1.0, t, "left" if left else "right")
 
     def var_at(self, t) -> float:
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        if idx < 0:
-            return 0.0
-        return float(self.var[idx])
+        return _step_at(self.times, self.var, 0.0, t)
 
 
 def _risk_table(times, events, at=None, weights=None):
@@ -163,10 +169,7 @@ class CoxFit:
         return np.asarray(x, dtype=np.float64) @ self.beta
 
     def cumhaz_at(self, t) -> np.ndarray | float:
-        idx = np.searchsorted(self.baseline_times, np.asarray(t, dtype=np.float64), side="right") - 1
-        ch = np.concatenate([[0.0], self.baseline_cumhaz])
-        out = ch[idx + 1]
-        return float(out) if np.isscalar(t) else out
+        return _step_at(self.baseline_times, self.baseline_cumhaz, 0.0, t)
 
 
 def _cox_quantities(beta, times, events, x):
@@ -200,12 +203,12 @@ def _cox_quantities(beta, times, events, x):
     return loglik, score, info
 
 
-def coxph_fit(times, events, x, names=None, max_iter: int = 50, tol: float = 1e-8) -> CoxFit:
+def coxph_fit(times, events, x, names=None) -> CoxFit:
     """Newton-Raphson on the Breslow partial likelihood.
 
-    Convergence is declared at |step|_inf < tol; monotone-likelihood style
-    divergence (exploding coefficients or singular information) raises
-    ConvergenceError with a diagnostic.
+    Convergence is declared at |step|_inf < COX_TOL within COX_MAX_ITER
+    steps; monotone-likelihood divergence (exploding coefficients or
+    singular information) raises ConvergenceError with a diagnostic.
     """
     times, events = _clean(times, events)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -228,7 +231,7 @@ def coxph_fit(times, events, x, names=None, max_iter: int = 50, tol: float = 1e-
     loglik_null, _, _ = _cox_quantities(beta, times, events, x)
     loglik = loglik_null
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, COX_MAX_ITER + 1):
         ll, score, info = _cox_quantities(beta, times, events, x)
         try:
             step = np.linalg.solve(info, score)
@@ -250,10 +253,10 @@ def coxph_fit(times, events, x, names=None, max_iter: int = 50, tol: float = 1e-
         loglik = ll_new
         if np.abs(beta).max() > 80:
             raise ConvergenceError("coefficients diverging; monotone likelihood suspected")
-        if np.abs(scale * step).max() < tol:
+        if np.abs(scale * step).max() < COX_TOL:
             break
     else:
-        raise ConvergenceError(f"no convergence in {max_iter} iterations")
+        raise ConvergenceError(f"no convergence in {COX_MAX_ITER} iterations")
 
     ll, score, info = _cox_quantities(beta, times, events, x)
     try:
@@ -321,6 +324,32 @@ def multivariable_pipeline(times, events, variables: dict[str, np.ndarray], prom
 # -- time-dependent ROC -------------------------------------------------------------
 
 
+def _ipcw(times, events, horizon: float):
+    """(cases, controls, w_cases, w_control) of ``timeroc_auc`` at ``horizon``."""
+    cases = (times <= horizon) & (events == 1)
+    controls = times > horizon
+    if not cases.any() or not controls.any():
+        raise UndefinedError(f"no cases or no controls at horizon {horizon}")
+    cens_km = km_fit(times, 1 - events)
+    g_cases = cens_km.survival_at(times[cases], left=True)
+    g_horizon = float(cens_km.survival_at(horizon))
+    if g_horizon <= 0 or np.any(g_cases <= 0):
+        raise UndefinedError("censoring survival hits zero before the horizon")
+    return cases, controls, 1.0 / np.asarray(g_cases), 1.0 / g_horizon
+
+
+def _weighted_auc(marker, cases, controls, w_cases, w_control) -> float:
+    m_cases = marker[cases]
+    m_controls = np.sort(marker[controls])
+    n_c = m_controls.size
+    below = np.searchsorted(m_controls, m_cases, side="left")
+    upto = np.searchsorted(m_controls, m_cases, side="right")
+    wins = below + 0.5 * (upto - below)
+    num = float(np.sum(w_cases * wins) * w_control)
+    den = float(w_cases.sum() * n_c * w_control)
+    return num / den
+
+
 def timeroc_auc(marker, times, events, horizon: float) -> float:
     """Cumulative/dynamic AUC at ``horizon`` with IPCW weights.
 
@@ -333,27 +362,7 @@ def timeroc_auc(marker, times, events, horizon: float) -> float:
     times, events = _clean(times, events)
     if marker.shape != times.shape:
         raise DataError("marker misaligned with times")
-    cases = (times <= horizon) & (events == 1)
-    controls = times > horizon
-    if not cases.any() or not controls.any():
-        raise UndefinedError(f"no cases or no controls at horizon {horizon}")
-    cens_km = km_fit(times, 1 - events)
-    g_cases = cens_km.survival_at(times[cases], left=True)
-    g_horizon = float(cens_km.survival_at(horizon))
-    if g_horizon <= 0 or np.any(g_cases <= 0):
-        raise UndefinedError("censoring survival hits zero before the horizon")
-    w_cases = 1.0 / np.asarray(g_cases)
-    w_control = 1.0 / g_horizon
-
-    m_cases = marker[cases]
-    m_controls = np.sort(marker[controls])
-    n_c = m_controls.size
-    below = np.searchsorted(m_controls, m_cases, side="left")
-    upto = np.searchsorted(m_controls, m_cases, side="right")
-    wins = below + 0.5 * (upto - below)
-    num = float(np.sum(w_cases * wins) * w_control)
-    den = float(w_cases.sum() * n_c * w_control)
-    return num / den
+    return _weighted_auc(marker, *_ipcw(times, events, horizon))
 
 
 # -- RMST -----------------------------------------------------------------------------
@@ -441,16 +450,18 @@ def bootstrap_auc_compare(
     """Paired bootstrap of AUC(a) - AUC(b) with a percentile 95% CI.
 
     Patients are resampled with replacement; degenerate resamples (no cases
-    or controls at the horizon) are redrawn and counted. Deterministic in
-    ``seed``.
+    or controls at the horizon) are redrawn and counted. Each draw fits the
+    censoring distribution once and scores both markers on its weights.
+    Deterministic in ``seed``.
     """
     marker_a = np.asarray(marker_a, dtype=np.float64)
     marker_b = np.asarray(marker_b, dtype=np.float64)
     times, events = _clean(times, events)
     if marker_a.shape != times.shape or marker_b.shape != times.shape:
         raise DataError("markers misaligned with times")
-    auc_a = timeroc_auc(marker_a, times, events, horizon)
-    auc_b = timeroc_auc(marker_b, times, events, horizon)
+    weights = _ipcw(times, events, horizon)
+    auc_a = _weighted_auc(marker_a, *weights)
+    auc_b = _weighted_auc(marker_b, *weights)
     rng = substream(seed, "bootstrap")
     n = times.size
     deltas = np.empty(n_boot)
@@ -459,12 +470,11 @@ def bootstrap_auc_compare(
         for _ in range(1000):
             idx = rng.integers(0, n, size=n)
             try:
-                da = timeroc_auc(marker_a[idx], times[idx], events[idx], horizon)
-                db = timeroc_auc(marker_b[idx], times[idx], events[idx], horizon)
+                weights = _ipcw(times[idx], events[idx], horizon)
             except UndefinedError:
                 n_redrawn += 1
                 continue
-            deltas[b] = da - db
+            deltas[b] = _weighted_auc(marker_a[idx], *weights) - _weighted_auc(marker_b[idx], *weights)
             break
         else:
             raise DegenerateError("bootstrap kept drawing degenerate resamples")
@@ -501,8 +511,9 @@ class CalibrationPoint:
     n: int
 
 
-def calibration_curve(predicted_surv, times, events, horizon: float, n_groups: int = 10):
-    """Grouped calibration: decile bins of predicted survival vs KM observed.
+def calibration_curve(predicted_surv, times, events, horizon: float):
+    """Grouped calibration: CALIBRATION_GROUPS quantile bins (deciles) of
+    predicted survival vs KM observed.
 
     Returns (points, n_skipped); groups that are empty or have no usable KM
     estimate at the horizon are skipped and counted.
@@ -513,7 +524,7 @@ def calibration_curve(predicted_surv, times, events, horizon: float, n_groups: i
         raise DataError("predictions misaligned with times")
     if np.any((pred < 0) | (pred > 1)):
         raise DataError("predicted survival probabilities must lie in [0, 1]")
-    bounds = np.unique(np.quantile(pred, np.linspace(0, 1, n_groups + 1), method="linear"))
+    bounds = np.unique(np.quantile(pred, np.linspace(0, 1, CALIBRATION_GROUPS + 1), method="linear"))
     if bounds.size == 1:  # constant predictions: one group
         groups = [np.arange(pred.size)]
     else:
@@ -621,13 +632,14 @@ class NomogramModel:
         lp_from_ref = self.scale * total_points / 100.0
         return float(self.survival_at_reference(horizon) ** np.exp(lp_from_ref))
 
-    def points_table(self, horizons, max_points: float = 0.0, step: float = 10.0):
-        if max_points <= 0:
-            max_points = sum(
-                max(self.points_for(n, self.ranges[n][0]), self.points_for(n, self.ranges[n][1]))
-                for n in self.names
-            )
-        grid = np.arange(0.0, max_points + step / 2, step)
+    def points_table(self, horizons):
+        """Survival at each horizon for total points from 0 to the largest
+        reachable total, NOMOGRAM_STEP points apart."""
+        max_points = sum(
+            max(self.points_for(n, self.ranges[n][0]), self.points_for(n, self.ranges[n][1]))
+            for n in self.names
+        )
+        grid = np.arange(0.0, max_points + NOMOGRAM_STEP / 2, NOMOGRAM_STEP)
         return [
             {"total_points": float(p), **{f"s@{h}": self.survival_for_points(p, h) for h in horizons}}
             for p in grid

@@ -164,7 +164,6 @@ class TrainResult:
     folds: list[FoldResult]
     mean_cindex: float
     std_cindex: float
-    bin_edges: tuple[float, float, float]
 
     def formatted(self) -> str:
         return f"{self.mean_cindex:.3f} ± {self.std_cindex:.3f}"
@@ -283,7 +282,8 @@ def train(
     all_ids = [r.patient_id for r in cohort.records]
     tasks = []
     for f, val_ids in enumerate(folds):
-        train_ids = [p for p in all_ids if p not in set(val_ids)]
+        held_out = set(val_ids)
+        train_ids = [p for p in all_ids if p not in held_out]
         tasks.append((f, train_ids, val_ids, cohort, bags, model_cfg, cfg))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -291,12 +291,10 @@ def train(
     else:
         results = [_train_fold_packed(t) for t in tasks]
     scores = np.array([r.best_cindex for r in results])
-    edges = compute_bin_edges(cohort)
     out = TrainResult(
         folds=results,
         mean_cindex=float(scores.mean()),
         std_cindex=float(scores.std(ddof=1)),
-        bin_edges=edges.edges,
     )
     if out_dir is not None:
         from pathlib import Path

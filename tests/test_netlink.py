@@ -229,6 +229,24 @@ def test_active_set_matches_coordinate_descent_on_the_path(make, alpha):
         assert nl.kkt_residual(x, y, beta_as, lam, alpha) < 1e-13
 
 
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_lasso_with_more_columns_than_rank_matches_coordinate_descent(seed):
+    # 12 columns of rank 7: violators in the span of the active columns
+    # need the exchange step
+    rng = np.random.default_rng(seed)
+    x = nl.standardize(rng.standard_normal((8, 12)))
+    y = rng.standard_normal(8)
+    y -= y.mean()
+    lam_max = np.abs(x.T @ y).max() / 8
+    for fit in (nl.elastic_net_fit(x, y, alpha=1.0, lambda_=1e-4), nl.elastic_net_fit(x, y, alpha=1.0)):
+        assert fit.kkt < 1e-9
+        beta_cd = np.zeros(12)  # a cold start at lambda 1e-4 stalls on seed 3
+        for lam in np.geomspace(lam_max, fit.lambda_, 30):
+            beta_cd = _cd_solve(x, y, lam, 1.0, beta_cd, tol=1e-13)
+        # beta is not unique at rank 7, but the lasso fit X beta is
+        np.testing.assert_allclose(x @ fit.beta, x @ beta_cd, rtol=0, atol=1e-8)
+
+
 def test_enet_rejects_unstandardized():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((30, 3)) * 5 + 2

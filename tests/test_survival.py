@@ -163,6 +163,86 @@ def test_cindex_streaming_equals_brute_force():
             assert got == pytest.approx(expect, abs=1e-12)
 
 
+# The Fenwick-tree counter that _concordance_counts used before the blocked
+# comparison, kept verbatim as the reference its counts must equal exactly.
+class _Fenwick:
+    def __init__(self, n: int):
+        self.tree = np.zeros(n + 1, dtype=np.int64)
+
+    def add(self, i: int) -> None:
+        i += 1
+        while i < len(self.tree):
+            self.tree[i] += 1
+            i += i & (-i)
+
+    def prefix(self, i: int) -> int:
+        # count of inserted ranks <= i
+        total = 0
+        i += 1
+        while i > 0:
+            total += self.tree[i]
+            i -= i & (-i)
+        return int(total)
+
+
+def _concordance_counts(risks, times, events, horizon=None):
+    """(concordant, tied, total) over pairs t_i < t_j with event_i = 1.
+
+    Streams subjects in decreasing time order through a Fenwick tree over
+    risk ranks, so each event subject is compared against everyone with a
+    strictly larger time in O(log n).
+    """
+    risks = np.asarray(risks, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
+    events = np.asarray(events, dtype=np.int64)
+    if not (risks.shape == times.shape == events.shape):
+        raise ValueError("risks, times, events must share a shape")
+    uniq = np.unique(risks)
+    ranks = np.searchsorted(uniq, risks)
+    order = np.argsort(-times, kind="stable")
+    tree = _Fenwick(len(uniq))
+    inserted = 0
+    concordant = tied = 0.0
+    total = 0
+    i = 0
+    n = len(order)
+    while i < n:
+        j = i
+        while j < n and times[order[j]] == times[order[i]]:
+            j += 1
+        group = order[i:j]
+        for idx in group:
+            if events[idx] == 1 and (horizon is None or times[idx] < horizon) and inserted:
+                # everyone already inserted has a strictly larger time
+                below = tree.prefix(ranks[idx] - 1) if ranks[idx] > 0 else 0
+                at = tree.prefix(ranks[idx]) - below
+                concordant += below
+                tied += at
+                total += inserted
+        for idx in group:
+            tree.add(ranks[idx])
+        inserted += len(group)
+        i = j
+    return concordant, tied, total
+
+
+def test_blocked_counts_equal_the_fenwick_counts():
+    rng = np.random.default_rng(11)
+    draws = []
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        draws.append((np.round(rng.standard_normal(n), 1), rng.integers(1, 12, size=n).astype(float),
+                      rng.integers(0, 2, size=n)))
+    n = 3000  # more event rows than one block holds
+    draws.append((np.round(rng.standard_normal(n), 2), rng.integers(1, 400, size=n).astype(float),
+                  (rng.random(n) < 0.7).astype(int)))
+    assert draws[-1][2].sum() > survival._BLOCK // n
+    for risks, times, events in draws:
+        for horizon in (None, 3.0, 6.0, 200.0):
+            want = _concordance_counts(risks, times, events, horizon)
+            assert survival._concordance_counts(risks, times, events, horizon) == want
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(4, 25), seed=st.integers(0, 10**6))
 @example(n=4, seed=275)

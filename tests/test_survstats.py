@@ -522,6 +522,71 @@ def test_bootstrap_planted_difference_excludes_zero():
     assert out.lci > 0.0
 
 
+# bootstrap_auc_compare as it was before its two markers shared one censoring
+# fit per draw, kept verbatim (the imports stand in for module globals) as the
+# reference whose results must not move.
+def _bootstrap_auc_compare_oracle(
+    marker_a, marker_b, times, events, horizon: float, n_boot: int = 500, seed: int = 0
+):
+    from tdam.survstats import BootstrapAucResult, _clean, timeroc_auc
+
+    marker_a = np.asarray(marker_a, dtype=np.float64)
+    marker_b = np.asarray(marker_b, dtype=np.float64)
+    times, events = _clean(times, events)
+    if marker_a.shape != times.shape or marker_b.shape != times.shape:
+        raise DataError("markers misaligned with times")
+    auc_a = timeroc_auc(marker_a, times, events, horizon)
+    auc_b = timeroc_auc(marker_b, times, events, horizon)
+    rng = substream(seed, "bootstrap")
+    n = times.size
+    deltas = np.empty(n_boot)
+    n_redrawn = 0
+    for b in range(n_boot):
+        for _ in range(1000):
+            idx = rng.integers(0, n, size=n)
+            try:
+                da = timeroc_auc(marker_a[idx], times[idx], events[idx], horizon)
+                db = timeroc_auc(marker_b[idx], times[idx], events[idx], horizon)
+            except UndefinedError:
+                n_redrawn += 1
+                continue
+            deltas[b] = da - db
+            break
+        else:
+            raise DegenerateError("bootstrap kept drawing degenerate resamples")
+    lci, uci = np.percentile(deltas, [2.5, 97.5], method="linear")
+    return BootstrapAucResult(
+        delta=auc_a - auc_b, lci=float(lci), uci=float(uci),
+        auc_a=auc_a, auc_b=auc_b, n_boot=n_boot, n_redrawn=n_redrawn,
+    )
+
+
+# (n, horizon): no redraws; a few; most draws redrawn
+BOOT_CASES = [(120, 8.0), (20, 1.0), (15, 1.5)]
+
+
+@pytest.mark.parametrize("n, horizon", BOOT_CASES)
+def test_bootstrap_equals_the_two_timeroc_oracle(n, horizon):
+    risk, times, events = bootstrap_setup(n=n)
+    other = risk + 0.3 * np.random.default_rng(16).standard_normal(n)
+    for seed in (0, 9):
+        want = _bootstrap_auc_compare_oracle(risk, other, times, events, horizon, n_boot=100, seed=seed)
+        assert ss.bootstrap_auc_compare(risk, other, times, events, horizon, n_boot=100, seed=seed) == want
+
+
+@pytest.mark.parametrize("n, horizon", BOOT_CASES)
+def test_bootstrap_fits_censoring_once_per_draw(monkeypatch, n, horizon):
+    calls = []
+    km_fit = ss.km_fit
+    monkeypatch.setattr(ss, "km_fit", lambda *a: calls.append(1) or km_fit(*a))
+    risk, times, events = bootstrap_setup(n=n)
+    out = ss.bootstrap_auc_compare(risk, -risk, times, events, horizon, n_boot=100, seed=9)
+    # one fit for the full sample and one per kept draw: a redrawn resample
+    # lacks cases or controls, and that is found before its fit
+    assert len(calls) == out.n_boot + 1
+    assert (out.n_redrawn > 0) == (n < 120)
+
+
 # -- stratification -------------------------------------------------------------------------
 
 
