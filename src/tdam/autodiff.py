@@ -4,10 +4,12 @@ Tape-style engine in the micrograd tradition, but tensor-valued: each op
 records a closure that maps the output adjoint onto the parents' adjoints.
 It carries only the ops the model in :mod:`tdam.model` and the survival
 loss reach: broadcasting add/sub/mul/div, batched matmul, the nonlinearities
-sqrt, tanh, erf, softplus and softmax, sum/mean/max reductions, shape and
-gather ops, a depthwise 2-D convolution, and the selective scan as one fused
-op (:func:`linear_recurrence`: zero-order-hold discretization, diagonal
-recurrence and readout, run in chunks and recomputed in backward). Forward
+tanh, erf, softplus and softmax, the sum reduction, shape and gather ops, a
+depthwise 2-D convolution, and the selective scan as one fused op
+(:func:`linear_recurrence`: zero-order-hold discretization, diagonal
+recurrence and readout, run in chunks and recomputed in backward). The model
+adds two more fused ops through :func:`_node`, each with a hand-written
+backward: ``layer_norm`` and the Newton-Schulz pseudo-inverse. Forward
 dtype is preserved, so the same graph runs in float32 for training and
 float64 for gradient checking. Inside :func:`no_grad` the ops compute the
 same values but record nothing: each output has no parents and no closure,
@@ -180,10 +182,6 @@ class Tensor:
 
     # -- elementwise nonlinearities ---------------------------------------
 
-    def sqrt(self):
-        y = np.sqrt(self.data)
-        return _node(y, (self,), lambda g: self._accum(g * 0.5 / y))
-
     def tanh(self):
         y = np.tanh(self.data)
         return _node(y, (self,), lambda g: self._accum(g * (1.0 - y * y)))
@@ -215,21 +213,6 @@ class Tensor:
                 g = np.expand_dims(g, axis)
             self._accum(np.broadcast_to(g, self.data.shape))
         return _node(self.data.sum(axis=axis, keepdims=keepdims), (self,), bw)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
-    def max(self, axis=None, keepdims: bool = False):
-        y = self.data.max(axis=axis, keepdims=keepdims)
-
-        def bw(g):
-            yk = y if keepdims or axis is None else np.expand_dims(y, axis)
-            gk = g if keepdims or axis is None else np.expand_dims(g, axis)
-            mask = (self.data == yk).astype(self.data.dtype)
-            mask /= mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accum(mask * gk)
-        return _node(y, (self,), bw)
 
     # -- shape ops --------------------------------------------------------
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, concat, dwconv2d, linear_recurrence, no_grad
+from .autodiff import Tensor, _node, _unbroadcast, concat, dwconv2d, linear_recurrence, no_grad
 from .bags import FeatureBag
 from .errors import DataError, FormatError, GradError, NonFiniteError, ShapeError, TruncatedError
 from .rng import substream
@@ -224,15 +224,37 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    out = centered / (var + LN_EPS).sqrt()
+    """(x - mean) / sqrt(var + LN_EPS) over the last axis, then * gain + bias.
+
+    One tape op. Its forward and backward evaluate the same expressions, in
+    the same order, as the chain of elementwise tape ops they replace, so
+    values and gradients keep their bits. ``x`` gets its adjoint in two
+    accumulations (centered path, then mean path), as that chain gave it.
+    """
+    xv = x.data
+    inv_n = 1.0 / xv.shape[-1]
+    c = xv + (-(xv.sum(axis=-1, keepdims=True) * inv_n))
+    den = np.sqrt((c * c).sum(axis=-1, keepdims=True) * inv_n + LN_EPS)
+    normed = c / den
+    out = normed
     if gain is not None:
-        out = out * gain
+        out = out * gain.data
     if bias is not None:
-        out = out + bias
-    return out
+        out = out + bias.data
+
+    def bw(g):
+        if bias is not None:
+            bias._accum(_unbroadcast(g, bias.data.shape))
+        if gain is not None:
+            gain._accum(_unbroadcast(g * normed, gain.data.shape))
+            g = g * gain.data
+        g_den = _unbroadcast(-g * c / (den * den), den.shape)
+        g_cc = np.broadcast_to(g_den * 0.5 / den * inv_n, c.shape)
+        g_c = g / den + g_cc * c + g_cc * c
+        x._accum(g_c)
+        x._accum(np.broadcast_to(-_unbroadcast(g_c, den.shape) * inv_n, xv.shape))
+    parents = tuple(t for t in (x, gain, bias) if t is not None)
+    return _node(out, parents, bw)
 
 
 def _dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
@@ -289,19 +311,53 @@ def _segment_mean_matrix(n: int, m: int, dtype) -> np.ndarray:
 
 
 def newton_schulz_pinv(a: Tensor, iters: int) -> Tensor:
-    """Iterative Moore-Penrose pseudo-inverse of a stack of square matrices."""
-    m = a.shape[-1]
-    eye = Tensor(np.eye(m, dtype=a.data.dtype))
-    norm1 = a.sum(axis=-2, keepdims=True).max(axis=-1, keepdims=True)
-    norm_inf = a.sum(axis=-1, keepdims=True).max(axis=-2, keepdims=True)
-    z = a.transpose(0, 2, 1) / (norm1 * norm_inf)
+    """Iterative Moore-Penrose pseudo-inverse of a stack of square matrices.
+
+    One tape op: z0 = a^T / (|a|_1 |a|_inf), then per iteration, with
+    az = a z, z <- 0.25 z (13 I - az (15 I - az (7 I - az))). The backward
+    walks the stored iterates in reverse. Both passes evaluate the same
+    expressions, and sum adjoints in the same order, as the chain of tape
+    ops they replace, so values and gradients keep their bits.
+    """
+    av = a.data
+    eye = np.eye(av.shape[-1], dtype=av.dtype)
+    col_sums = av.sum(axis=-2, keepdims=True)
+    row_sums = av.sum(axis=-1, keepdims=True)
+    norm1 = col_sums.max(axis=-1, keepdims=True)
+    norm_inf = row_sums.max(axis=-2, keepdims=True)
+    den = norm1 * norm_inf
+    at = av.transpose(0, 2, 1)
+    z = at / den
+    steps = []
     for _ in range(iters):
-        az = a @ z
-        inner = eye * 7.0 - az
-        inner = eye * 15.0 - az @ inner
-        inner = eye * 13.0 - az @ inner
-        z = z * 0.25 @ inner
-    return z
+        az = av @ z
+        t1 = eye * 7.0 + (-az)
+        t2 = eye * 15.0 + (-(az @ t1))
+        t3 = eye * 13.0 + (-(az @ t2))
+        zs = z * 0.25
+        steps.append((z, az, t1, t2, t3, zs))
+        z = zs @ t3
+
+    def bw(g):
+        g_a = []
+        for z, az, t1, t2, t3, zs in reversed(steps):
+            g_zs = g @ t3.swapaxes(-1, -2)
+            g_p2 = -(zs.swapaxes(-1, -2) @ g)
+            g_p1 = -(az.swapaxes(-1, -2) @ g_p2)
+            g_t1 = az.swapaxes(-1, -2) @ g_p1
+            g_az = g_p2 @ t2.swapaxes(-1, -2) + g_p1 @ t1.swapaxes(-1, -2) + (-g_t1)
+            g_a.append(g_az @ z.swapaxes(-1, -2))
+            g = g_zs * 0.25 + at @ g_az
+        g_den = _unbroadcast(-g * at / (den * den), den.shape)
+        g_a.append((g / den).transpose(0, 2, 1))
+        # each norm is a max over sums of a: its adjoint goes to the maximal sums
+        for sums, norm, axis, g_norm in ((col_sums, norm1, -1, g_den * norm_inf),
+                                         (row_sums, norm_inf, -2, g_den * norm1)):
+            mask = (sums == norm).astype(av.dtype)
+            mask /= mask.sum(axis=axis, keepdims=True)
+            g_a.append(np.broadcast_to(mask * g_norm, av.shape))
+        a._accum(sum(g_a[1:], g_a[0]))  # one sum, in the order the terms were listed
+    return _node(z, (a,), bw)
 
 
 def nystrom_attention_layer(seq: Tensor, params: ModelParams, which: str) -> Tensor:

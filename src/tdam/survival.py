@@ -18,7 +18,6 @@ from .bags import Cohort
 from .errors import InsufficientEventsError, UndefinedError
 
 N_BINS = 4
-_LOG_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,36 +69,13 @@ def risk_score(logits) -> float:
     return RiskOutput.from_logits(logits).risk
 
 
-def survival_nll(logits, bin_index, censored) -> float:
-    """Censoring-aware negative log-likelihood of the discrete hazards.
+def nll_graph(logits: Tensor, bin_index: int, censored: int) -> Tensor:
+    """Censoring-aware negative log-likelihood of the discrete hazards, on the tape.
 
     With S_{-1} = 1: L = -c log S_Y - (1-c)(log S_{Y-1} + log h_Y), where
-    c = 1 marks a censored record. Accepts a single record (logits shape
-    (4,)) or a batch (shape (B, 4)); batches return the mean loss.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    single = logits.ndim == 1
-    logits = np.atleast_2d(logits)
-    y = np.atleast_1d(np.asarray(bin_index, dtype=np.int64))
-    c = np.atleast_1d(np.asarray(censored, dtype=np.float64))
-    if np.any((y < 0) | (y >= N_BINS)):
-        raise ValueError("bin index out of range")
-    h = special.expit(logits)
-    surv = np.cumprod(1.0 - h, axis=1)
-    rows = np.arange(logits.shape[0])
-    log_s_y = np.log(np.maximum(surv[rows, y], _LOG_CLAMP))
-    s_prev = np.where(y > 0, surv[rows, np.maximum(y - 1, 0)], 1.0)
-    log_s_prev = np.log(np.maximum(s_prev, _LOG_CLAMP))
-    log_h = np.log(np.maximum(h[rows, y], _LOG_CLAMP))
-    losses = -c * log_s_y - (1.0 - c) * (log_s_prev + log_h)
-    return float(losses[0]) if single else float(losses.mean())
-
-
-def nll_graph(logits: Tensor, bin_index: int, censored: int) -> Tensor:
-    """The same loss as :func:`survival_nll`, built on the autodiff tape.
-
-    Uses the softplus form log(1-h_j) = -softplus(l_j), log h_j =
-    -softplus(-l_j), which is exact and never needs clamping.
+    c = 1 marks a censored record. Uses the softplus form log(1-h_j) =
+    -softplus(l_j), log h_j = -softplus(-l_j), which is exact and never needs
+    clamping.
     """
     flat = logits.reshape(N_BINS)
     loss = None
@@ -117,7 +93,7 @@ def nll_graph(logits: Tensor, bin_index: int, censored: int) -> Tensor:
 _BLOCK = 1 << 22
 
 
-def _concordance_counts(risks, times, events, horizon=None):
+def _concordance_counts(risks, times, events):
     """(concordant, tied, total) over pairs t_i < t_j with event_i = 1.
 
     Compares a block of ``_BLOCK // n`` event rows with every subject at
@@ -130,10 +106,7 @@ def _concordance_counts(risks, times, events, horizon=None):
     if not (risks.shape == times.shape == events.shape):
         raise ValueError("risks, times, events must share a shape")
     ranks = np.searchsorted(np.unique(risks), risks)
-    keep = events == 1
-    if horizon is not None:
-        keep &= times < horizon
-    rows = np.flatnonzero(keep)
+    rows = np.flatnonzero(events == 1)
     step = max(1, _BLOCK // max(1, times.size))
     concordant = tied = total = 0
     for start in range(0, rows.size, step):
@@ -156,26 +129,3 @@ def concordance_index(risks, times, events) -> float:
     if total == 0:
         raise UndefinedError("no comparable pair")
     return float((concordant + 0.5 * tied) / total)
-
-
-@dataclass(frozen=True)
-class CindexPoint:
-    horizon: float
-    cindex: float | None
-    n_pairs: int
-    omitted: bool
-
-
-def time_dependent_cindex(risks, times, events, horizons) -> list[CindexPoint]:
-    """C restricted to comparable pairs whose event time precedes each horizon."""
-    horizons = list(horizons)
-    if any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise ValueError("horizons must be strictly ascending")
-    out = []
-    for tau in horizons:
-        concordant, tied, total = _concordance_counts(risks, times, events, horizon=tau)
-        if total == 0:
-            out.append(CindexPoint(float(tau), None, 0, True))
-        else:
-            out.append(CindexPoint(float(tau), float((concordant + 0.5 * tied) / total), total, False))
-    return out

@@ -43,6 +43,12 @@ class TrainConfig:
             raise DataError("need at least 2 folds")
         if self.lr <= 0:
             raise DataError("lr must be positive")
+        # Adam's bias correction divides by 1 - beta**t, and its step by sqrt(v) + eps
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise DataError(f"{name} must be in [0, 1)")
+        if self.eps <= 0:
+            raise DataError("eps must be positive")
 
 
 def train_config_from_dict(d: dict) -> TrainConfig:

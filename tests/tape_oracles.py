@@ -1,0 +1,62 @@
+"""The composed tape chains that ``model.layer_norm`` and
+``model.newton_schulz_pinv`` fuse, kept as their bitwise oracles.
+
+The fused ops must reproduce these chains' values and gradients bit for bit,
+so the chains are kept verbatim, with the reductions and the square root the
+tape engine no longer carries rebuilt here as tape ops on ``autodiff._node``.
+"""
+
+import numpy as np
+
+from tdam.autodiff import Tensor, _node
+from tdam.model import LN_EPS
+
+
+def tape_sqrt(x: Tensor) -> Tensor:
+    y = np.sqrt(x.data)
+    return _node(y, (x,), lambda g: x._accum(g * 0.5 / y))
+
+
+def tape_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    n = x.data.size if axis is None else x.data.shape[axis]
+    return x.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+
+
+def tape_max(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    """Max reduction; the adjoint is split evenly over tied maxima."""
+    y = x.data.max(axis=axis, keepdims=keepdims)
+
+    def bw(g):
+        yk = y if keepdims or axis is None else np.expand_dims(y, axis)
+        gk = g if keepdims or axis is None else np.expand_dims(g, axis)
+        mask = (x.data == yk).astype(x.data.dtype)
+        mask /= mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
+        x._accum(mask * gk)
+    return _node(y, (x,), bw)
+
+
+def composed_layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
+    mu = tape_mean(x, axis=-1, keepdims=True)
+    centered = x - mu
+    var = tape_mean(centered * centered, axis=-1, keepdims=True)
+    out = centered / tape_sqrt(var + LN_EPS)
+    if gain is not None:
+        out = out * gain
+    if bias is not None:
+        out = out + bias
+    return out
+
+
+def composed_newton_schulz_pinv(a: Tensor, iters: int) -> Tensor:
+    m = a.shape[-1]
+    eye = Tensor(np.eye(m, dtype=a.data.dtype))
+    norm1 = tape_max(a.sum(axis=-2, keepdims=True), axis=-1, keepdims=True)
+    norm_inf = tape_max(a.sum(axis=-1, keepdims=True), axis=-2, keepdims=True)
+    z = a.transpose(0, 2, 1) / (norm1 * norm_inf)
+    for _ in range(iters):
+        az = a @ z
+        inner = eye * 7.0 - az
+        inner = eye * 15.0 - az @ inner
+        inner = eye * 13.0 - az @ inner
+        z = z * 0.25 @ inner
+    return z

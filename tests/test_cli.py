@@ -444,6 +444,21 @@ def test_train_rejects_ill_typed_option(tmp_path, capsys, opt):
     assert opt.split(".")[1].split("=")[0] in payload["message"]
 
 
+@pytest.mark.parametrize("opt", ["train.beta1=1.0", "train.beta1=-0.5", "train.beta2=1.0", "train.eps=0"])
+def test_train_rejects_adam_settings_that_cannot_converge(tmp_path, capsys, opt):
+    """beta = 1 makes Adam's bias correction 0/0 and eps = 0 can divide by
+    zero; both are refused before training, not reported as divergence."""
+    data = synth(tmp_path, seed=7, n=12)
+    capsys.readouterr()
+    rc = cli.run(["--seed", "3", *TINY_OPTS, "--opt", opt, "train",
+                  "--cohort", str(data / "cohort.csv"), "--out", str(tmp_path / "run")])
+    assert rc == 3
+    payload = single_json_error(capsys)
+    assert payload["error"] == "DataError"
+    assert opt.split(".")[1].split("=")[0] in payload["message"]
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("opt,rc,error", [
     pytest.param("train.lr=2.5", 4, "ConvergenceError", id="divergent-lr"),

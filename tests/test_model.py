@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdam import model
+from tape_oracles import composed_layer_norm, composed_newton_schulz_pinv
+from tdam import model, survival
 from tdam.autodiff import SCAN_CHUNK, Tensor, no_grad
 from tdam.bags import FeatureBag, grid_coords
 from tdam.errors import DataError, FormatError, ShapeError, TruncatedError
@@ -548,6 +549,99 @@ def test_forward_ablations_change_logits_but_not_shapes():
         assert logits.shape == (4,)
         assert trace.z_norm.shape == trace_full.z_norm.shape
         assert not np.allclose(logits, full)
+
+
+# -- fused ops against the tape chains they replace --------------------------------
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(4, 9, 9), (1, 2, 2), (8, 64, 64)], ids=["4x9x9", "1x2x2", "8x64x64"])
+def test_fused_pinv_is_bitwise_the_composed_chain(shape, dtype):
+    rng = np.random.default_rng(shape[-1])
+    kernel = softmax_np(rng.standard_normal(shape)).astype(dtype)  # row-stochastic, as in attention
+    weight = Tensor(rng.standard_normal(shape).astype(dtype))
+    results = []
+    for pinv in (model.newton_schulz_pinv, composed_newton_schulz_pinv):
+        a = Tensor(kernel.copy())
+        out = pinv(a, TINY.pinv_iters)
+        (out * weight).sum().backward()
+        results.append((out.data, a.grad))
+    for fused, composed in zip(*results):
+        assert_bitwise(fused, composed)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("affine", [True, False], ids=["gain-bias", "plain"])
+def test_fused_layer_norm_is_bitwise_the_composed_chain(affine, dtype):
+    rng = np.random.default_rng(21)
+    xv, weight = (rng.standard_normal((17, 24)).astype(dtype) for _ in range(2))
+    gv, bv = (rng.standard_normal(24).astype(dtype) for _ in range(2))
+    results = []
+    for ln in (model.layer_norm, composed_layer_norm):
+        x, gain, bias = Tensor(xv.copy()), Tensor(gv.copy()), Tensor(bv.copy())
+        y = ln(x, gain, bias) if affine else ln(x)
+        # x also feeds a residual, so its adjoint arrives in several accumulations
+        (y * Tensor(weight) + x).tanh().sum().backward()
+        results.append((y.data, x.grad) + ((gain.grad, bias.grad) if affine else ()))
+    for fused, composed in zip(*results):
+        assert_bitwise(fused, composed)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ablation", model.ABLATIONS)
+def test_train_step_is_bitwise_that_of_the_composed_ops(monkeypatch, ablation, dtype):
+    cfg = TINY.with_ablation(ablation)
+    bag = random_bag(n=11, seed=22)  # 17 tokens, more than the 4 landmarks: the pinv runs
+
+    def train_step():
+        params = model.init_params(cfg, seed=22, dtype=dtype)
+        _, trace = model.forward(bag, params, cfg, mode="train", seed=3)
+        survival.nll_graph(trace.tensors["logits"], 1, 0).backward()
+        return trace, params
+
+    fused_trace, fused = train_step()
+    monkeypatch.setattr(model, "layer_norm", composed_layer_norm)
+    monkeypatch.setattr(model, "newton_schulz_pinv", composed_newton_schulz_pinv)
+    composed_trace, composed = train_step()
+    assert_bitwise(fused_trace.logits, composed_trace.logits)
+    assert_bitwise(fused_trace.z_norm, composed_trace.z_norm)
+    for name in fused.names():
+        if composed[name].grad is None:
+            assert fused[name].grad is None, name
+        else:
+            assert_bitwise(fused[name].grad, composed[name].grad)
+
+
+ACCEPT_MODEL = model.ModelConfig(
+    d_in=16, d_model=24, n_heads=4, n_agents=4, n_landmarks=9,
+    srmamba_layers=1, srmamba_rate=5, ssm_state_dim=6, dropout=0.25, agent_bias_side=4,
+)
+# Tape nodes of one acceptance-scale train step (forward and loss) on a
+# 16-patch bag, as the fused layer norm and pseudo-inverse left it.
+MAX_TAPE_NODES_PER_STEP = 148
+
+
+def test_acceptance_scale_train_step_tape_does_not_regrow(monkeypatch):
+    recorded = []
+    init = Tensor.__init__
+
+    def counting_init(self, data, parents=(), backward=None):
+        recorded.append(bool(parents))
+        init(self, data, parents, backward)
+
+    params = model.init_params(ACCEPT_MODEL, seed=0, dtype=np.float32)
+    bag = FeatureBag("bag", np.random.default_rng(0).standard_normal((16, 16)), grid_coords(16))
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    _, trace = model.forward(bag, params, mode="train", seed=1)
+    survival.nll_graph(trace.tensors["logits"], 2, 0).backward()
+    monkeypatch.undo()
+    assert all(params[name].grad is not None for name in params.names())
+    assert 0 < sum(recorded) <= MAX_TAPE_NODES_PER_STEP
 
 
 # -- gradient checking ---------------------------------------------------------------

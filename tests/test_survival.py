@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from tdam import survival
 from tdam.autodiff import Tensor
@@ -52,25 +53,51 @@ def test_assign_bin_counting_rule():
 # -- loss and risk ------------------------------------------------------------
 
 
+def survival_nll(logits, bin_index, censored) -> float:
+    """The loss of nll_graph in closed form, as a numpy oracle.
+
+    With S_{-1} = 1: L = -c log S_Y - (1-c)(log S_{Y-1} + log h_Y), where
+    c = 1 marks a censored record. Accepts a single record (logits shape
+    (4,)) or a batch (shape (B, 4)); batches return the mean loss.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    single = logits.ndim == 1
+    logits = np.atleast_2d(logits)
+    y = np.atleast_1d(np.asarray(bin_index, dtype=np.int64))
+    c = np.atleast_1d(np.asarray(censored, dtype=np.float64))
+    if np.any((y < 0) | (y >= survival.N_BINS)):
+        raise ValueError("bin index out of range")
+    h = special.expit(logits)
+    surv = np.cumprod(1.0 - h, axis=1)
+    rows = np.arange(logits.shape[0])
+    clamp = 1e-12
+    log_s_y = np.log(np.maximum(surv[rows, y], clamp))
+    s_prev = np.where(y > 0, surv[rows, np.maximum(y - 1, 0)], 1.0)
+    log_s_prev = np.log(np.maximum(s_prev, clamp))
+    log_h = np.log(np.maximum(h[rows, y], clamp))
+    losses = -c * log_s_y - (1.0 - c) * (log_s_prev + log_h)
+    return float(losses[0]) if single else float(losses.mean())
+
+
 def test_nll_uncensored_bin0():
     logits = np.array([0.0, 0.0, 0.0, 0.0])
-    assert survival.survival_nll(logits, 0, 0) == pytest.approx(math.log(2), rel=1e-12)
+    assert survival_nll(logits, 0, 0) == pytest.approx(math.log(2), rel=1e-12)
 
 
 def test_nll_censored_bin0():
     logits = np.array([0.0, 0.0, 0.0, 0.0])
-    assert survival.survival_nll(logits, 0, 1) == pytest.approx(-math.log(0.5), rel=1e-12)
+    assert survival_nll(logits, 0, 1) == pytest.approx(-math.log(0.5), rel=1e-12)
 
 
 def test_nll_perfect_prediction_limit():
     logits = np.array([40.0, 0.0, 0.0, 0.0])  # h0 -> 1
-    assert survival.survival_nll(logits, 0, 0) < 1e-12
+    assert survival_nll(logits, 0, 0) < 1e-12
 
 
 def test_nll_batch_mean():
     logits = np.zeros((2, 4))
-    single = survival.survival_nll(logits[0], 0, 0)
-    batch = survival.survival_nll(logits, [0, 0], [0, 0])
+    single = survival_nll(logits[0], 0, 0)
+    batch = survival_nll(logits, [0, 0], [0, 0])
     assert batch == pytest.approx(single)
 
 
@@ -80,7 +107,7 @@ def test_nll_graph_matches_numpy():
         for c in (0, 1):
             logits = rng.standard_normal(4)
             got = survival.nll_graph(Tensor(logits.copy()), y, c).data
-            want = survival.survival_nll(logits, y, c)
+            want = survival_nll(logits, y, c)
             assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -111,13 +138,11 @@ def test_risk_bounds_and_hazard_monotonicity(logit_list):
 # -- concordance ---------------------------------------------------------------
 
 
-def brute_force_cindex(risks, times, events, horizon=None):
+def brute_force_cindex(risks, times, events):
     num = den = 0.0
     n = len(risks)
     for i in range(n):
         if events[i] != 1:
-            continue
-        if horizon is not None and times[i] >= horizon:
             continue
         for j in range(n):
             if times[j] > times[i]:
@@ -185,7 +210,7 @@ class _Fenwick:
         return int(total)
 
 
-def _concordance_counts(risks, times, events, horizon=None):
+def _concordance_counts(risks, times, events):
     """(concordant, tied, total) over pairs t_i < t_j with event_i = 1.
 
     Streams subjects in decreasing time order through a Fenwick tree over
@@ -212,7 +237,7 @@ def _concordance_counts(risks, times, events, horizon=None):
             j += 1
         group = order[i:j]
         for idx in group:
-            if events[idx] == 1 and (horizon is None or times[idx] < horizon) and inserted:
+            if events[idx] == 1 and inserted:
                 # everyone already inserted has a strictly larger time
                 below = tree.prefix(ranks[idx] - 1) if ranks[idx] > 0 else 0
                 at = tree.prefix(ranks[idx]) - below
@@ -238,9 +263,7 @@ def test_blocked_counts_equal_the_fenwick_counts():
                   (rng.random(n) < 0.7).astype(int)))
     assert draws[-1][2].sum() > survival._BLOCK // n
     for risks, times, events in draws:
-        for horizon in (None, 3.0, 6.0, 200.0):
-            want = _concordance_counts(risks, times, events, horizon)
-            assert survival._concordance_counts(risks, times, events, horizon) == want
+        assert survival._concordance_counts(risks, times, events) == _concordance_counts(risks, times, events)
 
 
 @settings(max_examples=30, deadline=None)
@@ -258,30 +281,3 @@ def test_cindex_invariant_under_monotone_transform(n, seed):
     c1 = survival.concordance_index(risks, times, events)
     c2 = survival.concordance_index(np.exp(3 * risks) + 7, times, events)
     assert c1 == pytest.approx(c2, abs=1e-12)
-
-
-def test_time_dependent_cindex_brackets():
-    risks = [3.0, 2.0, 1.0, 0.5]
-    times = [2.0, 4.0, 6.0, 8.0]
-    events = [1, 1, 0, 1]
-    full = survival.concordance_index(risks, times, events)
-    pts = survival.time_dependent_cindex(risks, times, events, [1.0, 5.0, 100.0])
-    assert pts[0].omitted  # before the first event time
-    assert pts[2].cindex == pytest.approx(full)  # beyond max time equals Harrell C
-    assert pts[1].cindex == pytest.approx(brute_force_cindex(risks, times, events, horizon=5.0))
-
-
-def test_time_dependent_cindex_random_vs_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        n = int(rng.integers(4, 30))
-        times = rng.integers(1, 15, size=n).astype(float)
-        events = rng.integers(0, 2, size=n)
-        risks = np.round(rng.standard_normal(n), 1)
-        for tau in (3.0, 8.0, 20.0):
-            expect = brute_force_cindex(risks, times, events, horizon=tau)
-            (pt,) = survival.time_dependent_cindex(risks, times, events, [tau])
-            if expect is None:
-                assert pt.omitted
-            else:
-                assert pt.cindex == pytest.approx(expect, abs=1e-12)
