@@ -377,6 +377,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{text!r} is not a non-negative integer")
+    return value
+
+
 def span_of(cast):
     """The argparse type of a ``LO:HI`` pair whose ends ``cast`` parses."""
 
@@ -548,18 +555,18 @@ def cmd_ablate(args, opts, seed, chash) -> int:
 def build_parser() -> argparse.ArgumentParser:
     # no prefix matching: a flag a command does not declare is an error
     parser = argparse.ArgumentParser(prog="tdam", description=__doc__, allow_abbrev=False)
-    parser.add_argument("--seed", type=int, default=0, help="run seed; all randomness derives from it")
+    parser.add_argument("--seed", type=non_negative_int, default=0, help="run seed; all randomness derives from it")
     # only train and ablate read these three; run() rejects them before any other command
-    parser.add_argument("--jobs", type=int, default=None,
+    parser.add_argument("--jobs", type=positive_int, default=None,
                         help="parallel workers (folds); 1 (default) = bitwise deterministic")
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--opt", action="append", default=None, metavar="K=V",
                         help="config override (repeatable), e.g. model.d_model=64")
     # a command also accepts the global flags it reads after its name
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=non_negative_int, default=argparse.SUPPRESS)
     training = argparse.ArgumentParser(add_help=False)
-    training.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
+    training.add_argument("--jobs", type=positive_int, default=argparse.SUPPRESS)
     training.add_argument("--config", default=argparse.SUPPRESS)
     # kept apart from the top-level --opt, which a sub-parser's list would replace; run() joins them
     training.add_argument("--opt", action="append", dest="command_opt", default=argparse.SUPPRESS,
@@ -572,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("synth", help="generate a synthetic cohort with bags")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--patches", type=span_of(positive_int), default="9:16", help="LO:HI patches per bag")
-    p.add_argument("--dim", type=int, default=512)
+    p.add_argument("--dim", type=positive_int, default=512)
     p.add_argument("--signal", type=span_of(bags.finite_float), default="0:1",
                    help="LO:HI planted signal fraction")
     p.add_argument("--censor", type=float, default=0.25)
@@ -612,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("erf", help="effective-receptive-field map")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--bag", default=None)
-    p.add_argument("--side", type=int, default=8, help="synthetic grid side when no bag is given")
+    p.add_argument("--side", type=positive_int, default=8, help="synthetic grid side when no bag is given")
     p.add_argument("--ablation", default=None, choices=ABLATIONS,
                    help="stages to run (default: the checkpoint's own ablation)")
     p.add_argument("--out", required=True)

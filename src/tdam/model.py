@@ -52,23 +52,20 @@ class ModelConfig:
     pool_hidden: int = 0  # 0 -> d_model // 2
 
     def validate(self) -> None:
-        if self.d_in < 1 or self.d_model < 1:
-            raise DataError("d_in and d_model must be positive")
+        for low, names in ((1, ("d_in", "d_model", "n_heads", "n_agents", "n_landmarks", "pinv_iters",
+                                "srmamba_rate", "ssm_state_dim", "agent_bias_side")),
+                           (0, ("srmamba_layers", "pool_hidden"))):
+            for name in names:
+                if getattr(self, name) < low:
+                    raise DataError(f"{name} must be >= {low}")
         if self.d_model % self.n_heads != 0:
             raise DataError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
         if self.n_bins != N_BINS:
             raise DataError(f"the risk head is fixed at {N_BINS} bins")
-        if self.srmamba_rate < 1:
-            raise DataError("srmamba_rate must be >= 1")
         if not (0.0 <= self.dropout < 1.0):
             raise DataError("dropout must lie in [0, 1)")
         if self.ablation not in ABLATIONS:
             raise DataError(f"unknown ablation {self.ablation!r}, choose from {ABLATIONS}")
-        for name in ("n_agents", "n_landmarks", "pinv_iters", "ssm_state_dim", "agent_bias_side"):
-            if getattr(self, name) < 1:
-                raise DataError(f"{name} must be >= 1")
-        if self.srmamba_layers < 0:
-            raise DataError("srmamba_layers must be >= 0")
 
     @property
     def head_dim(self) -> int:
@@ -114,37 +111,40 @@ def config_from_dict(d: dict) -> ModelConfig:
 
 
 class ModelParams:
-    """Named parameter tensors; insertion order fixes the checkpoint layout."""
+    """Named parameter tensors whose ``data`` are views into one vector,
+    ``flat``, cut in ``param_layout`` order, which is the checkpoint order."""
 
-    def __init__(self, config: ModelConfig, tensors: dict[str, Tensor]):
+    def __init__(self, config: ModelConfig, flat: np.ndarray):
         self.config = config
-        self.tensors = tensors
+        self.flat = flat
+        self.tensors: dict[str, Tensor] = {}
+        lo = 0
+        for name, shape, _ in param_layout(config):
+            hi = lo + math.prod(shape)
+            self.tensors[name] = Tensor(flat[lo:hi].reshape(shape))
+            lo = hi
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
+    def __reduce__(self):
+        # rebuilt from the vector, so the views survive pickling to a worker and back
+        return ModelParams, (self.config, self.flat)
+
     def names(self) -> list[str]:
         return list(self.tensors)
-
-    def n_params(self) -> int:
-        return sum(t.data.size for t in self.tensors.values())
 
     def clear_grads(self) -> None:
         for t in self.tensors.values():
             t.grad = None
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.config, {k: Tensor(t.data.copy()) for k, t in self.tensors.items()})
+        return ModelParams(self.config, self.flat.copy())
 
     def check_finite(self) -> None:
         for name, t in self.tensors.items():
             if not np.isfinite(t.data).all():
                 raise DataError(f"parameter {name} contains non-finite values")
-
-
-def _xavier(rng, shape, fan_in, fan_out, dtype):
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
 def param_layout(config: ModelConfig):
@@ -194,25 +194,25 @@ def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelPa
     and agent tokens start at N(0, 0.02); the scan's state matrix starts at
     -(1..state_dim) per channel with a small initial discretization step."""
     rng = substream(seed, "init")
-    t: dict[str, Tensor] = {}
-    for name, shape, kind in param_layout(config):
+    layout = list(param_layout(config))
+    params = ModelParams(config, np.empty(sum(math.prod(shape) for _, shape, _ in layout), dtype=dtype))
+    for name, shape, kind in layout:
         if kind == "xavier":
             # a (k, k, C) depthwise kernel has fan k*k on both sides
-            fans = shape if len(shape) == 2 else (shape[0] * shape[1],) * 2
-            v = _xavier(rng, shape, *fans, dtype)
+            fan_in, fan_out = shape if len(shape) == 2 else (shape[0] * shape[1],) * 2
+            bound = math.sqrt(6.0 / (fan_in + fan_out))
+            v = rng.uniform(-bound, bound, size=shape)
         elif kind == "token":
-            v = rng.normal(0.0, 0.02, size=shape).astype(dtype)
+            v = rng.normal(0.0, 0.02, size=shape)
         elif kind == "ssm_A":
-            v = np.tile(-np.arange(1.0, shape[1] + 1.0), (shape[0], 1)).astype(dtype)
+            v = -np.arange(1.0, shape[1] + 1.0)
         elif kind == "ssm_step":
             # softplus(b_delta) = 0.05: the scan starts with a short memory step
-            v = np.full(shape, math.log(math.expm1(0.05)), dtype=dtype)
-        elif kind == "ones":
-            v = np.ones(shape, dtype=dtype)
+            v = math.log(math.expm1(0.05))
         else:
-            v = np.zeros(shape, dtype=dtype)
-        t[name] = Tensor(v)
-    return ModelParams(config, t)
+            v = 1.0 if kind == "ones" else 0.0
+        params[name].data[...] = v  # cast to ``dtype`` as it is written
+    return params
 
 
 # -- building blocks ----------------------------------------------------------
@@ -622,8 +622,7 @@ def grad_check(
     loss.backward()
 
     per_tensor: dict[str, float] = {}
-    for name in params.names():
-        tensor = params[name]
+    for name, tensor in params.tensors.items():
         analytic = np.zeros_like(tensor.data) if tensor.grad is None else np.asarray(tensor.grad)
         if not np.isfinite(analytic).all():
             raise GradError(f"non-finite analytic gradient in {name}")
@@ -646,7 +645,7 @@ def grad_check(
     return GradReport(
         per_tensor=per_tensor,
         max_rel_err=max(per_tensor.values()),
-        n_params=params.n_params(),
+        n_params=params.flat.size,
         elapsed_s=time.perf_counter() - t0,
     )
 
@@ -659,14 +658,9 @@ def save_checkpoint(path: str | Path, params: ModelParams, seed: int = 0) -> Non
     params.check_finite()
     manifest_tensors = []
     offset = 0
-    blobs = []
-    for name in params.names():
-        data = params[name].data.astype("<f4")
-        manifest_tensors.append(
-            {"name": name, "shape": list(data.shape), "dtype": "f4", "offset": offset}
-        )
-        blobs.append(data.tobytes())
-        offset += data.nbytes
+    for name, t in params.tensors.items():
+        manifest_tensors.append({"name": name, "shape": list(t.shape), "dtype": "f4", "offset": offset})
+        offset += t.data.size * 4
     manifest = {
         "version": CKPT_MAGIC.decode(),
         "config": asdict(params.config),
@@ -678,8 +672,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, seed: int = 0) -> Non
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<Q", len(payload)))
         fh.write(payload)
-        for blob in blobs:
-            fh.write(blob)
+        fh.write(params.flat.astype("<f4").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelConfig, int]:
@@ -699,32 +692,32 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelConfig, int]:
     config = config_from_dict(config_dict)
     # the config comes from the file, so its weights must fit the blob before
     # anything is allocated; this also bounds the walk over a huge layer count
-    layout: dict[str, tuple[int, ...]] = {}
     implied = 0
-    for name, shape, _ in param_layout(config):
+    for _, shape, _ in param_layout(config):
         implied += math.prod(shape) * 4
         if implied > len(blob):
             raise TruncatedError(f"{path}: config implies more than the {len(blob)} bytes of weights the file holds")
-        layout[name] = shape
-    tensors: dict[str, Tensor] = {}
+    params = ModelParams(config, np.empty(implied // 4, dtype=np.float32))
+    loaded: set[str] = set()
     for entry in entries:
         try:
             name, shape, lo = entry["name"], entry["shape"], entry["offset"]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"{path}: tensor entry {entry!r} lacks name, shape or offset") from exc
-        if not isinstance(name, str) or name not in layout or name in tensors:
+        if not isinstance(name, str) or name not in params.tensors or name in loaded:
             raise FormatError(f"{path}: unexpected or repeated tensor {name!r}")
-        if shape != list(layout[name]):
-            raise FormatError(f"{path}: tensor {name} has shape {shape!r}, config implies {list(layout[name])}")
+        view = params[name].data
+        if shape != list(view.shape):
+            raise FormatError(f"{path}: tensor {name} has shape {shape!r}, config implies {list(view.shape)}")
         if not isinstance(lo, int) or isinstance(lo, bool) or lo < 0:
             raise FormatError(f"{path}: tensor {name} has offset {lo!r}, not a byte offset")
-        hi = lo + math.prod(layout[name]) * 4
+        hi = lo + view.size * 4
         if hi > len(blob):
             raise TruncatedError(f"{path}: blob ends before tensor {name}")
-        tensors[name] = Tensor(np.frombuffer(blob[lo:hi], dtype="<f4").reshape(layout[name]).astype(np.float32))
-    missing = [name for name in layout if name not in tensors]
+        view[...] = np.frombuffer(blob[lo:hi], dtype="<f4").reshape(view.shape)
+        loaded.add(name)
+    missing = [name for name in params.names() if name not in loaded]
     if missing:
         raise FormatError(f"{path}: checkpoint lacks {len(missing)} tensors (first: {missing[0]})")
-    params = ModelParams(config, {name: tensors[name] for name in layout})
     params.check_finite()
     return params, config, seed

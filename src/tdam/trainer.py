@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,12 +35,11 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.patience < 1:
-            raise DataError("patience must be >= 1")
+        for name, low in (("patience", 1), ("folds", 2), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise DataError(f"{name} must be >= {low}")
         if not (0 <= self.warmup_epochs < self.max_epochs):
             raise DataError("need 0 <= warmup_epochs < max_epochs")
-        if self.folds < 2:
-            raise DataError("need at least 2 folds")
         if self.lr <= 0:
             raise DataError("lr must be positive")
         # Adam's bias correction divides by 1 - beta**t, and its step by sqrt(v) + eps
@@ -84,38 +83,36 @@ def kfold_split(cohort: Cohort, k: int = 5, seed: int = 0) -> list[list[str]]:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    """Adam's moments, laid out like ``ModelParams.flat``; None before the first step."""
+
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
-def adam_step(
-    params: ModelParams,
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    t: int,
-    cfg: TrainConfig,
-) -> None:
-    """One bias-corrected Adam update, in place on ``params``."""
+def adam_step(params: ModelParams, state: AdamState, t: int, cfg: TrainConfig) -> None:
+    """One bias-corrected Adam update of ``params.flat`` from the tensors' ``.grad``.
+
+    A tensor the loss does not reach (``.grad`` is None) gets zeros. The
+    ablation fixes which tensors those are, as ``forward`` takes the same
+    stages for every bag, so their moments stay 0 and ``theta - 0.0`` keeps
+    their bits, as skipping them would."""
     if t < 1:
         raise ValueError("Adam step counter starts at 1")
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise GradError(f"non-finite gradient for {name}")
-        theta = params[name].data
-        if g.shape != theta.shape:
-            raise DataError(f"gradient shape {g.shape} != parameter shape {theta.shape} for {name}")
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(theta)
-            state.v[name] = np.zeros_like(theta)
-        v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        m_hat = m / (1.0 - cfg.beta1**t)
-        v_hat = v / (1.0 - cfg.beta2**t)
-        theta -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    tensors = params.tensors.items()
+    g = np.concatenate([np.zeros(p.data.size, p.data.dtype) if p.grad is None else p.grad.ravel() for _, p in tensors])
+    if not np.isfinite(g).all():
+        name = next(n for n, p in tensors if p.grad is not None and not np.isfinite(p.grad).all())
+        raise GradError(f"non-finite gradient for {name}")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+    m, v, theta = state.m, state.v, params.flat
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * g
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * g * g
+    m_hat = m / (1.0 - cfg.beta1**t)
+    v_hat = v / (1.0 - cfg.beta2**t)
+    theta -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
 
 
 # -- early stopping ---------------------------------------------------------------
@@ -229,8 +226,7 @@ def train_fold(
                     _, trace = forward(bags[pid], params, mode="train", seed=int(drop_seed))
                     loss = nll_graph(trace.tensors["logits"], bins[pid], 1 - record.event)
                     loss.backward()
-                    grads = {n: params[n].grad for n in params.names() if params[n].grad is not None}
-                    adam_step(params, grads, adam, step, cfg)
+                    adam_step(params, adam, step, cfg)
                     epoch_loss += float(loss.data)
                 train_losses.append(epoch_loss / len(order))
 

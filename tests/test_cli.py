@@ -410,9 +410,15 @@ def test_unread_flag_exits_2(fuzz_base, tmp_path, capsys, argv):
                   "--out", "{out}"], id="rmst-tau-inf"),
     pytest.param(["stats", "boot", "--cohort", "{cohort}", "--risks", "{risks}", "--risks-b", "{risks}",
                   "--n-boot", "0", "--out", "{out}"], id="boot-n-boot-0"),
+    pytest.param(["--seed", "-1", "synth", "--n", "12", "--out", "{out}"], id="seed-negative"),
+    pytest.param(["synth", "--seed", "-1", "--n", "12", "--out", "{out}"], id="synth-seed-negative"),
+    pytest.param(["synth", "--n", "12", "--dim", "-3", "--out", "{out}"], id="synth-dim-negative"),
+    pytest.param(["erf", "--checkpoint", "{ckpt}", "--side", "-2", "--out", "{out}"], id="erf-side-negative"),
+    pytest.param(["train", "--jobs", "0", "--cohort", "{cohort}", "--out", "{out}"], id="train-jobs-0"),
 ])
 def test_malformed_number_flag_exits_2(fuzz_base, tmp_path, capsys, argv):
-    paths = {"cohort": fuzz_base / "cohort.csv", "risks": fuzz_base / "risks.csv", "out": tmp_path / "out"}
+    paths = {"cohort": fuzz_base / "cohort.csv", "risks": fuzz_base / "risks.csv", "ckpt": fuzz_base / "model.ckpt",
+             "out": tmp_path / "out"}
     capsys.readouterr()
     assert cli.run([arg.format(**paths) for arg in argv]) == 2
     assert "usage" in capsys.readouterr().err
@@ -444,10 +450,14 @@ def test_train_rejects_ill_typed_option(tmp_path, capsys, opt):
     assert opt.split(".")[1].split("=")[0] in payload["message"]
 
 
-@pytest.mark.parametrize("opt", ["train.beta1=1.0", "train.beta1=-0.5", "train.beta2=1.0", "train.eps=0"])
+@pytest.mark.parametrize("opt", ["train.beta1=1.0", "train.beta1=-0.5", "train.beta2=1.0", "train.eps=0",
+                                 "model.n_heads=0", "model.n_heads=-4", "model.pool_hidden=-3", "train.seed=-1"])
 def test_train_rejects_adam_settings_that_cannot_converge(tmp_path, capsys, opt):
     """beta = 1 makes Adam's bias correction 0/0 and eps = 0 can divide by
-    zero; both are refused before training, not reported as divergence."""
+    zero; both are refused before training, not reported as divergence. So
+    are model and seed settings out of range, which would otherwise fail
+    inside numpy (n_heads <= 0, a negative seed) or be silently replaced
+    (a negative pool_hidden)."""
     data = synth(tmp_path, seed=7, n=12)
     capsys.readouterr()
     rc = cli.run(["--seed", "3", *TINY_OPTS, "--opt", opt, "train",
@@ -656,8 +666,9 @@ BAD_CELLS = ["", "abc", "nan", "-inf", "1e999", "0x1p3", "1,5"]
 BAD_VALUES = ["oops", "2.5", "-3", "nan", "inf", "true", "", "frob"]
 # every option here is invalid; train.lr=2.5 is valid (it diverges), so 2.5 is not offered to the float keys
 BAD_OPTS = sorted(
-    {f"{key}={value}" for key in ("model.d_model", "model.ssm_state_dim", "train.max_epochs",
-                                  "train.folds", "model.frobnicate") for value in BAD_VALUES}
+    {f"{key}={value}" for key in ("model.d_model", "model.ssm_state_dim", "model.n_heads", "model.pool_hidden",
+                                  "train.max_epochs", "train.folds", "train.seed", "model.frobnicate")
+     for value in BAD_VALUES}
     | {f"{key}={value}" for key in ("model.dropout", "train.lr") for value in BAD_VALUES if value != "2.5"}
     | {f"model.ablation={value}" for value in BAD_VALUES}
     | {"model.d_model", "", "=", "d_model=8", "seed=3"}
@@ -741,7 +752,8 @@ def manifest_edits(draw):
     if kind == "text":
         return kind, draw(st.text(max_size=30))
     if kind == "config":
-        return kind, (draw(st.sampled_from(["d_model", "ablation", "frob"])), draw(st.sampled_from(BAD_VALUES)))
+        key = draw(st.sampled_from(["d_model", "n_heads", "pool_hidden", "ablation", "frob"]))
+        return kind, (key, draw(st.sampled_from(BAD_VALUES)))
     index = draw(st.integers(0, 40))
     if kind == "drop-key":
         return kind, (index, draw(st.sampled_from(["name", "shape", "offset"])))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -717,3 +718,18 @@ def test_checkpoint_truncated(tmp_path):
     path.write_bytes(raw[:-64])
     with pytest.raises(TruncatedError):
         model.load_checkpoint(path)
+
+
+def test_every_tensor_is_a_view_of_the_flat_vector(tmp_path):
+    params = model.init_params(TINY, seed=3, dtype=np.float32)
+    path = tmp_path / "model.ckpt"
+    model.save_checkpoint(path, params)
+    loaded = model.load_checkpoint(path)[0]
+    for p in (params, params.copy(), loaded, pickle.loads(pickle.dumps(params))):
+        assert p.names() == [name for name, _, _ in model.param_layout(TINY)]
+        for name in p.names():
+            assert np.shares_memory(p[name].data, p.flat), name
+        assert p.flat.size == sum(p[name].data.size for name in p.names())
+        p.flat[:] = 0.5
+        assert all((p[name].data == 0.5).all() for name in p.names())
+    assert not np.shares_memory(params.copy().flat, params.flat)

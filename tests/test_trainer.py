@@ -1,4 +1,4 @@
-import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -6,9 +6,10 @@ import pytest
 from tdam import autodiff, explain, trainer
 from tdam import bags as bagmod
 from tdam.autodiff import Tensor
-from tdam.bags import Cohort, SurvivalRecord
+from tdam.bags import Cohort, FeatureBag, SurvivalRecord
 from tdam.errors import DataError, GradError
-from tdam.model import ModelConfig, init_params
+from tdam.model import ABLATIONS, ModelConfig, ModelParams, forward, init_params
+from tdam.survival import nll_graph
 
 SMALL_MODEL = ModelConfig(
     d_in=8, d_model=8, n_heads=2, n_agents=2, n_landmarks=4,
@@ -76,7 +77,8 @@ def test_adam_first_step_magnitude():
     params = scalar_params()
     before = params["proj.W"].data.copy()
     cfg = trainer.TrainConfig(lr=2e-4)
-    trainer.adam_step(params, {"proj.W": np.ones_like(before)}, trainer.AdamState(), 1, cfg)
+    params["proj.W"].grad = np.ones_like(before)
+    trainer.adam_step(params, trainer.AdamState(), 1, cfg)
     delta = params["proj.W"].data - before
     assert delta[0, 0] == pytest.approx(-2e-4, rel=1e-6)
 
@@ -84,8 +86,9 @@ def test_adam_first_step_magnitude():
 def test_adam_zero_grad_is_noop():
     params = scalar_params()
     before = {n: params[n].data.copy() for n in params.names()}
-    grads = {n: np.zeros_like(params[n].data) for n in params.names()}
-    trainer.adam_step(params, grads, trainer.AdamState(), 1, trainer.TrainConfig())
+    for n in params.names():
+        params[n].grad = np.zeros_like(params[n].data)
+    trainer.adam_step(params, trainer.AdamState(), 1, trainer.TrainConfig())
     for n in params.names():
         np.testing.assert_array_equal(params[n].data, before[n])
 
@@ -99,15 +102,104 @@ def test_adam_purity():
         params = scalar_params()
         state = trainer.AdamState()
         for t in range(1, 4):
-            trainer.adam_step(params, copy.deepcopy(grads), state, t, cfg)
+            params["proj.W"].grad = grads["proj.W"].copy()
+            trainer.adam_step(params, state, t, cfg)
         outs.append(params["proj.W"].data.copy())
     np.testing.assert_array_equal(outs[0], outs[1])
 
 
 def test_adam_rejects_nonfinite():
     params = scalar_params()
+    params["proj.W"].grad = np.array([[np.nan]])
     with pytest.raises(GradError):
-        trainer.adam_step(params, {"proj.W": np.array([[np.nan]])}, trainer.AdamState(), 1, trainer.TrainConfig())
+        trainer.adam_step(params, trainer.AdamState(), 1, trainer.TrainConfig())
+
+
+
+def test_adam_names_the_non_finite_tensor_before_any_update():
+    params = init_params(SMALL_MODEL, seed=0)
+    for n in params.names():
+        params[n].grad = np.ones_like(params[n].data)
+    params["pool.W1"].grad[0, 0] = np.inf
+    before = params.flat.copy()
+    with pytest.raises(GradError, match="pool.W1"):
+        trainer.adam_step(params, trainer.AdamState(), 1, trainer.TrainConfig())
+    assert params.flat.tobytes() == before.tobytes()
+
+
+@dataclass
+class PerTensorAdamState:
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
+
+
+def per_tensor_adam_step(
+    params: ModelParams,
+    grads: dict[str, np.ndarray],
+    state: PerTensorAdamState,
+    t: int,
+    cfg: trainer.TrainConfig,
+) -> None:
+    """The oracle: Adam as it ran tensor by tensor, skipping a tensor whose
+    gradient is None."""
+    if t < 1:
+        raise ValueError("Adam step counter starts at 1")
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise GradError(f"non-finite gradient for {name}")
+        theta = params[name].data
+        if g.shape != theta.shape:
+            raise DataError(f"gradient shape {g.shape} != parameter shape {theta.shape} for {name}")
+        m = state.m.get(name)
+        if m is None:
+            m = state.m[name] = np.zeros_like(theta)
+            state.v[name] = np.zeros_like(theta)
+        v = state.v[name]
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * g * g
+        m_hat = m / (1.0 - cfg.beta1**t)
+        v_hat = v / (1.0 - cfg.beta2**t)
+        theta -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_flat_adam_is_bitwise_the_per_tensor_oracle(ablation, dtype):
+    """Five steps on real tape gradients: the one-vector update and the
+    per-tensor oracle leave the same parameter bits."""
+    cfg = SMALL_MODEL.with_ablation(ablation)
+    train_cfg = trainer.TrainConfig(lr=1e-2)
+    flat = init_params(cfg, seed=4, dtype=dtype)
+    oracle = flat.copy()
+    state, oracle_state = trainer.AdamState(), PerTensorAdamState()
+    sc = synthetic(10, seed=2)
+    for t, bag in enumerate(list(sc.bags.values())[:5], start=1):
+        bag = FeatureBag(bag.slide_id, bag.features.astype(dtype), bag.coords)
+        for params in (flat, oracle):
+            params.clear_grads()
+            _, trace = forward(bag, params, mode="train", seed=t)
+            nll_graph(trace.tensors["logits"], t % 4, t % 2).backward()
+        trainer.adam_step(flat, state, t, train_cfg)
+        grads = {n: oracle[n].grad for n in oracle.names() if oracle[n].grad is not None}
+        per_tensor_adam_step(oracle, grads, oracle_state, t, train_cfg)
+        assert flat.flat.tobytes() == oracle.flat.tobytes(), t
+    assert flat.flat.dtype == dtype
+
+
+def test_no_agent_fold_leaves_agent_tensors_at_their_initial_bits():
+    sc = synthetic(12, seed=13)
+    ids = [r.patient_id for r in sc.cohort.records]
+    model_cfg = SMALL_MODEL.with_ablation("no_agent")
+    cfg = trainer.TrainConfig(lr=1e-3, max_epochs=2, warmup_epochs=0, folds=2, seed=3)
+    res = trainer.train_fold(0, ids[:8], ids[8:], sc.cohort, sc.bags, model_cfg, cfg)
+    init = init_params(model_cfg, seed=trainer._fold_seed(cfg.seed, 0))
+    agent = [n for n in init.names() if n.startswith("agent.")]
+    assert agent
+    for name in agent:
+        assert res.params[name].data.tobytes() == init[name].data.tobytes(), name
+    assert res.params["proj.W"].data.tobytes() != init["proj.W"].data.tobytes()
 
 
 # -- early stopping ------------------------------------------------------------------
