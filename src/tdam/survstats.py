@@ -324,30 +324,112 @@ def multivariable_pipeline(times, events, variables: dict[str, np.ndarray], prom
 # -- time-dependent ROC -------------------------------------------------------------
 
 
-def _ipcw(times, events, horizon: float):
-    """(cases, controls, w_cases, w_control) of ``timeroc_auc`` at ``horizon``."""
-    cases = (times <= horizon) & (events == 1)
-    controls = times > horizon
-    if not cases.any() or not controls.any():
-        raise UndefinedError(f"no cases or no controls at horizon {horizon}")
-    cens_km = km_fit(times, 1 - events)
-    g_cases = cens_km.survival_at(times[cases], left=True)
-    g_horizon = float(cens_km.survival_at(horizon))
-    if g_horizon <= 0 or np.any(g_cases <= 0):
-        raise UndefinedError("censoring survival hits zero before the horizon")
-    return cases, controls, 1.0 / np.asarray(g_cases), 1.0 / g_horizon
+# resampled patients per scoring block: draws * n stays near 16k
+_BOOT_BLOCK = 1 << 14
 
 
-def _weighted_auc(marker, cases, controls, w_cases, w_control) -> float:
-    m_cases = marker[cases]
-    m_controls = np.sort(marker[controls])
-    n_c = m_controls.size
-    below = np.searchsorted(m_controls, m_cases, side="left")
-    upto = np.searchsorted(m_controls, m_cases, side="right")
-    wins = below + 0.5 * (upto - below)
-    num = float(np.sum(w_cases * wins) * w_control)
-    den = float(w_cases.sum() * n_c * w_control)
-    return num / den
+def _cum_counts(counts):
+    """Cumulative counts along each row, with a leading 0 column."""
+    out = np.zeros((counts.shape[0], counts.shape[1] + 1), dtype=np.int64)
+    np.cumsum(counts, axis=1, out=out[:, 1:])
+    return out
+
+
+class _IpcwAuc:
+    """Cumulative/dynamic AUC of each of ``markers`` at ``horizon`` with IPCW
+    weights, on resamples of one sample.
+
+    Cases have an event at or before the horizon, controls a time past it. A
+    case is weighted by 1/G(t-) and every control by 1/G(horizon), where G is
+    the Kaplan-Meier estimate of the censoring distribution of the resample.
+    ``self(idx)`` scores a (B, n) block of patient indices, one resample per
+    row; ``np.arange(n)[None]`` is the sample itself. Risk sets, censoring
+    counts and wins are integer counts of each row's resampled patients, so
+    every G, weight and sum has the bits of a ``km_fit`` and a sorted-control
+    search on that resample alone.
+    """
+
+    def __init__(self, markers, times, events, horizon: float):
+        if not np.isfinite(markers).all():
+            raise DataError("markers must be finite")
+        self.n = n = times.size
+        self.cases = (times <= horizon) & (events == 1)
+        self.controls = times > horizon
+        if not self.cases.any() or not self.controls.any():
+            raise UndefinedError(f"no cases or no controls at horizon {horizon}")
+        case_ids = np.flatnonzero(self.cases)
+        self.case_col = np.full(n, -1)
+        self.case_col[case_ids] = np.arange(case_ids.size)
+        # the censoring KM's factors at the sample's censored times up to the
+        # horizon; a time a resample lacks has d = 0, whose factor 1.0 leaves
+        # the running product's bits alone
+        early = np.flatnonzero(times <= horizon)
+        self.early = early[np.argsort(times[early], kind="stable")]
+        early_t = times[self.early]
+        self.early_censored = events[self.early] == 0
+        knots = np.unique(early_t[self.early_censored])
+        self.knot_lo = np.searchsorted(early_t, knots, side="left")
+        self.knot_hi = np.searchsorted(early_t, knots, side="right")
+        self.g_col = np.searchsorted(knots, times[case_ids], side="left")  # G(t-) per case
+        # wins from cumulative control counts in marker order: per marker, the
+        # controls in that order and each case's columns below and up to it
+        ctrl = np.flatnonzero(self.controls)
+        self.wins_at = []
+        for m in markers:
+            order = ctrl[np.argsort(m[ctrl], kind="stable")]
+            self.wins_at.append((
+                order,
+                np.searchsorted(m[order], m[case_ids], side="left"),
+                np.searchsorted(m[order], m[case_ids], side="right"),
+            ))
+
+    def usable(self, idx) -> bool:
+        """Whether resample ``idx`` holds a case and a control."""
+        return bool(self.cases[idx].any() and self.controls[idx].any())
+
+    def __call__(self, idx) -> np.ndarray:
+        """(B, markers) AUCs of the rows of ``idx``, each of them ``usable``."""
+        rows, n = idx.shape[0], self.n
+        counts = np.bincount((idx + n * np.arange(rows)[:, None]).ravel(), minlength=rows * n)
+        counts = counts.reshape(rows, n)
+        early = counts[:, self.early]
+        in_time = _cum_counts(early)
+        censored = _cum_counts(early * self.early_censored)
+        at_risk = n - in_time[:, self.knot_lo]
+        d = censored[:, self.knot_hi] - censored[:, self.knot_lo]
+        g = np.ones((rows, self.knot_lo.size + 1))
+        np.multiply.accumulate(1.0 - d / at_risk, axis=1, out=g[:, 1:])
+        # A control is at risk at every censored time up to the horizon and is
+        # not censored there, so each factor is positive and G >= n_controls/n:
+        # this cannot fire on a usable resample.
+        if not (g[:, -1] > 0).all():
+            raise UndefinedError("censoring survival hits zero before the horizon")
+        w_control = 1.0 / g[:, -1]
+        w_cases = 1.0 / g[:, self.g_col]
+        # each row's case terms, in resample order
+        col = self.case_col[idx]
+        is_case = col >= 0
+        r, i = np.nonzero(is_case)
+        flat = r * w_cases.shape[1] + col[r, i]
+        w = w_cases.ravel()[flat]
+        terms = [w]
+        for order, below_col, upto_col in self.wins_at:
+            ctrl = _cum_counts(counts[:, order])
+            below, upto = ctrl[:, below_col], ctrl[:, upto_col]
+            wins = below + 0.5 * (upto - below)
+            terms.append(w * wins.ravel()[flat])
+        terms = np.stack(terms)
+        # one pairwise sum per row over its own terms: a padded rectangle
+        # would regroup the sum and move its bits
+        sums = np.empty((rows, terms.shape[0]))
+        start = 0
+        for b, end in enumerate(np.cumsum(np.count_nonzero(is_case, axis=1))):
+            sums[b] = np.sum(terms[:, start:end], axis=1)
+            start = end
+        n_c = np.count_nonzero(self.controls[idx], axis=1)
+        num = sums[:, 1:] * w_control[:, None]
+        den = sums[:, :1] * n_c[:, None] * w_control[:, None]
+        return num / den
 
 
 def timeroc_auc(marker, times, events, horizon: float) -> float:
@@ -356,13 +438,17 @@ def timeroc_auc(marker, times, events, horizon: float) -> float:
     Cases are subjects with an event at or before the horizon, controls those
     still under observation past it; weights come from the Kaplan-Meier
     estimate of the censoring distribution. With no censoring this is exactly
-    the Mann-Whitney statistic of cases versus controls.
+    the Mann-Whitney statistic of cases versus controls. This is the weighted
+    AUC that ``bootstrap_auc_compare`` scores its draws with, read on the
+    identity resample. Raises ``DataError`` for a non-finite marker and
+    ``UndefinedError`` without cases or controls.
     """
     marker = np.asarray(marker, dtype=np.float64)
     times, events = _clean(times, events)
     if marker.shape != times.shape:
         raise DataError("marker misaligned with times")
-    return _weighted_auc(marker, *_ipcw(times, events, horizon))
+    auc = _IpcwAuc(marker[None], times, events, horizon)
+    return float(auc(np.arange(times.size)[None])[0, 0])
 
 
 # -- RMST -----------------------------------------------------------------------------
@@ -449,35 +535,40 @@ def bootstrap_auc_compare(
 ) -> BootstrapAucResult:
     """Paired bootstrap of AUC(a) - AUC(b) with a percentile 95% CI.
 
-    Patients are resampled with replacement; degenerate resamples (no cases
-    or controls at the horizon) are redrawn and counted. Each draw fits the
-    censoring distribution once and scores both markers on its weights.
-    Deterministic in ``seed``.
+    Patients are resampled with replacement, one ``rng.integers`` draw per
+    resample; degenerate resamples (no cases or controls at the horizon) are
+    redrawn and counted. Draws are scored in blocks of about
+    ``_BOOT_BLOCK // n``, each by the one weighted-AUC kernel that
+    ``timeroc_auc`` uses, so both markers share each draw's censoring fit.
+    Deterministic in ``seed``. Raises ``DataError`` for ``n_boot < 1`` and for
+    non-finite markers.
     """
+    if n_boot < 1:
+        raise DataError(f"n_boot must be at least 1, got {n_boot}")
     marker_a = np.asarray(marker_a, dtype=np.float64)
     marker_b = np.asarray(marker_b, dtype=np.float64)
     times, events = _clean(times, events)
     if marker_a.shape != times.shape or marker_b.shape != times.shape:
         raise DataError("markers misaligned with times")
-    weights = _ipcw(times, events, horizon)
-    auc_a = _weighted_auc(marker_a, *weights)
-    auc_b = _weighted_auc(marker_b, *weights)
-    rng = substream(seed, "bootstrap")
+    auc = _IpcwAuc(np.stack([marker_a, marker_b]), times, events, horizon)
     n = times.size
+    auc_a, auc_b = (float(v) for v in auc(np.arange(n)[None])[0])
+    rng = substream(seed, "bootstrap")
+    rows = max(1, _BOOT_BLOCK // n)
     deltas = np.empty(n_boot)
     n_redrawn = 0
-    for b in range(n_boot):
-        for _ in range(1000):
-            idx = rng.integers(0, n, size=n)
-            try:
-                weights = _ipcw(times[idx], events[idx], horizon)
-            except UndefinedError:
+    for start in range(0, n_boot, rows):
+        block = np.empty((min(rows, n_boot - start), n), dtype=np.int64)
+        for b in range(block.shape[0]):
+            for _ in range(1000):
+                block[b] = rng.integers(0, n, size=n)
+                if auc.usable(block[b]):
+                    break
                 n_redrawn += 1
-                continue
-            deltas[b] = _weighted_auc(marker_a[idx], *weights) - _weighted_auc(marker_b[idx], *weights)
-            break
-        else:
-            raise DegenerateError("bootstrap kept drawing degenerate resamples")
+            else:
+                raise DegenerateError("bootstrap kept drawing degenerate resamples")
+        scores = auc(block)
+        deltas[start : start + block.shape[0]] = scores[:, 0] - scores[:, 1]
     lci, uci = np.percentile(deltas, [2.5, 97.5], method="linear")
     return BootstrapAucResult(
         delta=auc_a - auc_b, lci=float(lci), uci=float(uci),

@@ -288,7 +288,7 @@ def train(
         train_ids = [p for p in all_ids if p not in held_out]
         tasks.append((f, train_ids, val_ids, cohort, bags, model_cfg, cfg))
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_train_fold_packed, tasks))
     else:
         results = [_train_fold_packed(t) for t in tasks]

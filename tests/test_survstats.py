@@ -1,3 +1,7 @@
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -6,6 +10,8 @@ from tdam import survstats as ss
 from tdam.rng import substream
 from tdam.errors import ConvergenceError, DataError, DegenerateError, RangeError, UndefinedError
 from tdam.survival import concordance_index
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 # -- Kaplan-Meier -----------------------------------------------------------------
@@ -561,30 +567,177 @@ def _bootstrap_auc_compare_oracle(
     )
 
 
+# _ipcw, _weighted_auc and bootstrap_auc_compare as they were while each
+# draw ran its own censoring fit, kept verbatim (the imports stand in for
+# module globals): the per-draw reference that the blocked kernel must match
+# bit for bit.
+def _ipcw(times, events, horizon: float):
+    """(cases, controls, w_cases, w_control) of ``timeroc_auc`` at ``horizon``."""
+    from tdam.survstats import km_fit
+
+    cases = (times <= horizon) & (events == 1)
+    controls = times > horizon
+    if not cases.any() or not controls.any():
+        raise UndefinedError(f"no cases or no controls at horizon {horizon}")
+    cens_km = km_fit(times, 1 - events)
+    g_cases = cens_km.survival_at(times[cases], left=True)
+    g_horizon = float(cens_km.survival_at(horizon))
+    if g_horizon <= 0 or np.any(g_cases <= 0):
+        raise UndefinedError("censoring survival hits zero before the horizon")
+    return cases, controls, 1.0 / np.asarray(g_cases), 1.0 / g_horizon
+
+
+def _weighted_auc(marker, cases, controls, w_cases, w_control) -> float:
+    m_cases = marker[cases]
+    m_controls = np.sort(marker[controls])
+    n_c = m_controls.size
+    below = np.searchsorted(m_controls, m_cases, side="left")
+    upto = np.searchsorted(m_controls, m_cases, side="right")
+    wins = below + 0.5 * (upto - below)
+    num = float(np.sum(w_cases * wins) * w_control)
+    den = float(w_cases.sum() * n_c * w_control)
+    return num / den
+
+
+def _bootstrap_auc_compare_per_draw(
+    marker_a, marker_b, times, events, horizon: float, n_boot: int = 500, seed: int = 0
+):
+    from tdam.survstats import BootstrapAucResult, _clean
+
+    marker_a = np.asarray(marker_a, dtype=np.float64)
+    marker_b = np.asarray(marker_b, dtype=np.float64)
+    times, events = _clean(times, events)
+    if marker_a.shape != times.shape or marker_b.shape != times.shape:
+        raise DataError("markers misaligned with times")
+    weights = _ipcw(times, events, horizon)
+    auc_a = _weighted_auc(marker_a, *weights)
+    auc_b = _weighted_auc(marker_b, *weights)
+    rng = substream(seed, "bootstrap")
+    n = times.size
+    deltas = np.empty(n_boot)
+    n_redrawn = 0
+    for b in range(n_boot):
+        for _ in range(1000):
+            idx = rng.integers(0, n, size=n)
+            try:
+                weights = _ipcw(times[idx], events[idx], horizon)
+            except UndefinedError:
+                n_redrawn += 1
+                continue
+            deltas[b] = _weighted_auc(marker_a[idx], *weights) - _weighted_auc(marker_b[idx], *weights)
+            break
+        else:
+            raise DegenerateError("bootstrap kept drawing degenerate resamples")
+    lci, uci = np.percentile(deltas, [2.5, 97.5], method="linear")
+    return BootstrapAucResult(
+        delta=auc_a - auc_b, lci=float(lci), uci=float(uci),
+        auc_a=auc_a, auc_b=auc_b, n_boot=n_boot, n_redrawn=n_redrawn,
+    )
+
+
 # (n, horizon): no redraws; a few; most draws redrawn
 BOOT_CASES = [(120, 8.0), (20, 1.0), (15, 1.5)]
 
 
-@pytest.mark.parametrize("n, horizon", BOOT_CASES)
-def test_bootstrap_equals_the_two_timeroc_oracle(n, horizon):
+def paired_markers(n, tied=False):
+    """Bootstrap inputs with a second marker; ``tied`` rounds times up to
+    whole days and markers to one decimal, so both carry ties."""
     risk, times, events = bootstrap_setup(n=n)
     other = risk + 0.3 * np.random.default_rng(16).standard_normal(n)
+    if tied:
+        return np.round(risk, 1), np.round(other, 1), np.ceil(times), events
+    return risk, other, times, events
+
+
+def assert_kernel_matches_per_draw(risk, other, times, events, horizon, n_boot, seeds):
+    for marker in (risk, other):
+        want = _weighted_auc(marker, *_ipcw(times, events, horizon))
+        assert ss.timeroc_auc(marker, times, events, horizon) == want
+    for seed in seeds:
+        want = _bootstrap_auc_compare_per_draw(risk, other, times, events, horizon, n_boot=n_boot, seed=seed)
+        assert ss.bootstrap_auc_compare(risk, other, times, events, horizon, n_boot=n_boot, seed=seed) == want
+
+
+@pytest.mark.parametrize("n, horizon", BOOT_CASES)
+def test_bootstrap_equals_the_two_timeroc_oracle(n, horizon):
+    risk, other, times, events = paired_markers(n)
     for seed in (0, 9):
         want = _bootstrap_auc_compare_oracle(risk, other, times, events, horizon, n_boot=100, seed=seed)
         assert ss.bootstrap_auc_compare(risk, other, times, events, horizon, n_boot=100, seed=seed) == want
 
 
+@pytest.mark.parametrize("tied", [False, True], ids=["continuous", "tied"])
 @pytest.mark.parametrize("n, horizon", BOOT_CASES)
-def test_bootstrap_fits_censoring_once_per_draw(monkeypatch, n, horizon):
+def test_blocked_auc_kernel_equals_the_per_draw_oracle(n, horizon, tied):
+    assert_kernel_matches_per_draw(*paired_markers(n, tied), horizon, n_boot=100, seeds=(0, 9))
+
+
+BLOCK_ROWS = ss._BOOT_BLOCK // 120  # draws per scoring block at n = 120
+
+
+@pytest.mark.parametrize("n_boot", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1],
+                         ids=["1", "block-1", "block", "block+1"])
+def test_blocked_auc_kernel_at_block_edges(n_boot):
+    assert_kernel_matches_per_draw(*paired_markers(120, tied=True), 8.0, n_boot=n_boot, seeds=(3,))
+
+
+@pytest.fixture(scope="module")
+def benchmark_shape():
+    """The bootstrap input of the ``survival_stats`` benchmark at seed 1:
+    1,000 of its 10,000 whole-day patients, horizon 730."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from workloads import _stats_cohort
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    risk, _, times, events = _stats_cohort(1, 10_000)
+    rng = substream(1, "perfbench-boot")
+    pick = rng.choice(10_000, 1_000, replace=False)
+    other = risk + 0.5 * rng.standard_normal(10_000)
+    return risk[pick], other[pick], times[pick], events[pick], 730.0
+
+
+def test_blocked_auc_kernel_on_the_benchmark_shape(benchmark_shape):
+    assert_kernel_matches_per_draw(*benchmark_shape, n_boot=500, seeds=(1,))
+
+
+def test_bootstrap_peak_memory_on_the_benchmark_shape(benchmark_shape):
+    tracemalloc.start()
+    try:
+        ss.bootstrap_auc_compare(*benchmark_shape, n_boot=500, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("n, horizon", BOOT_CASES)
+def test_bootstrap_fits_no_censoring_km(monkeypatch, n, horizon):
     calls = []
     km_fit = ss.km_fit
     monkeypatch.setattr(ss, "km_fit", lambda *a: calls.append(1) or km_fit(*a))
     risk, times, events = bootstrap_setup(n=n)
     out = ss.bootstrap_auc_compare(risk, -risk, times, events, horizon, n_boot=100, seed=9)
-    # one fit for the full sample and one per kept draw: a redrawn resample
-    # lacks cases or controls, and that is found before its fit
-    assert len(calls) == out.n_boot + 1
+    assert calls == []  # the kernel counts each draw's censoring risk sets itself
     assert (out.n_redrawn > 0) == (n < 120)
+
+
+@pytest.mark.parametrize("n_boot", [0, -3])
+def test_bootstrap_rejects_fewer_than_one_draw(n_boot):
+    risk, times, events = bootstrap_setup()
+    with pytest.raises(DataError, match="n_boot"):
+        ss.bootstrap_auc_compare(risk, -risk, times, events, 8.0, n_boot=n_boot)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_auc_rejects_non_finite_marker(bad):
+    risk, times, events = bootstrap_setup(n=60)
+    marker = risk.copy()
+    marker[7] = bad
+    with pytest.raises(DataError, match="finite"):
+        ss.timeroc_auc(marker, times, events, 8.0)
+    with pytest.raises(DataError, match="finite"):
+        ss.bootstrap_auc_compare(risk, marker, times, events, 8.0, n_boot=20)
 
 
 # -- stratification -------------------------------------------------------------------------

@@ -324,6 +324,21 @@ def test_train_parallel_folds_match_serial(tmp_path):
             np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
 
 
+def test_train_starts_no_more_workers_than_folds(monkeypatch):
+    asked = []
+    pool = trainer.ProcessPoolExecutor
+
+    def spy(max_workers=None, **kwargs):
+        asked.append(max_workers)
+        return pool(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(trainer, "ProcessPoolExecutor", spy)
+    sc = synthetic(16, seed=6)
+    cfg = trainer.TrainConfig(lr=1e-3, max_epochs=2, warmup_epochs=1, folds=2, seed=3)
+    trainer.train(sc.cohort, sc.bags, SMALL_MODEL, cfg, jobs=4)
+    assert asked == [2]
+
+
 def test_train_missing_bags():
     sc = synthetic(12, seed=2)
     cfg = trainer.TrainConfig(max_epochs=6, folds=2)
