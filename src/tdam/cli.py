@@ -287,6 +287,9 @@ def _stats_cox(args, cohort, times, events):
             [[r.name, repr(r.beta), repr(r.hr), repr(r.se), repr(r.p), r.error or ""] for r in rows],
         ),
         "cox_multivariable.csv": (["variable", "beta", "hr", "se", "p"], joint_rows),
+        # the joint fit's solver diagnostics; null without a joint fit
+        "cox_fit.json": {k: None if joint is None else getattr(joint, k)
+                         for k in ("n_iter", "score_norm", "loglik", "loglik_null")},
     }
 
 

@@ -109,6 +109,45 @@ def km_fit(times, events) -> KmCurve:
     return KmCurve(times=event_times, surv=surv, n_at_risk=at_risk, n_events=d, var=var, n=times.size)
 
 
+def _horizon_counts(times, events, horizon, labels, n_labels):
+    """Integer risk sets of each label's patients at the sample's distinct
+    event times up to ``horizon``: (at_risk, d), each (n_labels, knots).
+
+    At risk at t means a time of at least t, as in ``_risk_table``.
+    """
+    hit = (events == 1) & (times <= horizon)
+    knots = np.unique(times[hit])
+    k = knots.size
+    pos = np.searchsorted(knots, times, side="right")  # knots at or before each time
+    ends = np.bincount(labels * (k + 1) + pos, minlength=n_labels * (k + 1)).reshape(n_labels, k + 1)
+    at_risk = np.cumsum(ends[:, ::-1], axis=1)[:, -2::-1]  # at risk at knot j: pos > j
+    d = np.bincount(labels[hit] * k + pos[hit] - 1, minlength=n_labels * k).reshape(n_labels, k)
+    return at_risk, d
+
+
+def _km_at_last_event(at_risk, d):
+    """KM survival and Greenwood variance of each row's patients at the last
+    knot where they have an event (1.0 and 0.0 before any), from risk-set
+    counts over shared knots.
+
+    A knot where a row has no event contributes a factor of exactly 1.0 and a
+    Greenwood term of exactly 0.0, and both are read at the row's own last
+    event, so each value has the bits of ``km_fit`` on that row's patients
+    alone, including the ``n == d`` point mass.
+    """
+    rows, k = d.shape
+    step = d > 0
+    surv = np.ones((rows, k + 1))
+    var = np.zeros((rows, k + 1))
+    # nobody at risk gives 0/0, and n == d an infinite Greenwood sum; neither is read
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.multiply.accumulate(np.where(step, 1.0 - d / at_risk, 1.0), axis=1, out=surv[:, 1:])
+        green = np.add.accumulate(np.where(step, d / (at_risk * (at_risk - d)), 0.0), axis=1)
+        var[:, 1:] = np.where(at_risk > d, surv[:, 1:] * surv[:, 1:] * green, 0.0)
+    last = np.max(np.where(step, np.arange(1, k + 1), 0), axis=1, initial=0)
+    return surv[np.arange(rows), last], var[np.arange(rows), last]
+
+
 # -- log-rank --------------------------------------------------------------------
 
 
@@ -172,43 +211,58 @@ class CoxFit:
         return _step_at(self.baseline_times, self.baseline_cumhaz, 0.0, t)
 
 
-def _cox_quantities(beta, times, events, x):
-    """Breslow partial log-likelihood, score, and information matrix.
+class _CoxRisk:
+    """Breslow partial likelihood of one sample, sorted once per fit.
 
     Risk-set sums are cumulative sums along descending time; subjects tied on
-    time share the risk set of their last (deepest) index.
+    time share the risk set of their last (deepest) index. The order, the
+    event rows and their tie ends are fixed at construction, so each
+    evaluation only reweights the sorted rows.
     """
-    order = np.argsort(-times, kind="stable")
-    ts, es, xs = times[order], events[order], x[order]
-    lp = xs @ beta
-    lp -= lp.max()  # guard against overflow; Breslow terms are scale-free
-    w = np.exp(lp)
-    cum_s0 = np.cumsum(w)
-    cum_s1 = np.cumsum(w[:, None] * xs, axis=0)
-    cum_s2 = np.cumsum(w[:, None, None] * (xs[:, :, None] * xs[:, None, :]), axis=0)
-    # group_end[i]: last index sharing ts[i] (ties are contiguous when descending)
-    group_end = np.searchsorted(-ts, -ts, side="right") - 1
-    ev = np.flatnonzero(es == 1)
-    if ev.size == 0:
-        p = x.shape[1]
-        return 0.0, np.zeros(p), np.zeros((p, p))
-    ge = group_end[ev]
-    s0 = cum_s0[ge]
-    s1 = cum_s1[ge]
-    s2 = cum_s2[ge]
-    xbar = s1 / s0[:, None]
-    loglik = float(lp[ev].sum() - np.log(s0).sum())
-    score = (xs[ev] - xbar).sum(axis=0)
-    info = (s2 / s0[:, None, None] - xbar[:, :, None] * xbar[:, None, :]).sum(axis=0)
-    return loglik, score, info
+
+    def __init__(self, times, events, x):
+        order = np.argsort(-times, kind="stable")
+        ts = times[order]
+        self.xs = x[order]
+        self.xx = self.xs[:, :, None] * self.xs[:, None, :]
+        self.ev = np.flatnonzero(events[order] == 1)
+        # last index sharing each event's time (ties are contiguous when descending)
+        self.ev_end = (np.searchsorted(-ts, -ts, side="right") - 1)[self.ev]
+        self.x_ev = self.xs[self.ev]
+
+    def _terms(self, beta):
+        lp = self.xs @ beta
+        lp -= lp.max()  # guard against overflow; Breslow terms are scale-free
+        w = np.exp(lp)
+        s0 = np.cumsum(w)[self.ev_end]
+        return float(lp[self.ev].sum() - np.log(s0).sum()), w, s0
+
+    def loglik(self, beta) -> float:
+        """The partial log-likelihood alone."""
+        return self._terms(beta)[0]
+
+    def quantities(self, beta):
+        """Partial log-likelihood, score and information matrix."""
+        loglik, w, s0 = self._terms(beta)
+        s1 = np.cumsum(w[:, None] * self.xs, axis=0)[self.ev_end]
+        s2 = np.cumsum(w[:, None, None] * self.xx, axis=0)[self.ev_end]
+        xbar = s1 / s0[:, None]
+        score = (self.x_ev - xbar).sum(axis=0)
+        info = (s2 / s0[:, None, None] - xbar[:, :, None] * xbar[:, None, :]).sum(axis=0)
+        return loglik, score, info
 
 
 def coxph_fit(times, events, x, names=None) -> CoxFit:
     """Newton-Raphson on the Breslow partial likelihood.
 
-    Convergence is declared at |step|_inf < COX_TOL within COX_MAX_ITER
-    steps; monotone-likelihood divergence (exploding coefficients or
-    singular information) raises ConvergenceError with a diagnostic.
+    The sample is sorted once (``_CoxRisk``); each Newton point evaluates the
+    score and information, while the null fit and the step-halving probes
+    evaluate the log-likelihood alone. Convergence is declared at
+    |step|_inf < COX_TOL within COX_MAX_ITER steps; monotone-likelihood
+    divergence (exploding coefficients or singular information) raises
+    ConvergenceError with a diagnostic. Raises DataError for a covariate
+    matrix with no columns, for a non-finite covariate (naming its column),
+    for fewer events than covariates and for a constant covariate.
     """
     times, events = _clean(times, events)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -217,22 +271,25 @@ def coxph_fit(times, events, x, names=None) -> CoxFit:
     if x.shape[0] != times.size:
         raise DataError("covariate matrix does not align with times")
     p = x.shape[1]
+    if p == 0:
+        raise DataError("no covariates")
     if names is None:
         names = [f"x{i}" for i in range(p)]
+    finite = np.isfinite(x).all(axis=0)
+    if not finite.all():
+        raise DataError(f"covariate {names[int(np.argmin(finite))]} has non-finite values")
     if int(events.sum()) < p:
         raise DataError(f"{int(events.sum())} events cannot support {p} covariates")
     sd = x.std(axis=0)
     if np.any(sd == 0):
         raise DataError("constant covariate")
-    if events.sum() == 0:
-        raise UndefinedError("no events")
 
+    risk = _CoxRisk(times, events, x)
     beta = np.zeros(p)
-    loglik_null, _, _ = _cox_quantities(beta, times, events, x)
-    loglik = loglik_null
+    loglik_null = risk.loglik(beta)
     n_iter = 0
     for n_iter in range(1, COX_MAX_ITER + 1):
-        ll, score, info = _cox_quantities(beta, times, events, x)
+        ll, score, info = risk.quantities(beta)
         try:
             step = np.linalg.solve(info, score)
         except np.linalg.LinAlgError as exc:
@@ -243,14 +300,13 @@ def coxph_fit(times, events, x, names=None) -> CoxFit:
         scale = 1.0
         for _ in range(30):
             cand = beta + scale * step
-            ll_new, _, _ = _cox_quantities(cand, times, events, x)
+            ll_new = risk.loglik(cand)
             if np.isfinite(ll_new) and ll_new >= ll - slack:
                 break
             scale *= 0.5
         else:
             raise ConvergenceError("step halving failed; likelihood may be monotone")
         beta = beta + scale * step
-        loglik = ll_new
         if np.abs(beta).max() > 80:
             raise ConvergenceError("coefficients diverging; monotone likelihood suspected")
         if np.abs(scale * step).max() < COX_TOL:
@@ -258,7 +314,7 @@ def coxph_fit(times, events, x, names=None) -> CoxFit:
     else:
         raise ConvergenceError(f"no convergence in {COX_MAX_ITER} iterations")
 
-    ll, score, info = _cox_quantities(beta, times, events, x)
+    ll, score, info = risk.quantities(beta)
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError as exc:
@@ -454,6 +510,10 @@ def timeroc_auc(marker, times, events, horizon: float) -> float:
 # -- RMST -----------------------------------------------------------------------------
 
 
+# variance-tail entries per block: rows * (steps + 1) stays near 128k
+_RMST_BLOCK = 1 << 17
+
+
 @dataclass(frozen=True)
 class RmstResult:
     value: float
@@ -466,10 +526,15 @@ def rmst(times, events, tau: float) -> RmstResult:
     """Area under the KM curve on [0, tau], with the usual variance estimate.
 
     Beyond the last observed time the curve is held at its final value and
-    the result is flagged as extrapolated.
+    the result is flagged as extrapolated. The variance sums, over the KM
+    steps up to tau, each step's squared tail area (the area from that step
+    to tau) times its Greenwood term. Step k's tail is the row sum of the
+    area pieces with the entries at or before k set to +0.0; rows are summed
+    in blocks of about ``_RMST_BLOCK`` entries. Raises DataError for a tau
+    that is not finite and positive.
     """
-    if tau <= 0:
-        raise DataError("tau must be positive")
+    if not (np.isfinite(tau) and tau > 0):
+        raise DataError("tau must be finite and positive")
     times, events = _clean(times, events)
     km = km_fit(times, events)
     extrapolated = tau > times.max()
@@ -479,16 +544,27 @@ def rmst(times, events, tau: float) -> RmstResult:
     survs = np.concatenate([[1.0], surv])
     ends = np.concatenate([grid, [tau]])
     ends = np.minimum(ends, tau)
-    area = float(np.sum(survs * np.maximum(ends - starts, 0.0)))
+    pieces = survs * np.maximum(ends - starts, 0.0)
+    area = float(np.sum(pieces))
 
-    var = 0.0
-    for k, t in enumerate(grid):
-        n_k, d_k = km.n_at_risk[k], km.n_events[k]
-        if n_k == d_k:
-            continue
-        tail_starts = np.maximum(starts, t)
-        tail = float(np.sum(survs * np.maximum(ends - tail_starts, 0.0)))
-        var += tail * tail * d_k / (n_k * (n_k - d_k))
+    k, m = grid.size, pieces.size
+    tails = np.empty(k)
+    rows = max(1, _RMST_BLOCK // m)
+    buf = np.empty((min(rows, k), m))
+    at_or_before = np.tri(buf.shape[0], dtype=bool)
+    for start in range(0, k, rows):
+        # row i is step start + i: its entries up to start + i are zeroed
+        block = buf[: min(rows, k - start)]
+        r = block.shape[0]
+        block[:, :start] = 0.0
+        block[:, start:] = pieces[start:]
+        block[:, start : start + r][at_or_before[:r, :r]] = 0.0
+        tails[start : start + r] = block.sum(axis=1)
+    n_k, d_k = km.n_at_risk[:k], km.n_events[:k]
+    keep = n_k != d_k  # S reaches 0 there: no Greenwood term
+    n_k, d_k, tails = n_k[keep], d_k[keep], tails[keep]
+    terms = tails * tails * d_k / (n_k * (n_k - d_k))
+    var = float(np.cumsum(terms)[-1]) if terms.size else 0.0  # left to right
     return RmstResult(value=area, var=var, tau=float(tau), extrapolated=extrapolated)
 
 
@@ -606,34 +682,33 @@ def calibration_curve(predicted_surv, times, events, horizon: float):
     """Grouped calibration: CALIBRATION_GROUPS quantile bins (deciles) of
     predicted survival vs KM observed.
 
-    Returns (points, n_skipped); groups that are empty or have no usable KM
-    estimate at the horizon are skipped and counted.
+    Every group's KM survival and Greenwood variance at the horizon come from
+    one table of integer risk sets (``_horizon_counts``), with the bits of a
+    ``km_fit`` on that group alone. Returns (points, n_skipped); empty groups
+    are skipped and counted. Raises DataError for non-finite predictions or
+    horizon and for predictions outside [0, 1].
     """
     pred = np.asarray(predicted_surv, dtype=np.float64)
     times, events = _clean(times, events)
     if pred.shape != times.shape:
         raise DataError("predictions misaligned with times")
+    if not np.isfinite(pred).all() or not np.isfinite(horizon):
+        raise DataError("predictions and horizon must be finite")
     if np.any((pred < 0) | (pred > 1)):
         raise DataError("predicted survival probabilities must lie in [0, 1]")
     bounds = np.unique(np.quantile(pred, np.linspace(0, 1, CALIBRATION_GROUPS + 1), method="linear"))
-    if bounds.size == 1:  # constant predictions: one group
-        groups = [np.arange(pred.size)]
-    else:
-        which = np.clip(np.searchsorted(bounds, pred, side="right") - 1, 0, bounds.size - 2)
-        groups = [np.flatnonzero(which == g) for g in range(bounds.size - 1)]
+    n_groups = max(1, bounds.size - 1)  # constant predictions: one group
+    which = np.clip(np.searchsorted(bounds, pred, side="right") - 1, 0, n_groups - 1)
+    surv, var = _km_at_last_event(*_horizon_counts(times, events, horizon, which, n_groups))
     points: list[CalibrationPoint] = []
     skipped = 0
-    for idx in groups:
+    for g in range(n_groups):
+        idx = np.flatnonzero(which == g)
         if idx.size == 0:
             skipped += 1
             continue
-        km = km_fit(times[idx], events[idx])
-        observed = float(km.survival_at(horizon))
-        var = km.var_at(horizon)
-        if not np.isfinite(var):
-            skipped += 1
-            continue
-        half = 1.959963984540054 * np.sqrt(var)
+        observed = float(surv[g])
+        half = 1.959963984540054 * np.sqrt(float(var[g]))
         points.append(
             CalibrationPoint(
                 mean_predicted=float(pred[idx].mean()),
@@ -644,9 +719,6 @@ def calibration_curve(predicted_surv, times, events, horizon: float):
             )
         )
     return points, skipped
-
-
-# -- decision curves -------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -661,25 +733,37 @@ def dca_curve(predicted_event_prob, times, events, horizon: float, thresholds) -
     """Net benefit NB(p) = TP/n - FP/n * p/(1-p) with KM-estimated outcomes.
 
     Predicted-positive means predicted event probability strictly above the
-    threshold; thresholds at or above 1 (or at/below 0) are skipped.
+    threshold; thresholds at or above 1 (or at/below 0) are skipped, and the
+    rest are reported in the order given. The positive sets are nested, so
+    patients are labelled by how many distinct thresholds they exceed and
+    each threshold's risk sets are suffix sums over those labels; every KM
+    read has the bits of a ``km_fit`` on that threshold's positives alone.
+    Raises DataError for non-finite predictions, thresholds or horizon.
     """
     pred = np.asarray(predicted_event_prob, dtype=np.float64)
+    thresholds = np.asarray(thresholds, dtype=np.float64)
     times, events = _clean(times, events)
     if pred.shape != times.shape:
         raise DataError("predictions misaligned with times")
+    if not (np.isfinite(pred).all() and np.isfinite(thresholds).all() and np.isfinite(horizon)):
+        raise DataError("predictions, thresholds and horizon must be finite")
     n = times.size
-    km_all = km_fit(times, events)
-    prevalence = 1.0 - float(km_all.survival_at(horizon))
+    cuts = np.unique(thresholds[(thresholds > 0.0) & (thresholds < 1.0)])
+    level = np.searchsorted(cuts, pred, side="left")  # cuts strictly below each prediction
+    at_risk, d = _horizon_counts(times, events, horizon, level, cuts.size + 1)
+    # row r: the patients above r cuts or more; row 0 is the whole sample
+    surv, _ = _km_at_last_event(np.cumsum(at_risk[::-1], axis=0)[::-1], np.cumsum(d[::-1], axis=0)[::-1])
+    n_above = np.cumsum(np.bincount(level, minlength=cuts.size + 1)[::-1])[::-1]
+    prevalence = 1.0 - float(surv[0])
     out: list[DcaPoint] = []
-    for p in np.asarray(thresholds, dtype=np.float64):
+    for p in thresholds:
         if not (0.0 < p < 1.0):
             continue
         odds = p / (1.0 - p)
-        positive = pred > p
-        if positive.any():
-            km_pos = km_fit(times[positive], events[positive])
-            event_frac = 1.0 - float(km_pos.survival_at(horizon))
-            frac_pos = positive.mean()
+        row = np.searchsorted(cuts, p) + 1
+        if n_above[row]:
+            event_frac = 1.0 - float(surv[row])
+            frac_pos = n_above[row] / n
             nb = event_frac * frac_pos - (1.0 - event_frac) * frac_pos * odds
         else:
             nb = 0.0

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdam import cli, explain
+from tdam import cli, explain, survstats
 from tdam.bags import load_cohort_manifest
 from tdam.model import CKPT_MAGIC, ModelConfig, init_params, load_checkpoint, save_checkpoint
 
@@ -242,6 +242,41 @@ def test_stats_commands(tmp_path):
                     "--vars", "signal_fraction", "--horizons", "6,12", "--out", str(nom_dir)]) == 0
     payload = json.loads((nom_dir / "nomogram.json").read_text())
     assert payload["names"] == ["risk_score", "signal_fraction"]
+
+
+def test_stats_cox_writes_the_joint_fit_diagnostics(tmp_path):
+    data = synth(tmp_path, seed=11, n=60)
+    risks = tmp_path / "risks.csv"
+    write_risks_from_signal(data, risks)
+    cohort = load_cohort_manifest(data / "cohort.csv")
+    out = tmp_path / "cox"
+    assert cli.run(["stats", "cox", "--cohort", str(data / "cohort.csv"), "--risks", str(risks),
+                    "--vars", "signal_fraction", "--out", str(out)]) == 0
+    payload = json.loads((out / "cox_fit.json").read_text())
+    variables = {
+        "risk_score": cli._aligned_scores(cohort, cli.read_score_csv(str(risks))),
+        "signal_fraction": np.array([r.covariates["signal_fraction"] for r in cohort.records]),
+    }
+    _, joint = survstats.multivariable_pipeline(cohort.times(), cohort.events(), variables)
+    assert {k: payload[k] for k in ("n_iter", "score_norm", "loglik", "loglik_null")} == {
+        "n_iter": joint.n_iter, "score_norm": joint.score_norm,
+        "loglik": joint.loglik, "loglik_null": joint.loglik_null,
+    }
+    assert payload["n_iter"] >= 1 and payload["loglik"] > payload["loglik_null"]
+
+    # a marker unrelated to survival is not promoted: no joint fit, null diagnostics
+    rng = np.random.default_rng(5)
+    with open(risks, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["patient_id", "risk"])
+        for r in cohort.records:
+            writer.writerow([r.patient_id, repr(rng.standard_normal())])
+    assert cli.run(["stats", "cox", "--cohort", str(data / "cohort.csv"), "--risks", str(risks),
+                    "--out", str(out)]) == 0
+    _, rows = read_csv_rows(out / "cox_multivariable.csv")
+    assert rows == []
+    payload = json.loads((out / "cox_fit.json").read_text())
+    assert [payload[k] for k in ("n_iter", "score_norm", "loglik", "loglik_null")] == [None] * 4
 
 
 def single_json_error(capsys) -> dict:

@@ -212,21 +212,40 @@ def stats_cohort(seed, n):
 
 def test_cox_accepts_a_last_step_that_loses_only_rounding(monkeypatch):
     # At |ll| ~ 6e4 the converged step's log-likelihood reads 1.5e-11 lower:
-    # one rounding, which must not trigger a step halving (one extra call).
+    # one rounding, which must not trigger a step halving (one extra probe).
     x, times, events = stats_cohort(1, 10_000)
-    calls = []
-    quantities = ss._cox_quantities
+    calls = {"quantities": 0, "loglik": 0}
+    for name in calls:
+        method = getattr(ss._CoxRisk, name)
 
-    def counted(*args):
-        calls.append(1)
-        return quantities(*args)
+        def counted(self, beta, name=name, method=method):
+            calls[name] += 1
+            return method(self, beta)
 
-    monkeypatch.setattr(ss, "_cox_quantities", counted)
+        monkeypatch.setattr(ss._CoxRisk, name, counted)
     fit = ss.coxph_fit(times, events, x)
-    # null, then per iteration one Newton point and one candidate, then the final
-    assert len(calls) == 2 + 2 * fit.n_iter
-    _, score, info = quantities(fit.beta, times, events, x)
+    # one full evaluation per Newton point and one at the estimate; the null
+    # fit and one candidate per iteration read the likelihood alone
+    assert calls == {"quantities": fit.n_iter + 1, "loglik": 1 + fit.n_iter}
+    _, score, info = cox_quantities_oracle(fit.beta, times, events, x)
     assert score @ np.linalg.solve(info, score) < 1e-8  # Rao's statistic at the estimate
+
+
+def test_cox_rejects_non_finite_covariates_by_name():
+    x, times, events = stats_cohort(2, 300)
+    x[17, 1] = np.nan
+    with pytest.raises(DataError, match="covariate age"):
+        ss.coxph_fit(times, events, x, ["risk", "age", "stage"])
+    x[17, 1] = 60.0
+    x[3, 2] = np.inf
+    with pytest.raises(DataError, match="covariate x2"):
+        ss.coxph_fit(times, events, x)
+
+
+def test_cox_rejects_a_covariate_matrix_without_columns():
+    _, times, events = stats_cohort(2, 50)
+    with pytest.raises(DataError, match="no covariates"):
+        ss.coxph_fit(times, events, np.empty((50, 0)))
 
 
 # -- risk-set counting against per-event-time loop references ------------------------
@@ -884,3 +903,408 @@ def test_nomogram_out_of_range():
     model = ss.nomogram_build(fit, ranges)
     with pytest.raises(RangeError):
         model.points_for("age", 200.0)
+
+
+# -- sorted-once statistics against the re-sorting implementations ----------------------------
+#
+# Each oracle below is the implementation the sorted-once code replaced, kept
+# verbatim: Cox re-sorts the sample at every evaluation, RMST loops over the
+# KM steps, calibration fits one KM per group and DCA one per threshold. The
+# replacements must reproduce every output bit.
+
+
+def cox_quantities_oracle(beta, times, events, x):
+    """Breslow partial log-likelihood, score, and information matrix.
+
+    Risk-set sums are cumulative sums along descending time; subjects tied on
+    time share the risk set of their last (deepest) index.
+    """
+    order = np.argsort(-times, kind="stable")
+    ts, es, xs = times[order], events[order], x[order]
+    lp = xs @ beta
+    lp -= lp.max()  # guard against overflow; Breslow terms are scale-free
+    w = np.exp(lp)
+    cum_s0 = np.cumsum(w)
+    cum_s1 = np.cumsum(w[:, None] * xs, axis=0)
+    cum_s2 = np.cumsum(w[:, None, None] * (xs[:, :, None] * xs[:, None, :]), axis=0)
+    # group_end[i]: last index sharing ts[i] (ties are contiguous when descending)
+    group_end = np.searchsorted(-ts, -ts, side="right") - 1
+    ev = np.flatnonzero(es == 1)
+    if ev.size == 0:
+        p = x.shape[1]
+        return 0.0, np.zeros(p), np.zeros((p, p))
+    ge = group_end[ev]
+    s0 = cum_s0[ge]
+    s1 = cum_s1[ge]
+    s2 = cum_s2[ge]
+    xbar = s1 / s0[:, None]
+    loglik = float(lp[ev].sum() - np.log(s0).sum())
+    score = (xs[ev] - xbar).sum(axis=0)
+    info = (s2 / s0[:, None, None] - xbar[:, :, None] * xbar[:, None, :]).sum(axis=0)
+    return loglik, score, info
+
+
+def coxph_fit_oracle(times, events, x, names=None) -> ss.CoxFit:
+    """Newton-Raphson on the Breslow partial likelihood, re-sorting the
+    sample at every evaluation."""
+    times, events = ss._clean(times, events)
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape[0] != times.size:
+        x = x.T
+    if x.shape[0] != times.size:
+        raise DataError("covariate matrix does not align with times")
+    p = x.shape[1]
+    if names is None:
+        names = [f"x{i}" for i in range(p)]
+    if int(events.sum()) < p:
+        raise DataError(f"{int(events.sum())} events cannot support {p} covariates")
+    sd = x.std(axis=0)
+    if np.any(sd == 0):
+        raise DataError("constant covariate")
+    if events.sum() == 0:
+        raise UndefinedError("no events")
+
+    beta = np.zeros(p)
+    loglik_null, _, _ = cox_quantities_oracle(beta, times, events, x)
+    loglik = loglik_null
+    n_iter = 0
+    for n_iter in range(1, ss.COX_MAX_ITER + 1):
+        ll, score, info = cox_quantities_oracle(beta, times, events, x)
+        try:
+            step = np.linalg.solve(info, score)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"singular information matrix at iteration {n_iter}") from exc
+        # halve the step until the likelihood does not decrease by more
+        # than its rounding: a few hundred ulps of |ll|
+        slack = 256 * np.spacing(max(1.0, abs(ll)))
+        scale = 1.0
+        for _ in range(30):
+            cand = beta + scale * step
+            ll_new, _, _ = cox_quantities_oracle(cand, times, events, x)
+            if np.isfinite(ll_new) and ll_new >= ll - slack:
+                break
+            scale *= 0.5
+        else:
+            raise ConvergenceError("step halving failed; likelihood may be monotone")
+        beta = beta + scale * step
+        loglik = ll_new
+        if np.abs(beta).max() > 80:
+            raise ConvergenceError("coefficients diverging; monotone likelihood suspected")
+        if np.abs(scale * step).max() < ss.COX_TOL:
+            break
+    else:
+        raise ConvergenceError(f"no convergence in {ss.COX_MAX_ITER} iterations")
+
+    ll, score, info = cox_quantities_oracle(beta, times, events, x)
+    try:
+        cov = np.linalg.inv(info)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError("information matrix not invertible at the optimum") from exc
+    se = np.sqrt(np.diag(cov))
+    z = beta / se
+    wald_p = 2.0 * ss.stats.norm.sf(np.abs(z))
+
+    # Breslow baseline cumulative hazard at x = 0
+    event_times, risk_w, d = ss._risk_table(times, events, weights=np.exp(x @ beta))
+    return ss.CoxFit(
+        names=list(names),
+        beta=beta,
+        se=se,
+        wald_p=wald_p,
+        hr=np.exp(beta),
+        loglik=float(ll),
+        loglik_null=float(loglik_null),
+        baseline_times=event_times,
+        baseline_cumhaz=np.cumsum(d / risk_w),
+        converged=True,
+        n_iter=n_iter,
+        score_norm=float(np.abs(score).max()),
+        x_mean=x.mean(axis=0),
+    )
+
+
+def rmst_loop(times, events, tau: float) -> ss.RmstResult:
+    """RMST with one full pass over the step arrays per KM step for the variance."""
+    if tau <= 0:
+        raise DataError("tau must be positive")
+    times, events = ss._clean(times, events)
+    km = ss.km_fit(times, events)
+    extrapolated = tau > times.max()
+    grid = km.times[km.times <= tau]
+    surv = km.surv[: grid.size]
+    starts = np.concatenate([[0.0], grid])
+    survs = np.concatenate([[1.0], surv])
+    ends = np.concatenate([grid, [tau]])
+    ends = np.minimum(ends, tau)
+    area = float(np.sum(survs * np.maximum(ends - starts, 0.0)))
+
+    var = 0.0
+    for k, t in enumerate(grid):
+        n_k, d_k = km.n_at_risk[k], km.n_events[k]
+        if n_k == d_k:
+            continue
+        tail_starts = np.maximum(starts, t)
+        tail = float(np.sum(survs * np.maximum(ends - tail_starts, 0.0)))
+        var += tail * tail * d_k / (n_k * (n_k - d_k))
+    # the loop's sum is a numpy scalar once it adds a term: compare the value
+    return ss.RmstResult(value=area, var=float(var), tau=float(tau), extrapolated=extrapolated)
+
+
+def rmst_compare_loop(times_a, events_a, times_b, events_b, tau: float) -> ss.RmstComparison:
+    ra = rmst_loop(times_a, events_a, tau)
+    rb = rmst_loop(times_b, events_b, tau)
+    diff = ra.value - rb.value
+    se = float(np.sqrt(ra.var + rb.var))
+    if se == 0:
+        p = 1.0 if diff == 0 else 0.0
+        return ss.RmstComparison(ra, rb, diff, diff, diff, p)
+    z = diff / se
+    half = 1.959963984540054 * se
+    return ss.RmstComparison(ra, rb, diff, diff - half, diff + half, float(2.0 * ss.stats.norm.sf(abs(z))))
+
+
+def calibration_curve_per_group(predicted_surv, times, events, horizon: float):
+    """Calibration with one ``km_fit`` per decile group."""
+    pred = np.asarray(predicted_surv, dtype=np.float64)
+    times, events = ss._clean(times, events)
+    if pred.shape != times.shape:
+        raise DataError("predictions misaligned with times")
+    if np.any((pred < 0) | (pred > 1)):
+        raise DataError("predicted survival probabilities must lie in [0, 1]")
+    bounds = np.unique(np.quantile(pred, np.linspace(0, 1, ss.CALIBRATION_GROUPS + 1), method="linear"))
+    if bounds.size == 1:  # constant predictions: one group
+        groups = [np.arange(pred.size)]
+    else:
+        which = np.clip(np.searchsorted(bounds, pred, side="right") - 1, 0, bounds.size - 2)
+        groups = [np.flatnonzero(which == g) for g in range(bounds.size - 1)]
+    points: list[ss.CalibrationPoint] = []
+    skipped = 0
+    for idx in groups:
+        if idx.size == 0:
+            skipped += 1
+            continue
+        km = ss.km_fit(times[idx], events[idx])
+        observed = float(km.survival_at(horizon))
+        var = km.var_at(horizon)
+        if not np.isfinite(var):
+            skipped += 1
+            continue
+        half = 1.959963984540054 * np.sqrt(var)
+        points.append(
+            ss.CalibrationPoint(
+                mean_predicted=float(pred[idx].mean()),
+                observed=observed,
+                lci=max(0.0, observed - half),
+                uci=min(1.0, observed + half),
+                n=int(idx.size),
+            )
+        )
+    return points, skipped
+
+
+def dca_curve_per_threshold(predicted_event_prob, times, events, horizon: float, thresholds):
+    """Decision curve with one ``km_fit`` per threshold's positives."""
+    pred = np.asarray(predicted_event_prob, dtype=np.float64)
+    times, events = ss._clean(times, events)
+    if pred.shape != times.shape:
+        raise DataError("predictions misaligned with times")
+    km_all = ss.km_fit(times, events)
+    prevalence = 1.0 - float(km_all.survival_at(horizon))
+    out: list[ss.DcaPoint] = []
+    for p in np.asarray(thresholds, dtype=np.float64):
+        if not (0.0 < p < 1.0):
+            continue
+        odds = p / (1.0 - p)
+        positive = pred > p
+        if positive.any():
+            km_pos = ss.km_fit(times[positive], events[positive])
+            event_frac = 1.0 - float(km_pos.survival_at(horizon))
+            frac_pos = positive.mean()
+            nb = event_frac * frac_pos - (1.0 - event_frac) * frac_pos * odds
+        else:
+            nb = 0.0
+        treat_all = prevalence - (1.0 - prevalence) * odds
+        out.append(ss.DcaPoint(float(p), float(nb), float(treat_all), 0.0))
+    return out
+
+
+def assert_bitwise(got, want, where="result"):
+    """Every field equal bit for bit, scalars of the same type (the CLI
+    writes their ``repr``)."""
+    if hasattr(want, "__dataclass_fields__"):
+        assert type(got) is type(want), where
+        for name in want.__dataclass_fields__:
+            assert_bitwise(getattr(got, name), getattr(want, name), f"{where}.{name}")
+    elif isinstance(want, (list, tuple)):
+        assert type(got) is type(want) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_bitwise(g, w, f"{where}[{i}]")
+    elif isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape, where
+        assert np.array_equal(got, want, equal_nan=True), where
+        assert got.tobytes() == want.tobytes(), where
+    else:
+        assert type(got) is type(want), (where, type(got), type(want))
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (where, got, want)
+
+
+def assert_same_outcome(fn, oracle, *args):
+    """Both raise the same error class, or both return bitwise-equal results."""
+    try:
+        want = oracle(*args)
+    except (ConvergenceError, DataError, UndefinedError) as exc:
+        with pytest.raises(type(exc)):
+            fn(*args)
+        return False
+    assert_bitwise(fn(*args), want, fn.__name__)
+    return True
+
+
+DCA_THRESHOLDS = np.arange(0.05, 0.96, 0.05)
+
+
+@pytest.fixture(scope="module")
+def report_cohort():
+    """The ``survival_stats`` benchmark's 10k-patient report input at seed 1."""
+    x, times, events = stats_cohort(1, 10_000)
+    return x, times, events, x[:, 0] > np.median(x[:, 0])
+
+
+def test_cox_is_bitwise_the_resorting_fit_on_the_benchmark_shape(report_cohort):
+    x, times, events, _ = report_cohort
+    fit = ss.coxph_fit(times, events, x, ["risk", "age", "stage"])
+    assert_bitwise(fit, coxph_fit_oracle(times, events, x, ["risk", "age", "stage"]))
+    assert fit.n_iter == 4
+
+
+def test_rmst_is_bitwise_the_step_loop_on_the_benchmark_shape(report_cohort):
+    _, times, events, high = report_cohort
+    args = (times[high], events[high], times[~high], events[~high], 1825.0)
+    assert_bitwise(ss.rmst_compare(*args), rmst_compare_loop(*args))
+
+
+@pytest.mark.parametrize("horizon", [365.0, 730.0, 1095.0])
+def test_calibration_and_dca_are_bitwise_the_per_subset_fits_on_the_benchmark_shape(report_cohort, horizon):
+    x, times, events, _ = report_cohort
+    fit = ss.coxph_fit(times, events, x)
+    surv = np.exp(-fit.cumhaz_at(horizon) * np.exp(fit.linear_predictor(x)))
+    assert_bitwise(ss.calibration_curve(surv, times, events, horizon),
+                   calibration_curve_per_group(surv, times, events, horizon))
+    assert_bitwise(ss.dca_curve(1.0 - surv, times, events, horizon, DCA_THRESHOLDS),
+                   dca_curve_per_threshold(1.0 - surv, times, events, horizon, DCA_THRESHOLDS))
+
+
+def test_sorted_once_statistics_are_bitwise_the_oracles_on_tied_draws():
+    rng = np.random.default_rng(2027)
+    fits = 0
+    for i in range(200):
+        n = int(rng.integers(3, 80))
+        times = rng.integers(1, 12, n).astype(float)
+        events = rng.integers(0, 2, n)
+        x = rng.standard_normal((n, int(rng.integers(1, 3))))
+        fits += assert_same_outcome(ss.coxph_fit, coxph_fit_oracle, times, events, x)
+        tau = float(rng.choice([0.5, 3.0, 7.5, 11.0, 15.0]))
+        assert_same_outcome(ss.rmst, rmst_loop, times, events, tau)
+        m = max(1, n // 2)
+        assert_same_outcome(ss.rmst_compare, rmst_compare_loop, times[:m], events[:m], times[m:], events[m:], tau)
+        # a few repeated values give tied predictions and empty groups
+        pred = rng.choice(np.round(rng.random(5), 2), n) if i % 3 == 0 else rng.random(n)
+        horizon = float(rng.choice([0.5, 2.0, 5.0, 9.5, 20.0]))
+        assert_same_outcome(ss.calibration_curve, calibration_curve_per_group, pred, times, events, horizon)
+        thresholds = rng.choice([0.05, 0.2, 0.35, 0.5, 0.7, 0.99, 0.0, 1.0, -0.2], int(rng.integers(0, 9)))
+        assert_same_outcome(ss.dca_curve, dca_curve_per_threshold, pred, times, events, horizon, thresholds)
+    assert fits > 150
+
+
+@pytest.mark.parametrize("steps", ["1", "block-1", "block", "block+1"])
+def test_rmst_block_edges(monkeypatch, steps):
+    rows = 6  # variance rows per block
+    k = {"1": 1, "block-1": rows - 1, "block": rows, "block+1": rows + 1}[steps]
+    times = np.repeat(np.arange(1.0, k + 3), 3)  # k + 2 distinct event times
+    events = np.tile([1, 0, 1], k + 2)
+    tau = k + 0.5  # k steps up to tau
+    monkeypatch.setattr(ss, "_RMST_BLOCK", rows * (k + 1))
+    assert ss.km_fit(times, events).times.searchsorted(tau) == k
+    assert_bitwise(ss.rmst(times, events, tau), rmst_loop(times, events, tau))
+
+
+def test_rmst_point_mass_adds_no_variance_term():
+    times = np.array([1.0, 2.0, 2.0, 3.0, 3.0])
+    events = np.array([1, 0, 1, 1, 1])  # everyone left at t = 3 dies there
+    for tau in (2.5, 3.0, 10.0):
+        assert_bitwise(ss.rmst(times, events, tau), rmst_loop(times, events, tau))
+
+
+def test_dca_thresholds_unsorted_duplicated_and_selecting_nobody_or_everybody():
+    x, times, events = stats_cohort(3, 400)
+    pred = 1.0 / (1.0 + np.exp(-x[:, 0]))
+    lo, hi = pred.min(), pred.max()
+    thresholds = [0.7, 0.2, 0.7, hi, 0.5, lo / 2, 0.2, np.nextafter(lo, 0.0), lo, 0.999, 1.0, 0.0, 1.5, -1.0]
+    rows = ss.dca_curve(pred, times, events, 730.0, thresholds)
+    assert_bitwise(rows, dca_curve_per_threshold(pred, times, events, 730.0, thresholds))
+    assert [r.threshold for r in rows] == thresholds[:10]  # input order, out-of-range skipped
+    assert rows[3].net_benefit == 0.0 and rows[9].net_benefit == 0.0  # nobody above
+    assert all(rows[i].net_benefit == rows[i].treat_all for i in (5, 7))  # everybody above
+
+
+def test_calibration_with_empty_and_constant_groups():
+    # with fewer than 11 patients two interpolated decile bounds can share
+    # one gap between predictions, which leaves a group empty
+    _, times, events = stats_cohort(4, 4)
+    pred = np.array([0.2, 0.9, 0.9, 0.9])
+    points, skipped = ss.calibration_curve(pred, times, events, 730.0)
+    assert_bitwise((points, skipped), calibration_curve_per_group(pred, times, events, 730.0))
+    assert skipped > 0
+    _, times, events = stats_cohort(4, 300)
+    for horizon in (0.5, 730.0, 1e5):  # before any event, inside, past the last time
+        constant = np.full(300, 0.6)
+        assert_bitwise(ss.calibration_curve(constant, times, events, horizon),
+                       calibration_curve_per_group(constant, times, events, horizon))
+
+
+def test_rmst_compare_peak_memory_on_the_benchmark_shape(report_cohort):
+    _, times, events, high = report_cohort
+    tracemalloc.start()
+    try:
+        ss.rmst_compare(times[high], events[high], times[~high], events[~high], 1825.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
+@pytest.mark.parametrize("which", ["calibration", "dca"])
+def test_calibration_and_dca_fit_at_most_one_km(monkeypatch, report_cohort, which):
+    x, times, events, _ = report_cohort
+    calls = []
+    km_fit = ss.km_fit
+    monkeypatch.setattr(ss, "km_fit", lambda *a: calls.append(1) or km_fit(*a))
+    surv = 1.0 / (1.0 + np.exp(x[:, 0]))
+    if which == "calibration":
+        ss.calibration_curve(surv, times, events, 730.0)
+    else:
+        ss.dca_curve(1.0 - surv, times, events, 730.0, DCA_THRESHOLDS)
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("case", [
+    "calibration-nan-pred", "calibration-nan-horizon", "dca-nan-pred", "dca-inf-pred",
+    "dca-nan-threshold", "dca-nan-horizon", "rmst-nan-tau", "rmst-compare-inf-tau",
+])
+def test_non_finite_inputs_raise_data_error(case):
+    x, times, events = stats_cohort(5, 120)
+    pred = 1.0 / (1.0 + np.exp(-x[:, 0]))
+    bad_pred = pred.copy()
+    bad_pred[9] = np.inf if "inf" in case else np.nan
+    calls = {
+        "calibration-nan-pred": lambda: ss.calibration_curve(bad_pred, times, events, 730.0),
+        "calibration-nan-horizon": lambda: ss.calibration_curve(pred, times, events, np.nan),
+        "dca-nan-pred": lambda: ss.dca_curve(bad_pred, times, events, 730.0, [0.2, 0.5]),
+        "dca-inf-pred": lambda: ss.dca_curve(bad_pred, times, events, 730.0, [0.2, 0.5]),
+        "dca-nan-threshold": lambda: ss.dca_curve(pred, times, events, 730.0, [0.2, np.nan]),
+        "dca-nan-horizon": lambda: ss.dca_curve(pred, times, events, np.nan, [0.2, 0.5]),
+        "rmst-nan-tau": lambda: ss.rmst(times, events, np.nan),
+        "rmst-compare-inf-tau": lambda: ss.rmst_compare(times[:60], events[:60], times[60:], events[60:], np.inf),
+    }
+    with pytest.raises(DataError, match="finite"):
+        calls[case]()
