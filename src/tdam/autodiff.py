@@ -14,6 +14,13 @@ dtype is preserved, so the same graph runs in float32 for training and
 float64 for gradient checking. Inside :func:`no_grad` the ops compute the
 same values but record nothing: each output has no parents and no closure,
 so inference builds no backward graph.
+
+Backward frees each non-leaf adjoint as soon as its closure has consumed
+it; leaves (parameters, inputs) keep theirs, and so does any tensor marked
+with :meth:`Tensor.retain_grad`. :func:`checkpoint` trades memory for
+compute: it records a whole function as one node that keeps only its
+inputs, and re-runs the function in backward to backpropagate through it
+(Chen et al. 2016, "Training Deep Nets with Sublinear Memory Cost").
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-__all__ = ["Tensor", "as_tensor", "concat", "linear_recurrence", "dwconv2d", "no_grad", "SCAN_CHUNK"]
+__all__ = ["Tensor", "as_tensor", "checkpoint", "concat", "linear_recurrence", "dwconv2d", "no_grad", "SCAN_CHUNK"]
 
 # Steps per chunk of the fused scan: the (chunk, d, s) intermediates of a
 # paper-width layer (d = 256, s = 16) stay near 1 MB each.
@@ -36,14 +43,19 @@ _recording = True
 
 
 @contextmanager
-def no_grad():
-    """Run ops without recording them; nests, and restores the mode on exit."""
+def _recording_as(flag: bool):
+    """Set whether ops record for the duration of the block."""
     global _recording
-    previous, _recording = _recording, False
+    previous, _recording = _recording, flag
     try:
         yield
     finally:
         _recording = previous
+
+
+def no_grad():
+    """Run ops without recording them; nests, and restores the mode on exit."""
+    return _recording_as(False)
 
 
 def _node(data, parents: tuple, backward) -> Tensor:
@@ -68,7 +80,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A numpy array plus the backward closure that produced it."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward", "_retain")
 
     def __init__(self, data, parents: tuple = (), backward=None):
         if isinstance(data, np.ndarray):
@@ -80,6 +92,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents = parents
         self._backward = backward
+        self._retain = False
 
     # -- plumbing ---------------------------------------------------------
 
@@ -100,8 +113,16 @@ class Tensor:
         else:
             self.grad = self.grad + g
 
+    def retain_grad(self) -> None:
+        """Keep this tensor's adjoint after backward; a non-leaf's is freed once used."""
+        self._retain = True
+
     def backward(self, seed: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor (scalar unless ``seed`` given)."""
+        """Backpropagate from this tensor (scalar unless ``seed`` given).
+
+        Each node's adjoint is dropped once its closure has passed it on,
+        unless the node is a leaf or was marked with :meth:`retain_grad`.
+        """
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -125,6 +146,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                if not node._retain:
+                    node.grad = None
 
     # -- arithmetic -------------------------------------------------------
 
@@ -251,6 +274,33 @@ def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return Tensor(np.asarray(x))
+
+
+def checkpoint(fn, *inputs: Tensor) -> Tensor:
+    """``fn(*inputs)`` recorded as one node that keeps only its inputs.
+
+    While recording, ``fn`` runs under no_grad(), so none of its
+    intermediates outlive the call. The node's backward re-runs ``fn`` on
+    fresh leaves sharing the inputs' data, with recording on even inside an
+    outer no_grad(), backpropagates its adjoint through that sub-graph and
+    hands each leaf's adjoint to its input. ``fn`` must return one tensor
+    and compute the same values on every call. Outside recording this is a
+    plain call.
+    """
+    if not _recording:
+        return fn(*inputs)
+    with no_grad():
+        out = fn(*inputs)
+
+    def bw(g):
+        leaves = [Tensor(t.data) for t in inputs]
+        with _recording_as(True):
+            redo = fn(*leaves)
+        redo.backward(g)
+        for t, leaf in zip(inputs, leaves):
+            if leaf.grad is not None:
+                t._accum(leaf.grad)
+    return _node(out.data, inputs, bw)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -96,10 +96,10 @@ def erf_map(
             coords=grid_coords(n),
         )
     _, trace = forward(bag, params, config)
-    final_seq = trace.tensors["final_seq"]
-    y_c = final_seq[0:1].sum()
-    y_c.backward()
     embedded = trace.tensors["embedded"]
+    embedded.retain_grad()
+    y_c = trace.tensors["final_seq"][0:1].sum()
+    y_c.backward()
     if embedded.grad is None:  # the class row always reaches it, unless nothing was recorded
         raise RuntimeError("erf_map needs gradients and cannot run inside no_grad()")
     intensity = token_intensity(embedded.grad[1:])  # skip class row

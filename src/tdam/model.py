@@ -18,11 +18,12 @@ import math
 import struct
 import time
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, _node, _unbroadcast, concat, dwconv2d, linear_recurrence, no_grad
+from .autodiff import Tensor, _node, _unbroadcast, checkpoint, concat, dwconv2d, linear_recurrence, no_grad
 from .bags import FeatureBag
 from .errors import DataError, FormatError, GradError, NonFiniteError, ShapeError, TruncatedError
 from .rng import substream
@@ -32,6 +33,10 @@ CKPT_MAGIC = b"TDAMCKPT1"
 ABLATIONS = ("full", "no_transformer", "no_agent", "no_srmamba")
 LN_EPS = 1e-5
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# Token count from which an attention core (Nystrom or agent) keeps only its
+# inputs on the tape and is recomputed in backward: above it, the cores'
+# (heads, tokens, landmarks) intermediates dominate a recorded forward.
+RECOMPUTE_MIN_TOKENS = 256
 
 
 @dataclass(frozen=True)
@@ -360,21 +365,23 @@ def newton_schulz_pinv(a: Tensor, iters: int) -> Tensor:
     return _node(z, (a,), bw)
 
 
-def nystrom_attention_layer(seq: Tensor, params: ModelParams, which: str) -> Tensor:
-    """Pre-layernorm multi-head Nystrom attention with a residual connection.
+def _attention_core(fn, x: Tensor, *weights: Tensor) -> Tensor:
+    """``fn(x, *weights)``, recomputed in backward once ``x`` has at least
+    RECOMPUTE_MIN_TOKENS rows. The re-run happens in backward, outside any
+    forward, so ``fn`` calls none of the public stages that ``forward`` looks
+    up in this module (a profiler may label those with the forward's mode)."""
+    if x.shape[0] >= RECOMPUTE_MIN_TOKENS:
+        return checkpoint(fn, x, *weights)
+    return fn(x, *weights)
 
-    Landmarks are contiguous-segment means of the (normalized) query and key
-    rows; the softmax kernel is approximated by F pinv(A) B with the
-    pseudo-inverse from Newton-Schulz iterations. With landmark count equal
-    to the token count this reduces to exact softmax attention.
-    """
-    cfg = params.config
-    n = seq.shape[0]
-    x = layer_norm(seq, params[f"{which}.ln_g"], params[f"{which}.ln_b"])
+
+def _nystrom_core(cfg: ModelConfig, x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) -> Tensor:
+    """Multi-head Nystrom attention of the normalized rows ``x``, through ``wo``."""
+    n = x.shape[0]
     scale = 1.0 / math.sqrt(cfg.head_dim)
-    q = _to_heads(x @ params[f"{which}.Wq"], cfg.n_heads) * scale
-    k = _to_heads(x @ params[f"{which}.Wk"], cfg.n_heads)
-    v = _to_heads(x @ params[f"{which}.Wv"], cfg.n_heads)
+    q = _to_heads(x @ wq, cfg.n_heads) * scale
+    k = _to_heads(x @ wk, cfg.n_heads)
+    v = _to_heads(x @ wv, cfg.n_heads)
     m = min(cfg.n_landmarks, n)
     if m == n:
         # segment size 1: F pinv(A) B collapses to A A+ A = A, i.e. exact
@@ -388,7 +395,20 @@ def nystrom_attention_layer(seq: Tensor, params: ModelParams, which: str) -> Ten
         kernel_a = (q_land @ k_land.transpose(0, 2, 1)).softmax()
         kernel_b = (q_land @ k.transpose(0, 2, 1)).softmax()
         out = kernel_f @ (newton_schulz_pinv(kernel_a, cfg.pinv_iters) @ (kernel_b @ v))
-    return _from_heads(out) @ params[f"{which}.Wo"] + seq
+    return _from_heads(out) @ wo
+
+
+def nystrom_attention_layer(seq: Tensor, params: ModelParams, which: str) -> Tensor:
+    """Pre-layernorm multi-head Nystrom attention with a residual connection.
+
+    Landmarks are contiguous-segment means of the (normalized) query and key
+    rows; the softmax kernel is approximated by F pinv(A) B with the
+    pseudo-inverse from Newton-Schulz iterations. With landmark count equal
+    to the token count this reduces to exact softmax attention.
+    """
+    x = layer_norm(seq, params[f"{which}.ln_g"], params[f"{which}.ln_b"])
+    weights = [params[f"{which}.{w}"] for w in ("Wq", "Wk", "Wv", "Wo")]
+    return _attention_core(partial(_nystrom_core, params.config), x, *weights) + seq
 
 
 def ppeg_encode(seq: Tensor, params: ModelParams) -> Tensor:
@@ -416,28 +436,23 @@ def _nearest_grid_index(side: int, stored_side: int) -> np.ndarray:
     return (pos[:, None] * stored_side + pos[None, :]).reshape(-1)
 
 
-def agent_attention(x: Tensor, params: ModelParams) -> Tensor:
-    """Two-stage agent attention over grid tokens (class token handled by caller).
+_AGENT_WEIGHTS = ("Wq", "Wkv", "P_agent", "Wdw", "Wout", "B_A2P", "B_P2A")
 
-    Agents attend over the tokens (A2P), tokens then attend over the updated
-    agents (P2A); a depthwise conv over V on the 2-D grid adds a local path.
-    The token count must be a perfect square; positional biases are stored
-    on a fixed square grid and nearest-neighbor resized.
-    """
-    cfg = params.config
+
+def _agent_core(cfg: ModelConfig, x: Tensor, wq: Tensor, wkv: Tensor, p_agent: Tensor, wdw: Tensor,
+                wout: Tensor, bias_a2p: Tensor, bias_p2a: Tensor) -> Tensor:
+    """Agent attention of the grid rows ``x``, through ``wout``."""
     n = x.shape[0]
     side = _grid_side(n)
     dm = cfg.d_model
-    q = x @ params["agent.Wq"]
-    kv = x @ params["agent.Wkv"]
+    q = x @ wq
+    kv = x @ wkv
     k, v = kv[:, :dm], kv[:, dm:]
     scale = 1.0 / math.sqrt(cfg.head_dim)
     qh = _to_heads(q, cfg.n_heads) * scale
     kh = _to_heads(k, cfg.n_heads)
     vh = _to_heads(v, cfg.n_heads)
-    agents = _to_heads(params["agent.P_agent"], cfg.n_heads) * scale
-    bias_a2p = params["agent.B_A2P"]
-    bias_p2a = params["agent.B_P2A"]
+    agents = _to_heads(p_agent, cfg.n_heads) * scale
     if side != cfg.agent_bias_side:
         idx = _nearest_grid_index(side, cfg.agent_bias_side)
         bias_a2p = bias_a2p.take(idx, axis=2)
@@ -446,8 +461,20 @@ def agent_attention(x: Tensor, params: ModelParams) -> Tensor:
     agents_updated = a2p @ vh
     p2a = (qh @ agents_updated.transpose(0, 2, 1) + bias_p2a).softmax()
     attended = _from_heads(p2a @ agents_updated)
-    local = dwconv2d(v.reshape(side, side, dm), params["agent.Wdw"]).reshape(n, dm)
-    return (local + attended) @ params["agent.Wout"]
+    local = dwconv2d(v.reshape(side, side, dm), wdw).reshape(n, dm)
+    return (local + attended) @ wout
+
+
+def agent_attention(x: Tensor, params: ModelParams) -> Tensor:
+    """Two-stage agent attention over grid tokens (class token handled by caller).
+
+    Agents attend over the tokens (A2P), tokens then attend over the updated
+    agents (P2A); a depthwise conv over V on the 2-D grid adds a local path.
+    The token count must be a perfect square; positional biases are stored
+    on a fixed square grid and nearest-neighbor resized.
+    """
+    weights = [params[f"agent.{w}"] for w in _AGENT_WEIGHTS]
+    return _attention_core(partial(_agent_core, params.config), x, *weights)
 
 
 def srmamba_reorder(n: int, rate: int) -> np.ndarray:

@@ -259,7 +259,8 @@ def coxph_fit(times, events, x, names=None) -> CoxFit:
     score and information, while the null fit and the step-halving probes
     evaluate the log-likelihood alone. Convergence is declared at
     |step|_inf < COX_TOL within COX_MAX_ITER steps; monotone-likelihood
-    divergence (exploding coefficients or singular information) raises
+    divergence (exploding coefficients, singular information, or an
+    information that is not positive definite at the estimate) raises
     ConvergenceError with a diagnostic. Raises DataError for a covariate
     matrix with no columns, for a non-finite covariate (naming its column),
     for fewer events than covariates and for a constant covariate.
@@ -316,9 +317,11 @@ def coxph_fit(times, events, x, names=None) -> CoxFit:
 
     ll, score, info = risk.quantities(beta)
     try:
+        np.linalg.cholesky(info)  # positive definite, so every variance is positive
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError("information matrix not invertible at the optimum") from exc
+        raise ConvergenceError("information matrix not positive definite at the estimate; "
+                               "monotone likelihood suspected") from exc
     se = np.sqrt(np.diag(cov))
     z = beta / se
     wald_p = 2.0 * stats.norm.sf(np.abs(z))
@@ -713,8 +716,8 @@ def calibration_curve(predicted_surv, times, events, horizon: float):
             CalibrationPoint(
                 mean_predicted=float(pred[idx].mean()),
                 observed=observed,
-                lci=max(0.0, observed - half),
-                uci=min(1.0, observed + half),
+                lci=float(max(0.0, observed - half)),
+                uci=float(min(1.0, observed + half)),
                 n=int(idx.size),
             )
         )

@@ -3,7 +3,7 @@ import pytest
 
 from tape_oracles import tape_max, tape_mean, tape_sqrt
 from tdam import autodiff, model
-from tdam.autodiff import SCAN_CHUNK, Tensor, concat, dwconv2d, linear_recurrence, no_grad
+from tdam.autodiff import SCAN_CHUNK, Tensor, checkpoint, concat, dwconv2d, linear_recurrence, no_grad
 
 # lengths on both sides of the fused scan's chunk boundaries
 SCAN_LENGTHS = (1, 2, SCAN_CHUNK - 1, SCAN_CHUNK, SCAN_CHUNK + 1, 3 * SCAN_CHUNK + 5)
@@ -218,3 +218,80 @@ def test_no_grad_nests_and_restores_after_an_exception():
             raise ZeroDivisionError
     assert autodiff._recording
     assert (a * 2.0)._parents == (a,)
+
+
+# -- freed adjoints and checkpoint ------------------------------------------------
+
+
+def block(x, w):
+    """A small sub-graph that reads both inputs more than once."""
+    h = (x @ w).tanh()
+    return (h * x + h.softmax(axis=-1)) @ w.transpose(1, 0)
+
+
+def checkpoint_operands():
+    rng = np.random.default_rng(8)
+    return Tensor(rng.standard_normal((5, 4))), Tensor(rng.standard_normal((4, 4)))
+
+
+def run_block(wrap, outer_no_grad=False):
+    """Values and adjoints of ``block`` between an upstream and a downstream op."""
+    x0, w = checkpoint_operands()
+    x = x0 * 1.5
+    y = checkpoint(block, x, w) if wrap else block(x, w)
+    loss = (y * y).sum()
+    if outer_no_grad:
+        with no_grad():
+            loss.backward()
+    else:
+        loss.backward()
+    return y.data, x0.grad, w.grad
+
+
+@pytest.mark.parametrize("outer_no_grad", [False, True], ids=["recording", "backward-in-no_grad"])
+def test_checkpoint_is_bitwise_the_unwrapped_call(outer_no_grad):
+    for got, want in zip(run_block(True, outer_no_grad), run_block(False)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_checkpoint_keeps_only_its_inputs_and_recomputes_in_backward():
+    calls = []
+
+    def counted(x, w):
+        calls.append(autodiff._recording)
+        return block(x, w)
+
+    x, w = checkpoint_operands()
+    y = checkpoint(counted, x, w)
+    assert y._parents == (x, w) and calls == [False]
+    loss = y.sum()
+    with no_grad():
+        loss.backward()
+    assert calls == [False, True]
+    assert x.grad is not None and w.grad is not None
+
+
+def test_checkpoint_is_a_plain_call_under_no_grad():
+    calls = []
+
+    def counted(x, w):
+        calls.append(True)
+        return block(x, w)
+
+    x, w = checkpoint_operands()
+    with no_grad():
+        bare = checkpoint(counted, x, w)
+    assert bare._parents == () and bare._backward is None and len(calls) == 1
+    np.testing.assert_array_equal(bare.data, block(x, w).data)
+
+
+def test_backward_frees_every_adjoint_but_the_leaves_and_retained_ones():
+    x, w = checkpoint_operands()
+    mid = x @ w
+    kept = mid.tanh()
+    kept.retain_grad()
+    loss = (kept * mid).sum()
+    loss.backward()
+    assert mid.grad is None and loss.grad is None
+    assert kept.grad is not None and x.grad is not None and w.grad is not None

@@ -71,6 +71,29 @@ def test_synth_outputs_complete(tmp_path):
     assert manifest["generation"]["rate_gain"] > 0
 
 
+def test_calibration_csv_cells_are_plain_numbers(tmp_path):
+    data = tmp_path / "data"
+    assert cli.run(["--seed", "11", "synth", "--n", "200", "--patches", "4:9", "--dim", "8",
+                    "--censor", "0.25", "--out", str(data)]) == 0
+    cohort = load_cohort_manifest(data / "cohort.csv")
+    pred = tmp_path / "pred.csv"
+    with open(pred, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["patient_id", "risk"])
+        for r in cohort.records:
+            writer.writerow([r.patient_id, repr(1.0 / (1.0 + r.covariates["signal_fraction"]))])
+    for horizon in ("0.2", "1", "40"):
+        out = tmp_path / f"calib{horizon}"
+        assert cli.run(["stats", "calib", "--cohort", str(data / "cohort.csv"), "--pred", str(pred),
+                        "--horizon", horizon, "--out", str(out)]) == 0
+        header, rows = read_csv_rows(out / "calibration.csv")
+        assert header == ["mean_predicted", "observed", "lci", "uci", "n"] and rows
+        for row in rows:
+            lo, observed, hi = float(row[2]), float(row[1]), float(row[3])
+            assert 0.0 <= lo <= observed <= hi <= 1.0
+            assert all(np.isfinite(float(cell)) for cell in row)
+
+
 def test_unknown_flag_exits_2(tmp_path, capsys):
     rc = cli.run(["--seed", "1", "synth", "--n", "12", "--frobnicate", "--out", str(tmp_path / "x")])
     assert rc == 2

@@ -97,6 +97,29 @@ def test_erf_after_no_grad_still_backpropagates():
         explain.erf_map(None, params, side=3, seed=1)
 
 
+def test_erf_is_bitwise_unchanged_by_freed_adjoints_and_recompute(monkeypatch):
+    """The map is the same with every adjoint kept, with the attention cores
+    recomputed in backward, and with neither."""
+    params = trained_like_params(10)
+    bag = bag_of(n=30, seed=10)
+    base = explain.erf_map(bag, params)
+    monkeypatch.setattr(model, "RECOMPUTE_MIN_TOKENS", 1)
+    recomputed = explain.erf_map(bag, params)
+    monkeypatch.undo()
+    init = Tensor.__init__
+
+    def retaining_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.retain_grad()
+
+    monkeypatch.setattr(Tensor, "__init__", retaining_init)
+    kept = explain.erf_map(bag, params)
+    monkeypatch.undo()
+    for other in (recomputed, kept):
+        assert other.raw.tobytes() == base.raw.tobytes()
+        assert other.grid.tobytes() == base.grid.tobytes()
+
+
 def test_erf_zero_params_gives_zero_map():
     params = trained_like_params(7)
     for name in params.names():

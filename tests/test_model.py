@@ -1,6 +1,11 @@
 import dataclasses
+import json
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -616,6 +621,96 @@ def test_train_step_is_bitwise_that_of_the_composed_ops(monkeypatch, ablation, d
             assert fused[name].grad is None, name
         else:
             assert_bitwise(fused[name].grad, composed[name].grad)
+
+
+# -- recompute of the attention cores ----------------------------------------------
+
+
+NO_RECOMPUTE = 1 << 40
+
+
+def tape_nodes(root: Tensor) -> list[Tensor]:
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def step_bits(cfg, n, dtype, mode="train"):
+    """Logits and every parameter gradient of one step, as bytes."""
+    params = model.init_params(cfg, seed=31, dtype=dtype)
+    _, trace = model.forward(random_bag(n=n, seed=31), params, cfg, mode=mode, seed=4)
+    survival.nll_graph(trace.tensors["logits"], 2, 0).backward()
+    grads = {name: None if params[name].grad is None else params[name].grad.tobytes() for name in params.names()}
+    return trace.tensors["logits"].data.tobytes(), grads
+
+
+@pytest.mark.parametrize("n", [1, 5, 30])  # 2 tokens take exact attention, 10 and 37 the pinv
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ablation", model.ABLATIONS)
+def test_recomputed_cores_give_bitwise_the_recorded_step(monkeypatch, ablation, dtype, n):
+    cfg = TINY.with_ablation(ablation)
+    monkeypatch.setattr(model, "RECOMPUTE_MIN_TOKENS", NO_RECOMPUTE)
+    recorded = step_bits(cfg, n, dtype)
+    monkeypatch.setattr(model, "RECOMPUTE_MIN_TOKENS", 1)
+    assert step_bits(cfg, n, dtype) == recorded
+
+
+CORE_WEIGHTS = {
+    "attn1": ("attn1.Wq", "attn1.Wk", "attn1.Wv", "attn1.Wo"),
+    "attn2": ("attn2.Wq", "attn2.Wk", "attn2.Wv", "attn2.Wo"),
+    "agent": tuple(f"agent.{w}" for w in model._AGENT_WEIGHTS),
+}
+
+
+@pytest.mark.parametrize("n", [5, 30])
+def test_a_recording_eval_forward_holds_one_node_per_wrapped_core(monkeypatch, n):
+    params = tiny_params(seed=32)
+    bag = random_bag(n=n, seed=32)
+    _, full = model.forward(bag, params)
+    monkeypatch.setattr(model, "RECOMPUTE_MIN_TOKENS", 1)
+    _, wrapped = model.forward(bag, params)
+    nodes = tape_nodes(wrapped.tensors["logits"])
+    for core, names in CORE_WEIGHTS.items():
+        weights = tuple(params[name] for name in names)
+        holders = [t for t in nodes if any(p is w for p in t._parents for w in weights)]
+        assert len(holders) == 1, core
+        assert holders[0]._parents[1:] == weights, core
+    assert len(nodes) < len(tape_nodes(full.tensors["logits"]))
+
+
+def test_after_backward_only_leaves_hold_adjoints(monkeypatch):
+    made = []
+    init = Tensor.__init__
+
+    def recording_init(self, data, parents=(), backward=None):
+        init(self, data, parents, backward)
+        made.append(self)
+
+    params = tiny_params(seed=33)
+    monkeypatch.setattr(model, "RECOMPUTE_MIN_TOKENS", 1)
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    _, trace = model.forward(random_bag(n=5, seed=33), params, mode="train", seed=1)
+    survival.nll_graph(trace.tensors["logits"], 2, 0).backward()
+    monkeypatch.undo()
+    assert any(t._backward is not None for t in made)
+    assert all(t.grad is None for t in made if t._backward is not None)
+    assert all(params[name].grad is not None for name in params.names())
+
+
+def test_memory_probe_script_prints_one_line_per_mode():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "run_memory_probe.py"), "--patches", "64"],
+                          env=env, stdout=subprocess.PIPE, text=True, timeout=300, check=True)
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(r["patches"], r["mode"]) for r in rows] == [
+        (64, "eval_no_grad"), (64, "eval_recording"), (64, "fwd_bwd")]
+    assert all(r["seconds"] > 0 and r["peak_rss_mb"] > 0 for r in rows)
 
 
 ACCEPT_MODEL = model.ModelConfig(

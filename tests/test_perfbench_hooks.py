@@ -15,6 +15,14 @@ TINY = model.ModelConfig(d_in=6, d_model=8, n_heads=2, n_agents=2, n_landmarks=4
                          srmamba_layers=1, srmamba_rate=2, ssm_state_dim=2, agent_bias_side=3)
 
 
+def eval_and_train_step():
+    params = model.init_params(TINY, seed=1, dtype=np.float64)
+    bag = FeatureBag("b", np.random.default_rng(1).standard_normal((5, 6)), grid_coords(5))
+    model.forward(bag, params, TINY, "eval", 0)
+    _, trace = model.forward(bag, params, TINY, "train", 1)
+    survival.nll_graph(trace.tensors["logits"], 1, 0).backward()
+
+
 def test_trace_hooks_install_run_and_restore(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layers
@@ -37,11 +45,7 @@ def test_trace_hooks_install_run_and_restore(monkeypatch):
         assert {("tdam.model", "linear_recurrence"), ("tdam.model", "dwconv2d"),
                 ("tdam.model", "forward"), ("Tensor", "backward")} <= rebound
 
-        params = model.init_params(TINY, seed=1, dtype=np.float64)
-        bag = FeatureBag("b", np.random.default_rng(1).standard_normal((5, 6)), grid_coords(5))
-        model.forward(bag, params, TINY, "eval", 0)
-        _, trace = model.forward(bag, params, TINY, "train", 1)
-        survival.nll_graph(trace.tensors["logits"], 1, 0).backward()
+        eval_and_train_step()
     finally:
         t.restore()
 
@@ -56,3 +60,24 @@ def test_trace_hooks_install_run_and_restore(monkeypatch):
     assert {"autodiff.linear_recurrence", "autodiff.dwconv2d", "autodiff.backward"} <= spans.keys()
     assert t.counts["forwards.eval"] == 1 and t.counts["forwards.train"] == 1
     assert t.counts["nodes.eval"] > 0 and t.counts["nodes.train"] > 0
+
+
+def test_traced_backward_recomputes_the_attention_cores(monkeypatch):
+    """Recompute runs in backward, outside any forward: the cores it re-runs
+    must call no stage whose span is named after the forward's mode."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(model, "RECOMPUTE_MIN_TOKENS", 1)
+    import layers
+    from tracer import Tracer
+
+    t = Tracer()
+    try:
+        layers.install(t)
+        eval_and_train_step()
+    finally:
+        t.restore()
+    spans = t.self_times()
+    for mode in layers.MODES:
+        for _, stage in layers.STAGES:
+            assert f"model.{stage}.{mode}" in spans
+    assert {"autodiff.dwconv2d", "autodiff.backward"} <= spans.keys()

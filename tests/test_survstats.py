@@ -187,6 +187,19 @@ def test_cox_monotone_likelihood_detected():
         ss.coxph_fit(times, events, x)
 
 
+def test_cox_rejects_an_estimate_whose_information_is_not_positive_definite():
+    # draw 13 of the tied-draw bitwise test: the event at t = 10 has the lower
+    # covariate of its risk set, so beta runs to -inf until the score and
+    # information underflow; the information at the stopping point is -1.9e-16
+    times = np.array([9.0, 3.0, 10.0, 11.0])
+    events = np.array([0, 0, 1, 1])
+    x = np.array([-0.9395694039459643, -1.0848524700752238, -0.3429896788682596, 1.1268972966323387])
+    with pytest.raises(ConvergenceError, match="not positive definite"):
+        ss.coxph_fit(times, events, x.reshape(-1, 1))
+    with pytest.raises(ConvergenceError, match="not positive definite"):
+        coxph_fit_oracle(times, events, x.reshape(-1, 1))
+
+
 def test_cox_baseline_cumhaz_monotone():
     times, events, x = simulate_cox(120, 0.5, seed=7, censor_scale=30)
     fit = ss.coxph_fit(times, events, x)
@@ -997,9 +1010,11 @@ def coxph_fit_oracle(times, events, x, names=None) -> ss.CoxFit:
 
     ll, score, info = cox_quantities_oracle(beta, times, events, x)
     try:
+        np.linalg.cholesky(info)  # positive definite, so every variance is positive
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError("information matrix not invertible at the optimum") from exc
+        raise ConvergenceError("information matrix not positive definite at the estimate; "
+                               "monotone likelihood suspected") from exc
     se = np.sqrt(np.diag(cov))
     z = beta / se
     wald_p = 2.0 * ss.stats.norm.sf(np.abs(z))
@@ -1094,8 +1109,8 @@ def calibration_curve_per_group(predicted_surv, times, events, horizon: float):
             ss.CalibrationPoint(
                 mean_predicted=float(pred[idx].mean()),
                 observed=observed,
-                lci=max(0.0, observed - half),
-                uci=min(1.0, observed + half),
+                lci=float(max(0.0, observed - half)),
+                uci=float(min(1.0, observed + half)),
                 n=int(idx.size),
             )
         )
