@@ -286,6 +286,11 @@ def checkpoint(fn, *inputs: Tensor) -> Tensor:
     hands each leaf's adjoint to its input. ``fn`` must return one tensor
     and compute the same values on every call. Outside recording this is a
     plain call.
+
+    Each input receives its adjoint from ``fn`` as one term, already summed
+    inside the sub-graph. So adjoints keep their bits only when no input is
+    also used outside ``fn``: otherwise the terms are added as a + (b + c)
+    instead of (a + b) + c, equal in value but not always in bits.
     """
     if not _recording:
         return fn(*inputs)

@@ -34,8 +34,12 @@ ABLATIONS = ("full", "no_transformer", "no_agent", "no_srmamba")
 LN_EPS = 1e-5
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # Token count from which an attention core (Nystrom or agent) keeps only its
-# inputs on the tape and is recomputed in backward: above it, the cores'
-# (heads, tokens, landmarks) intermediates dominate a recorded forward.
+# inputs on the tape and is recomputed in backward. Recompute adds about a
+# quarter to two fifths to a core's forward+backward time at every size from
+# 64 to 1,024 tokens, while the tape it saves grows with the tokens (7-9 MB
+# per core at 256 tokens, 19-25 MB at 1,024; README, "Memory at paper
+# width"). There is no break-even size: the value is a choice that keeps
+# small bags on the plain tape.
 RECOMPUTE_MIN_TOKENS = 256
 
 
@@ -369,7 +373,11 @@ def _attention_core(fn, x: Tensor, *weights: Tensor) -> Tensor:
     """``fn(x, *weights)``, recomputed in backward once ``x`` has at least
     RECOMPUTE_MIN_TOKENS rows. The re-run happens in backward, outside any
     forward, so ``fn`` calls none of the public stages that ``forward`` looks
-    up in this module (a profiler may label those with the forward's mode)."""
+    up in this module (a profiler may label those with the forward's mode).
+
+    Gradients keep their bits because ``x`` and each weight feed only this
+    core: checkpoint hands an input its whole adjoint from ``fn`` as one
+    term, which would change the order of a sum over uses outside ``fn``."""
     if x.shape[0] >= RECOMPUTE_MIN_TOKENS:
         return checkpoint(fn, x, *weights)
     return fn(x, *weights)
