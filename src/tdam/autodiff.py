@@ -3,15 +3,15 @@
 Tape-style engine in the micrograd tradition, but tensor-valued: each op
 records a closure that maps the output adjoint onto the parents' adjoints.
 It carries only the ops the model in :mod:`tdam.model` and the survival
-loss reach: broadcasting add/sub/mul/div, batched matmul, the nonlinearities
-tanh, erf, softplus and softmax, the sum reduction, shape and gather ops, a
-depthwise 2-D convolution, and the selective scan as one fused op
-(:func:`linear_recurrence`: zero-order-hold discretization, diagonal
-recurrence and readout, run in chunks and recomputed in backward). The model
-adds two more fused ops through :func:`_node`, each with a hand-written
-backward: ``layer_norm`` and the Newton-Schulz pseudo-inverse. Forward
-dtype is preserved, so the same graph runs in float32 for training and
-float64 for gradient checking. Inside :func:`no_grad` the ops compute the
+loss reach: broadcasting add and mul, negation, batched matmul, the
+nonlinearities tanh, erf, softplus and softmax, the sum reduction, shape
+and gather ops, a depthwise 2-D convolution, and the selective scan as one
+fused op (:func:`linear_recurrence`: zero-order-hold discretization,
+diagonal recurrence and readout, run in chunks and recomputed in backward).
+The model adds two more fused ops through :func:`_node`, each with a
+hand-written backward: ``layer_norm`` and the Newton-Schulz
+pseudo-inverse. Forward dtype is preserved, so the same graph runs in
+float32 for training and float64 for gradient checking. Inside :func:`no_grad` the ops compute the
 same values but record nothing: each output has no parents and no closure,
 so inference builds no backward graph.
 
@@ -161,15 +161,8 @@ class Tensor:
             other._accum(_unbroadcast(g, other.data.shape))
         return _node(self.data + other.data, (self, other), bw)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return _node(-self.data, (self,), lambda g: self._accum(-g))
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return self + (-other)
-        return self + (-as_tensor(other))
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -180,18 +173,6 @@ class Tensor:
             self._accum(_unbroadcast(g * other.data, self.data.shape))
             other._accum(_unbroadcast(g * self.data, other.data.shape))
         return _node(self.data * other.data, (self, other), bw)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return self * (1.0 / other)
-        other = as_tensor(other)
-
-        def bw(g):
-            self._accum(_unbroadcast(g / other.data, self.data.shape))
-            other._accum(_unbroadcast(-g * self.data / (other.data * other.data), other.data.shape))
-        return _node(self.data / other.data, (self, other), bw)
 
     def __matmul__(self, other):
         other = as_tensor(other)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, bags, explain, netlink, survival, survstats, trainer
 from .errors import ConvergenceError, DataError, GradError, TdamError, UndefinedError
-from .model import ABLATIONS, ModelConfig, config_from_dict, load_checkpoint
+from .model import ABLATIONS, ModelConfig, ModelParams, config_from_dict, load_checkpoint
 
 
 # -- config plumbing -----------------------------------------------------------
@@ -230,10 +230,10 @@ def cmd_heatmap(args, opts, seed, chash) -> int:
 
 
 def cmd_erf(args, opts, seed, chash) -> int:
-    params, _, _ = load_checkpoint(args.checkpoint)
-    cfg = params.config.with_ablation(args.ablation or params.config.ablation)
+    params, config, _ = load_checkpoint(args.checkpoint)
+    params = ModelParams(config.with_ablation(args.ablation or config.ablation), params.flat)
     bag = bags.load_bag(args.bag) if args.bag else None
-    erf = explain.erf_map(bag, params, cfg, side=args.side, seed=seed)
+    erf = explain.erf_map(bag, params, side=args.side, seed=seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     matrix = "\n".join(" ".join(f"{v:.6g}" for v in row) for row in erf.grid)

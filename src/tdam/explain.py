@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import no_grad
 from .bags import FeatureBag, grid_coords
 from .errors import DataError
-from .model import ModelConfig, ModelParams, forward
+from .model import ModelParams, forward
 from .rng import substream
 
 
@@ -75,7 +75,6 @@ def attention_heatmap(bag: FeatureBag, params: ModelParams) -> HeatmapTable:
 def erf_map(
     bag: FeatureBag | None,
     params: ModelParams,
-    config: ModelConfig | None = None,
     side: int = 8,
     seed: int = 0,
 ) -> ErfMap:
@@ -95,7 +94,7 @@ def erf_map(
             features=rng.standard_normal((n, params.config.d_in)),
             coords=grid_coords(n),
         )
-    _, trace = forward(bag, params, config)
+    _, trace = forward(bag, params)
     embedded = trace.tensors["embedded"]
     embedded.retain_grad()
     y_c = trace.tensors["final_seq"][0:1].sum()

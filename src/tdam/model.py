@@ -30,7 +30,15 @@ from .rng import substream
 from .survival import N_BINS, nll_graph
 
 CKPT_MAGIC = b"TDAMCKPT1"
-ABLATIONS = ("full", "no_transformer", "no_agent", "no_srmamba")
+# Each model variant and the stage groups its forward runs. Every variant
+# keeps all weights, so any checkpoint runs under any variant.
+STAGES = {
+    "full": ("transformer", "agent", "scan"),
+    "no_transformer": ("agent", "scan"),
+    "no_agent": ("transformer", "scan"),
+    "no_srmamba": ("transformer", "agent"),
+}
+ABLATIONS = tuple(STAGES)
 LN_EPS = 1e-5
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # Token count from which an attention core (Nystrom or agent) keeps only its
@@ -528,7 +536,7 @@ def attention_pool(
     returns the pooled row, the per-token weights and the normalized tokens."""
     z_norm = layer_norm(z)
     scores = (z_norm @ params["pool.W1"] + params["pool.b1"]).tanh() @ params["pool.W2"] + params["pool.b2"]
-    if train and params.config.dropout > 0:
+    if train:
         scores = _dropout(scores, params.config.dropout, rng)
     weights = scores.reshape(scores.shape[0]).softmax()
     pooled = weights.reshape(1, -1) @ z_norm
@@ -544,48 +552,39 @@ class ForwardTrace:
     tensors: dict = field(default_factory=dict)
 
 
-def forward(
-    bag: FeatureBag,
-    params: ModelParams,
-    config: ModelConfig | None = None,
-    mode: str = "eval",
-    seed: int = 0,
-) -> tuple[np.ndarray, ForwardTrace]:
+def forward(bag: FeatureBag, params: ModelParams, *, mode: str = "eval",
+            seed: int = 0) -> tuple[np.ndarray, ForwardTrace]:
     """Run a bag through the model; returns (logits, trace).
 
     ``mode="train"`` activates dropout seeded by ``seed``; eval mode is a
-    pure function of (bag, params). The config's ablation flag skips a stage
-    while leaving every tensor shape unchanged.
+    pure function of (bag, params). ``params.config.ablation`` picks the
+    stages to run (:data:`STAGES`); a skipped stage leaves every tensor
+    shape unchanged. To run weights under another variant, pass
+    ``ModelParams(other_config, params.flat)``.
     """
-    cfg = config or params.config
-    struct = params.config  # tensor shapes always follow the params
-    if config is not None and (config.d_in, config.d_model, config.n_heads) != (
-        struct.d_in,
-        struct.d_model,
-        struct.n_heads,
-    ):
-        raise ShapeError("config passed to forward() is structurally incompatible with params")
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")
     bag.validate()
+    cfg = params.config
+    stages = STAGES[cfg.ablation]
     train = mode == "train"
     rng = np.random.default_rng(seed) if train else None
     dtype = params["proj.W"].data.dtype
     x = Tensor(np.ascontiguousarray(bag.features, dtype=dtype))
     xp = project_input(x, params)
-    if train and cfg.dropout > 0:
+    if train:
         xp = _dropout(xp, cfg.dropout, rng)
     seq, n_prime = pad_square_with_class(xp, params)
     embedded = seq
-    if cfg.ablation != "no_transformer":
+    if "transformer" in stages:
         seq = nystrom_attention_layer(seq, params, "attn1")
         seq = ppeg_encode(seq, params)
         seq = nystrom_attention_layer(seq, params, "attn2")
-    if cfg.ablation != "no_agent":
+    if "agent" in stages:
         grid = agent_attention(seq[1:], params)
         seq = concat([seq[0:1], grid], axis=0)
-    if cfg.ablation != "no_srmamba":
-        for layer in range(struct.srmamba_layers):
+    if "scan" in stages:
+        for layer in range(cfg.srmamba_layers):
             normed = layer_norm(seq, params[f"srmamba{layer}.ln_g"], params[f"srmamba{layer}.ln_b"])
             seq = seq + selective_scan(normed, params, layer)
     pooled, weights, z_norm = attention_pool(seq, params, train, rng)
@@ -624,7 +623,6 @@ def grad_check(
     seed: int = 0,
     bin_index: int = 2,
     censored: int = 0,
-    _corrupt: str | None = None,
 ) -> GradReport:
     """Compare analytic gradients of the survival loss with central differences.
 
@@ -648,11 +646,11 @@ def grad_check(
 
     def loss_value() -> float:
         with no_grad():
-            _, trace = forward(bag, params, config, mode="eval")
+            _, trace = forward(bag, params)
             return float(nll_graph(trace.tensors["logits"], bin_index, censored).data)
 
     params.clear_grads()
-    _, trace = forward(bag, params, config, mode="eval")
+    _, trace = forward(bag, params)
     loss = nll_graph(trace.tensors["logits"], bin_index, censored)
     loss.backward()
 
@@ -661,8 +659,6 @@ def grad_check(
         analytic = np.zeros_like(tensor.data) if tensor.grad is None else np.asarray(tensor.grad)
         if not np.isfinite(analytic).all():
             raise GradError(f"non-finite analytic gradient in {name}")
-        if _corrupt == name:
-            analytic = -analytic
         flat = tensor.data.reshape(-1)
         worst = 0.0
         for i in range(flat.size):

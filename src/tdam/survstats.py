@@ -199,7 +199,6 @@ class CoxFit:
     loglik_null: float
     baseline_times: np.ndarray
     baseline_cumhaz: np.ndarray  # Breslow cumulative hazard at covariates = 0
-    converged: bool
     n_iter: int
     score_norm: float
     x_mean: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -338,7 +337,6 @@ def coxph_fit(times, events, x, names=None) -> CoxFit:
         loglik_null=float(loglik_null),
         baseline_times=event_times,
         baseline_cumhaz=np.cumsum(d / risk_w),
-        converged=True,
         n_iter=n_iter,
         score_norm=float(np.abs(score).max()),
         x_mean=x.mean(axis=0),
@@ -825,9 +823,7 @@ class NomogramModel:
 
 
 def nomogram_build(fit: CoxFit, ranges: dict[str, tuple[float, float]]) -> NomogramModel:
-    """Build the points mapping from a converged Cox fit and variable ranges."""
-    if not fit.converged:
-        raise DataError("nomogram requires a converged Cox fit")
+    """Build the points mapping from a Cox fit and variable ranges."""
     missing = [n for n in fit.names if n not in ranges]
     if missing:
         raise DataError(f"ranges missing for {missing}")

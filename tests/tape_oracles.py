@@ -2,14 +2,26 @@
 ``model.newton_schulz_pinv`` fuse, kept as their bitwise oracles.
 
 The fused ops must reproduce these chains' values and gradients bit for bit,
-so the chains are kept verbatim, with the reductions and the square root the
-tape engine no longer carries rebuilt here as tape ops on ``autodiff._node``.
+so the chains are kept verbatim, with the subtraction, division, reductions
+and square root the tape engine no longer carries rebuilt here as tape ops on
+``autodiff._node``.
 """
 
 import numpy as np
 
-from tdam.autodiff import Tensor, _node
+from tdam.autodiff import Tensor, _node, _unbroadcast
 from tdam.model import LN_EPS
+
+
+def tape_sub(x: Tensor, y: Tensor) -> Tensor:
+    return x + (-y)
+
+
+def tape_div(x: Tensor, y: Tensor) -> Tensor:
+    def bw(g):
+        x._accum(_unbroadcast(g / y.data, x.data.shape))
+        y._accum(_unbroadcast(-g * x.data / (y.data * y.data), y.data.shape))
+    return _node(x.data / y.data, (x, y), bw)
 
 
 def tape_sqrt(x: Tensor) -> Tensor:
@@ -37,9 +49,9 @@ def tape_max(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def composed_layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
     mu = tape_mean(x, axis=-1, keepdims=True)
-    centered = x - mu
+    centered = tape_sub(x, mu)
     var = tape_mean(centered * centered, axis=-1, keepdims=True)
-    out = centered / tape_sqrt(var + LN_EPS)
+    out = tape_div(centered, tape_sqrt(var + LN_EPS))
     if gain is not None:
         out = out * gain
     if bias is not None:
@@ -52,11 +64,11 @@ def composed_newton_schulz_pinv(a: Tensor, iters: int) -> Tensor:
     eye = Tensor(np.eye(m, dtype=a.data.dtype))
     norm1 = tape_max(a.sum(axis=-2, keepdims=True), axis=-1, keepdims=True)
     norm_inf = tape_max(a.sum(axis=-1, keepdims=True), axis=-2, keepdims=True)
-    z = a.transpose(0, 2, 1) / (norm1 * norm_inf)
+    z = tape_div(a.transpose(0, 2, 1), norm1 * norm_inf)
     for _ in range(iters):
         az = a @ z
-        inner = eye * 7.0 - az
-        inner = eye * 15.0 - az @ inner
-        inner = eye * 13.0 - az @ inner
+        inner = tape_sub(eye * 7.0, az)
+        inner = tape_sub(eye * 15.0, az @ inner)
+        inner = tape_sub(eye * 13.0, az @ inner)
         z = z * 0.25 @ inner
     return z

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from tdam import cli, explain, survstats
 from tdam.bags import load_cohort_manifest
-from tdam.model import CKPT_MAGIC, ModelConfig, init_params, load_checkpoint, save_checkpoint
+from tdam.model import CKPT_MAGIC, ModelConfig, ModelParams, init_params, load_checkpoint, save_checkpoint
 
 TINY_OPTS = [
     "--opt", "model.d_in=8", "--opt", "model.d_model=8", "--opt", "model.n_heads=2",
@@ -178,8 +178,8 @@ def test_erf_ablation_defaults_to_the_checkpoint_and_overrides_it(tmp_path):
         assert cli.run(["--seed", "3", "erf", "--checkpoint", str(ckpt), "--side", "3", *flag,
                         "--out", str(out)]) == 0
         grids[ablation] = (out / "erf.txt").read_text().splitlines()[1:]
-        config = params.config.with_ablation(ablation or "no_transformer")
-        expected = explain.erf_map(None, params, config, side=3, seed=3).grid
+        ablated = ModelParams(params.config.with_ablation(ablation or "no_transformer"), params.flat)
+        expected = explain.erf_map(None, ablated, side=3, seed=3).grid
         assert grids[ablation] == [" ".join(f"{v:.6g}" for v in row) for row in expected]
     assert grids[None] != grids["full"]
 

@@ -132,7 +132,7 @@ def test_erf_full_vs_no_transformer_differ():
     params = trained_like_params(8)
     bag = bag_of(n=9, seed=8)
     full = explain.erf_map(bag, params)
-    ablated = explain.erf_map(bag, params, CFG.with_ablation("no_transformer"))
+    ablated = explain.erf_map(bag, model.ModelParams(CFG.with_ablation("no_transformer"), params.flat))
     diff = np.abs(full.grid - ablated.grid) > 1e-6
     assert diff.mean() >= 0.01
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from tape_oracles import composed_layer_norm, composed_newton_schulz_pinv
 from tdam import model, survival
-from tdam.autodiff import SCAN_CHUNK, Tensor, no_grad
+from tdam.autodiff import SCAN_CHUNK, Tensor, _node, no_grad
 from tdam.bags import FeatureBag, grid_coords
 from tdam.errors import DataError, FormatError, ShapeError, TruncatedError
 
@@ -550,11 +550,46 @@ def test_forward_ablations_change_logits_but_not_shapes():
     bag = random_bag(n=5, seed=17)
     full, trace_full = model.forward(bag, params)
     for ablation in ("no_transformer", "no_agent", "no_srmamba"):
-        cfg = TINY.with_ablation(ablation)
-        logits, trace = model.forward(bag, params, cfg)
+        logits, trace = model.forward(bag, model.ModelParams(TINY.with_ablation(ablation), params.flat))
         assert logits.shape == (4,)
         assert trace.z_norm.shape == trace_full.z_norm.shape
         assert not np.allclose(logits, full)
+
+
+STAGE_FUNCTIONS = {
+    "transformer": {"nystrom_attention_layer": 2, "ppeg_encode": 1},
+    "agent": {"agent_attention": 1},
+    "scan": {"selective_scan": 2},  # one call per scan layer
+}
+
+
+@pytest.mark.parametrize("ablation", model.ABLATIONS)
+def test_each_variant_runs_exactly_the_stages_of_its_row(monkeypatch, ablation):
+    cfg = dataclasses.replace(TINY, srmamba_layers=2, ablation=ablation)
+    calls = {}
+    for name in (name for group in STAGE_FUNCTIONS.values() for name in group):
+        def counted(*args, _name=name, _stage=getattr(model, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _stage(*args)
+        monkeypatch.setattr(model, name, counted)
+    model.forward(random_bag(n=5, seed=40), model.init_params(cfg, seed=40), mode="train", seed=1)
+    expected = {}
+    for group in model.STAGES[ablation]:
+        expected.update(STAGE_FUNCTIONS[group])
+    assert calls == expected
+
+
+def test_forward_takes_dropout_from_the_params_config():
+    """At dropout 0 a train forward draws no mask and gives the eval logits
+    bit for bit; at the config's dropout it does not."""
+    params = tiny_params(seed=41)
+    bag = random_bag(n=6, seed=41)
+    eval_logits, _ = model.forward(bag, params)
+    undropped = model.ModelParams(dataclasses.replace(TINY, dropout=0.0), params.flat)
+    train_logits, _ = model.forward(bag, undropped, mode="train", seed=1)
+    assert train_logits.tobytes() == eval_logits.tobytes()
+    dropped, _ = model.forward(bag, params, mode="train", seed=1)
+    assert not np.array_equal(dropped, eval_logits)
 
 
 # -- fused ops against the tape chains they replace --------------------------------
@@ -606,7 +641,7 @@ def test_train_step_is_bitwise_that_of_the_composed_ops(monkeypatch, ablation, d
 
     def train_step():
         params = model.init_params(cfg, seed=22, dtype=dtype)
-        _, trace = model.forward(bag, params, cfg, mode="train", seed=3)
+        _, trace = model.forward(bag, params, mode="train", seed=3)
         survival.nll_graph(trace.tensors["logits"], 1, 0).backward()
         return trace, params
 
@@ -643,7 +678,7 @@ def tape_nodes(root: Tensor) -> list[Tensor]:
 def step_bits(cfg, n, dtype, mode="train"):
     """Logits and every parameter gradient of one step, as bytes."""
     params = model.init_params(cfg, seed=31, dtype=dtype)
-    _, trace = model.forward(random_bag(n=n, seed=31), params, cfg, mode=mode, seed=4)
+    _, trace = model.forward(random_bag(n=n, seed=31), params, mode=mode, seed=4)
     survival.nll_graph(trace.tensors["logits"], 2, 0).backward()
     grads = {name: None if params[name].grad is None else params[name].grad.tobytes() for name in params.names()}
     return trace.tensors["logits"].data.tobytes(), grads
@@ -770,9 +805,27 @@ def test_grad_check_full_tiny_model():
     assert report.max_rel_err < 1e-4, report.per_tensor
 
 
-def test_grad_check_detects_corrupted_backward():
-    report = model.grad_check(TINY, n_patches=5, seed=0, _corrupt="ppeg.K3")
-    assert report.max_rel_err > 1e-2
+def test_grad_check_detects_corrupted_backward(monkeypatch):
+    """A backward that negates the adjoint of ``ppeg.K3`` alone is flagged
+    there, and only there."""
+    made = []
+    init_params, dwconv2d = model.init_params, model.dwconv2d
+
+    def recording_init(*args, **kwargs):
+        made.append(init_params(*args, **kwargs))
+        return made[-1]
+
+    def corrupted(x, kernel):
+        k3 = made[-1]["ppeg.K3"]
+        if kernel is k3:
+            kernel = _node(k3.data, (k3,), lambda g: k3._accum(-g))
+        return dwconv2d(x, kernel)
+
+    monkeypatch.setattr(model, "init_params", recording_init)
+    monkeypatch.setattr(model, "dwconv2d", corrupted)
+    report = model.grad_check(TINY, n_patches=5, seed=0)
+    assert report.per_tensor.pop("ppeg.K3") > 1e-2
+    assert max(report.per_tensor.values()) < 1e-4
 
 
 def test_grad_check_rejects_large_configs():

@@ -18,8 +18,8 @@ TINY = model.ModelConfig(d_in=6, d_model=8, n_heads=2, n_agents=2, n_landmarks=4
 def eval_and_train_step():
     params = model.init_params(TINY, seed=1, dtype=np.float64)
     bag = FeatureBag("b", np.random.default_rng(1).standard_normal((5, 6)), grid_coords(5))
-    model.forward(bag, params, TINY, "eval", 0)
-    _, trace = model.forward(bag, params, TINY, "train", 1)
+    model.forward(bag, params, mode="eval", seed=0)
+    _, trace = model.forward(bag, params, mode="train", seed=1)
     survival.nll_graph(trace.tensors["logits"], 1, 0).backward()
 
 

@@ -1031,7 +1031,6 @@ def coxph_fit_oracle(times, events, x, names=None) -> ss.CoxFit:
         loglik_null=float(loglik_null),
         baseline_times=event_times,
         baseline_cumhaz=np.cumsum(d / risk_w),
-        converged=True,
         n_iter=n_iter,
         score_norm=float(np.abs(score).max()),
         x_mean=x.mean(axis=0),
