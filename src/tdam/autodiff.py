@@ -15,12 +15,17 @@ float32 for training and float64 for gradient checking. Inside :func:`no_grad` t
 same values but record nothing: each output has no parents and no closure,
 so inference builds no backward graph.
 
+Only a :class:`Tensor` is a parent. An operand that is not one (a number or
+an ndarray, such as the model's bag features and dropout masks) is a
+constant: it depends on nothing being differentiated, so it gets no adjoint.
+
 Backward frees each non-leaf adjoint as soon as its closure has consumed
-it; leaves (parameters, inputs) keep theirs, and so does any tensor marked
-with :meth:`Tensor.retain_grad`. :func:`checkpoint` trades memory for
-compute: it records a whole function as one node that keeps only its
-inputs, and re-runs the function in backward to backpropagate through it
-(Chen et al. 2016, "Training Deep Nets with Sublinear Memory Cost").
+it; leaves (tensors made directly, such as parameters) keep theirs, and so
+does any tensor marked with :meth:`Tensor.retain_grad`. :func:`checkpoint`
+trades memory for compute: it records a whole function as one node that
+keeps only its inputs, and re-runs the function in backward to
+backpropagate through it (Chen et al. 2016, "Training Deep Nets with
+Sublinear Memory Cost").
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-__all__ = ["Tensor", "as_tensor", "checkpoint", "concat", "linear_recurrence", "dwconv2d", "no_grad", "SCAN_CHUNK"]
+__all__ = ["Tensor", "checkpoint", "concat", "linear_recurrence", "dwconv2d", "no_grad", "SCAN_CHUNK"]
 
 # Steps per chunk of the fused scan: the (chunk, d, s) intermediates of a
 # paper-width layer (d = 256, s = 16) stay near 1 MB each.
@@ -82,13 +87,12 @@ class Tensor:
 
     __slots__ = ("data", "grad", "_parents", "_backward", "_retain")
 
+    # numpy defers ``ndarray @ Tensor`` to __rmatmul__, and raises TypeError for
+    # the other ops with an array on the left, instead of building object arrays
+    __array_ufunc__ = None
+
     def __init__(self, data, parents: tuple = (), backward=None):
-        if isinstance(data, np.ndarray):
-            self.data = data
-        elif isinstance(data, np.generic):
-            self.data = np.asarray(data)
-        else:
-            self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
         self._parents = parents
         self._backward = backward
@@ -152,9 +156,8 @@ class Tensor:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, float)):
-            return _node(self.data + other, (self,), self._accum)
-        other = as_tensor(other)
+        if not isinstance(other, Tensor):
+            return _node(self.data + other, (self,), lambda g: self._accum(_unbroadcast(g, self.data.shape)))
 
         def bw(g):
             self._accum(_unbroadcast(g, self.data.shape))
@@ -165,17 +168,15 @@ class Tensor:
         return _node(-self.data, (self,), lambda g: self._accum(-g))
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return _node(self.data * other, (self,), lambda g: self._accum(g * other))
-        other = as_tensor(other)
+        if not isinstance(other, Tensor):
+            return _node(self.data * other, (self,), lambda g: self._accum(_unbroadcast(g * other, self.data.shape)))
 
         def bw(g):
             self._accum(_unbroadcast(g * other.data, self.data.shape))
             other._accum(_unbroadcast(g * self.data, other.data.shape))
         return _node(self.data * other.data, (self, other), bw)
 
-    def __matmul__(self, other):
-        other = as_tensor(other)
+    def __matmul__(self, other: Tensor):
         if self.data.ndim < 2 or other.data.ndim < 2:
             raise ValueError("matmul operands must be at least 2-D")
 
@@ -183,6 +184,13 @@ class Tensor:
             self._accum(_unbroadcast(g @ other.data.swapaxes(-1, -2), self.data.shape))
             other._accum(_unbroadcast(self.data.swapaxes(-1, -2) @ g, other.data.shape))
         return _node(self.data @ other.data, (self, other), bw)
+
+    def __rmatmul__(self, other: np.ndarray):
+        """``other @ self`` for a constant array ``other``."""
+        if other.ndim < 2 or self.data.ndim < 2:
+            raise ValueError("matmul operands must be at least 2-D")
+        return _node(other @ self.data, (self,),
+                     lambda g: self._accum(_unbroadcast(other.swapaxes(-1, -2) @ g, self.data.shape)))
 
     # -- elementwise nonlinearities ---------------------------------------
 
@@ -221,13 +229,9 @@ class Tensor:
     # -- shape ops --------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         return _node(self.data.reshape(shape), (self,), lambda g: self._accum(g.reshape(self.data.shape)))
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         inv = np.argsort(axes)
         return _node(self.data.transpose(axes), (self,), lambda g: self._accum(g.transpose(inv)))
 
@@ -249,12 +253,6 @@ class Tensor:
             np.add.at(np.moveaxis(full, axis, 0), idx, np.moveaxis(g, axis, 0))
             self._accum(full)
         return _node(np.take(self.data, idx, axis=axis), (self,), bw)
-
-
-def as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x))
 
 
 def checkpoint(fn, *inputs: Tensor) -> Tensor:
@@ -290,7 +288,6 @@ def checkpoint(fn, *inputs: Tensor) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
     offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
     def bw(g):

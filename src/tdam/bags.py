@@ -300,12 +300,19 @@ def finite_float(text: str) -> float:
     return value
 
 
+def _finite_cell(csv_path: Path, lineno: int, col: str, cell: str) -> float:
+    try:
+        return finite_float(cell)
+    except ValueError as exc:
+        raise ParseError(f"{csv_path}:{lineno}: column {col} has {cell!r}, not a finite number") from exc
+
+
 def load_cohort_manifest(csv_path: str | Path) -> Cohort:
     """Parse a cohort CSV with header patient_id,time,event[,bag_path,...].
 
     Extra columns become named covariates: missing cells are None, others finite numbers.
-    Rows with non-positive follow-up time are excluded, mirroring the usual
-    zero-OS-time exclusion applied when cohorts are assembled.
+    Times must be finite; rows with non-positive follow-up time are excluded,
+    mirroring the usual zero-OS-time exclusion applied when cohorts are assembled.
     """
     csv_path = Path(csv_path)
     rows = read_csv_rows(csv_path)
@@ -329,27 +336,17 @@ def load_cohort_manifest(csv_path: str | Path) -> Cohort:
         if pid in seen:
             raise DataError(f"{csv_path}:{lineno}: duplicate patient_id {pid!r}")
         seen.add(pid)
-        try:
-            time = float(row[idx["time"]])
-        except ValueError as exc:
-            raise ParseError(f"{csv_path}:{lineno}: non-numeric time {row[idx['time']]!r}") from exc
+        time = _finite_cell(csv_path, lineno, "time", row[idx["time"]].strip())
         raw_event = row[idx["event"]].strip()
         if raw_event not in ("0", "1"):
             raise ParseError(f"{csv_path}:{lineno}: event must be 0 or 1, got {raw_event!r}")
-        if not (time > 0) or not math.isfinite(time):
+        if time <= 0:
             n_excluded += 1
             continue
         covariates: dict[str, float | None] = {}
         for col in covar_cols:
             cell = row[idx[col]].strip()
-            if cell.lower() in _MISSING:
-                covariates[col] = None
-            else:
-                try:
-                    covariates[col] = finite_float(cell)
-                except ValueError as exc:
-                    message = f"{csv_path}:{lineno}: column {col} has {cell!r}, not a finite number"
-                    raise ParseError(message) from exc
+            covariates[col] = None if cell.lower() in _MISSING else _finite_cell(csv_path, lineno, col, cell)
         records.append(SurvivalRecord(pid, time, int(raw_event), covariates))
         if "bag_path" in idx and row[idx["bag_path"]].strip():
             bag_paths[pid] = row[idx["bag_path"]].strip()

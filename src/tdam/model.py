@@ -278,10 +278,10 @@ def _dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     if p <= 0.0:
         return x
     mask = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    return x * Tensor(mask)
+    return x * mask
 
 
-def project_input(x: Tensor, params: ModelParams) -> Tensor:
+def project_input(x: np.ndarray | Tensor, params: ModelParams) -> Tensor:
     """GELU(X W + b): project patch embeddings to the model width."""
     if x.shape[1] != params.config.d_in:
         raise ShapeError(f"bag dim {x.shape[1]} != configured d_in {params.config.d_in}")
@@ -404,7 +404,7 @@ def _nystrom_core(cfg: ModelConfig, x: Tensor, wq: Tensor, wk: Tensor, wv: Tenso
         # softmax attention, which the landmark construction computes directly
         out = (q @ k.transpose(0, 2, 1)).softmax() @ v
     else:
-        seg = Tensor(_segment_mean_matrix(n, m, x.data.dtype))
+        seg = _segment_mean_matrix(n, m, x.data.dtype)
         q_land = seg @ q
         k_land = seg @ k
         kernel_f = (q @ k_land.transpose(0, 2, 1)).softmax()
@@ -570,8 +570,7 @@ def forward(bag: FeatureBag, params: ModelParams, *, mode: str = "eval",
     train = mode == "train"
     rng = np.random.default_rng(seed) if train else None
     dtype = params["proj.W"].data.dtype
-    x = Tensor(np.ascontiguousarray(bag.features, dtype=dtype))
-    xp = project_input(x, params)
+    xp = project_input(np.ascontiguousarray(bag.features, dtype=dtype), params)
     if train:
         xp = _dropout(xp, cfg.dropout, rng)
     seq, n_prime = pad_square_with_class(xp, params)

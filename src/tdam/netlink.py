@@ -9,6 +9,7 @@ centrality (power iteration, largest component) ranks the hubs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -357,6 +358,11 @@ def build_network(
         feature_names = [f"Feature_{i}" for i in range(features.shape[1])]
     if gene_names is None:
         gene_names = [f"Gene_{i}" for i in range(genes.shape[1])]
+    if len(feature_names) != features.shape[1] or len(gene_names) != genes.shape[1]:
+        raise DataError("need one name per feature column and one per gene column")
+    repeated = sorted(name for name, k in Counter([*feature_names, *gene_names, RISK_NODE]).items() if k > 1)
+    if repeated:  # each name is one network node, and RISK_NODE is the risk score's
+        raise DataError(f"feature and gene names must be distinct and not {RISK_NODE!r}; repeated: {repeated}")
 
     # branch 1: feature screen against the risk score
     rho_fr, p_fr = spearman_matrix(features, risk.reshape(-1, 1))

@@ -156,6 +156,26 @@ def test_grad_accumulates_over_reuse():
     np.testing.assert_allclose(x.grad, [2 * 2.0 + 3.0])
 
 
+# An array operand is a constant: the op records the tensor alone as its parent.
+# Each case is (op, tensor shape, array shape); the tensor is broadcast in each.
+CONSTANT_OPERAND_OPS = {
+    "tensor-mul-array": (lambda t, c: t * c, (3, 1), (3, 4)),
+    "tensor-add-array": (lambda t, c: t + c, (4,), (3, 4)),
+    "array-matmul-tensor": (lambda t, c: c @ t, (4, 2), (2, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANT_OPERAND_OPS))
+def test_an_array_operand_is_a_constant(name):
+    op, shape, const_shape = CONSTANT_OPERAND_OPS[name]
+    const = np.random.default_rng(6).standard_normal(const_shape)
+    check_op(lambda t: op(t, const).tanh().sum(), shape)
+    t = Tensor(np.ones(shape))
+    out = op(t, const)
+    assert isinstance(out, Tensor) and out._parents == (t,)
+    np.testing.assert_array_equal(out.data, op(t.data, const))
+
+
 # every tape op, applied to operands drawn by ``operands`` below; sub and div
 # are the tape functions of the composed oracles in tape_oracles.py
 TAPE_OPS = {

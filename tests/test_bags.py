@@ -162,7 +162,7 @@ def test_manifest_roundtrip(tmp_path):
 
 def test_manifest_zero_time_excluded(tmp_path):
     path = tmp_path / "cohort.csv"
-    path.write_text("patient_id,time,event\nA,0,1\nB,5,1\n")
+    path.write_text("patient_id,time,event\nA,0,1\nB,5,1\nC,-2.5,0\n")
     cohort = bags.load_cohort_manifest(path)
     assert [r.patient_id for r in cohort.records] == ["B"]
 
@@ -185,6 +185,16 @@ def test_manifest_non_numeric_time(tmp_path):
     path = tmp_path / "cohort.csv"
     path.write_text("patient_id,time,event\nA,soon,1\n")
     with pytest.raises(ParseError):
+        bags.load_cohort_manifest(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+def test_manifest_time_must_be_finite(tmp_path, cell):
+    """A time that is not a finite number is malformed, not an exclusion; the
+    error names the file, the line and the cell."""
+    path = tmp_path / "cohort.csv"
+    path.write_text(f"patient_id,time,event\nA,5,1\nB,{cell},0\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}:3: column time has {cell!r}")):
         bags.load_cohort_manifest(path)
 
 

@@ -700,6 +700,25 @@ def test_netlink_rejects_bad_matrix_csv(tmp_path, capsys, orientation, defect):
     assert str(genes) in payload["message"] and ids[3] in payload["message"]
 
 
+@pytest.mark.parametrize("orientation", ["samples", "genes"])
+def test_netlink_rejects_a_repeated_gene_name(tmp_path, capsys, orientation):
+    """Two gene columns named alike would merge into one network node."""
+    data = synth(tmp_path, seed=21, n=12)
+    risks = tmp_path / "risks.csv"
+    write_risks_from_signal(data, risks)
+    ids = [r.patient_id for r in load_cohort_manifest(data / "cohort.csv").records]
+    genes = tmp_path / "genes.csv"
+    write_matrix(genes, ids, orientation)
+    # rename gene G1 to G0, in either layout
+    _apply_csv_edit(genes, ("cell", (0, 2, "G0") if orientation == "samples" else (2, 0, "G0")))
+    capsys.readouterr()
+    rc = cli.run(["netlink", "--cohort", str(data / "cohort.csv"), "--risks", str(risks),
+                  "--genes", str(genes), "--genes-orientation", orientation, "--out", str(tmp_path / "net")])
+    assert rc == 3
+    payload = single_json_error(capsys)
+    assert payload["error"] == "DataError" and "'G0'" in payload["message"]
+
+
 def test_ablate_command(tmp_path):
     data = synth(tmp_path, seed=7, n=12)
     out = tmp_path / "ablate"
@@ -786,14 +805,14 @@ def _apply_csv_edit(path: Path, edit) -> None:
 def cohort_edits(draw):
     """An edit that makes a cohort manifest (header patient_id,time,event,
     signal_fraction,bag_path; P0000 first) malformed. A dropped row or a
-    non-positive time is valid input, so neither is drawn."""
+    finite non-positive time is valid input, so neither is drawn."""
     kind = draw(st.sampled_from(["time", "event", "covariate", "repeat-id", "short-row", "drop-column"]))
     row = draw(st.integers(2, 12))
     if kind == "drop-column":
         return kind, draw(st.integers(0, 2))
     if kind == "short-row":
         return kind, (row, draw(st.integers(1, 4)))
-    col, cells = {"time": (1, ["soon", "", "0x1p3"]), "event": (2, ["2", "-1", "", "1.0"]),
+    col, cells = {"time": (1, ["soon", "", "0x1p3", "nan", "inf", "-inf"]), "event": (2, ["2", "-1", "", "1.0"]),
                   "covariate": (3, ["inf", "-inf", "1e999"]), "repeat-id": (0, ["P0000"])}[kind]
     return "cell", (row, col, draw(st.sampled_from(cells)))
 

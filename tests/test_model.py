@@ -775,6 +775,27 @@ def test_acceptance_scale_train_step_tape_does_not_regrow(monkeypatch):
     assert 0 < sum(recorded) <= MAX_TAPE_NODES_PER_STEP
 
 
+def test_acceptance_scale_train_step_gives_adjoints_only_to_parameters(monkeypatch):
+    """The bag features, the dropout masks and the segment-mean matrices are
+    arrays, constants on the tape: after backward only the parameters, all
+    made before the step, hold adjoints."""
+    made = []
+    init = Tensor.__init__
+
+    def recording_init(self, data, parents=(), backward=None):
+        init(self, data, parents, backward)
+        made.append(self)
+
+    params = model.init_params(ACCEPT_MODEL, seed=0, dtype=np.float32)
+    bag = FeatureBag("bag", np.random.default_rng(0).standard_normal((16, 16)), grid_coords(16))
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    _, trace = model.forward(bag, params, mode="train", seed=1)
+    survival.nll_graph(trace.tensors["logits"], 2, 0).backward()
+    monkeypatch.undo()
+    assert made and all(params[name].grad is not None for name in params.names())
+    assert [t.shape for t in made if t.grad is not None] == []
+
+
 # -- gradient checking ---------------------------------------------------------------
 
 

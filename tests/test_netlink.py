@@ -384,3 +384,19 @@ def test_build_network_empty_when_no_signal():
     events = np.ones(n, dtype=int)
     with pytest.raises(EmptyNetworkError):
         nl.build_network(features, risk, genes, times, events, seed=0)
+
+
+@pytest.mark.parametrize("names, match", [
+    pytest.param(dict(gene_names=["G", "G"] + [f"N{i}" for i in range(10)]), "repeated", id="repeated-gene"),
+    pytest.param(dict(feature_names=["F", "F"] + [f"X{i}" for i in range(28)]), "repeated", id="repeated-feature"),
+    pytest.param(dict(feature_names=["G"] + [f"X{i}" for i in range(29)],
+                      gene_names=["G"] + [f"N{i}" for i in range(11)]), "repeated", id="feature-named-as-gene"),
+    pytest.param(dict(gene_names=[nl.RISK_NODE] + [f"N{i}" for i in range(11)]), "repeated", id="risk-node-name"),
+    pytest.param(dict(gene_names=["A", "B"]), "one name per", id="too-few-gene-names"),
+    pytest.param(dict(feature_names=[f"X{i}" for i in range(31)]), "one name per", id="too-many-feature-names"),
+])
+def test_build_network_rejects_names_that_do_not_label_one_node_each(names, match):
+    """Each column's name is one node: a shared name would merge two nodes' edges."""
+    features, risk, genes, times, events = planted_hub_data(0)
+    with pytest.raises(DataError, match=match):
+        nl.build_network(features, risk, genes, times, events, seed=0, **names)
