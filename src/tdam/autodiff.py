@@ -8,6 +8,11 @@ nonlinearities tanh, erf, softplus and softmax, the sum reduction, shape
 and gather ops, a depthwise 2-D convolution, and the selective scan as one
 fused op (:func:`linear_recurrence`: zero-order-hold discretization,
 diagonal recurrence and readout, run in chunks and recomputed in backward).
+:func:`dwconv2d` multiplies a strided (tap, tap, row, column, channel)
+window view of the padded grid by the kernel in one product and sums the
+taps in one reduction, in row-major tap order from +0.0, so it keeps the
+bits of a loop over the taps; products are cut into blocks of output rows
+(whole taps, for the kernel adjoint) of at most CONV_BLOCK_BYTES.
 The model adds two more fused ops through :func:`_node`, each with a
 hand-written backward: ``layer_norm`` and the Newton-Schulz
 pseudo-inverse. Forward dtype is preserved, so the same graph runs in
@@ -37,11 +42,16 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-__all__ = ["Tensor", "checkpoint", "concat", "linear_recurrence", "dwconv2d", "no_grad", "SCAN_CHUNK"]
+__all__ = ["Tensor", "checkpoint", "concat", "linear_recurrence", "dwconv2d", "no_grad",
+           "CONV_BLOCK_BYTES", "SCAN_CHUNK"]
 
 # Steps per chunk of the fused scan: the (chunk, d, s) intermediates of a
 # paper-width layer (d = 256, s = 16) stay near 1 MB each.
 SCAN_CHUNK = 64
+
+# Bytes per block of the depthwise convolution's tap products: the taps of
+# a few grid rows at acceptance scale, one row (or one tap) at paper width.
+CONV_BLOCK_BYTES = 1 << 20
 
 # False inside no_grad(). Process-global: folds run in worker processes, not threads.
 _recording = True
@@ -412,11 +422,68 @@ def linear_recurrence(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor, u: 
     return _node(y, (delta, a, b_in, c_out, u), bw)
 
 
+def _tap_windows(pad: np.ndarray, kh: int, kw: int, row: int, rows: int, flip: bool = False) -> np.ndarray:
+    """The (kh, kw, rows, W, C) view ``v[i, j, r, w] = pad[row + r + i, w + j]``
+    of the padded grid ``pad``, (H + kh - 1, W + kw - 1, C) and C-contiguous;
+    with ``flip``, tap (i, j) reads tap (kh-1-i, kw-1-j). Built directly on
+    pad's buffer, which costs a fraction of a ``sliding_window_view``."""
+    s0, s1, s2 = pad.strides
+    offset = row * s0
+    t0, t1 = s0, s1
+    if flip:
+        offset += (kh - 1) * s0 + (kw - 1) * s1
+        t0, t1 = -s0, -s1
+    shape = (kh, kw, rows, pad.shape[1] - kw + 1, pad.shape[2])
+    return np.ndarray(shape, pad.dtype, buffer=pad, offset=offset, strides=(t0, t1, s0, s1, s2))
+
+
+def _tap_sum(pad: np.ndarray, kv: np.ndarray, flip: bool = False) -> np.ndarray:
+    """``out[h, w] = sum over taps (i, j) of window[i, j, h, w] * kv[i, j]``,
+    the taps added in row-major order onto +0.0, ``window`` as in
+    :func:`_tap_windows`. Works in blocks of output rows whose products stay
+    within CONV_BLOCK_BYTES."""
+    kh, kw, c = kv.shape
+    h, w = pad.shape[0] - kh + 1, pad.shape[1] - kw + 1
+    out = np.empty((h, w, c), dtype=pad.dtype)
+    rows = min(h, max(1, CONV_BLOCK_BYTES // (kh * kw * w * c * pad.itemsize)))
+    prod = np.empty((kh * kw, rows, w, c), dtype=pad.dtype)
+    weights = kv[:, :, None, None, :]
+    for row in range(0, h, rows):
+        n = min(rows, h - row)
+        block = prod[:, :n]
+        np.multiply(_tap_windows(pad, kh, kw, row, n, flip), weights, out=block.reshape(kh, kw, n, w, c))
+        # the tap axis is outermost, so each output element sums its taps in order
+        np.add.reduce(block, axis=0, initial=0.0, out=out[row:row + n])
+    return out
+
+
+def _tap_blocks(kh: int, kw: int, taps: int) -> list[tuple[slice, slice]]:
+    """Kernel (row, column) slices covering every tap, in row-major order,
+    ``taps`` or fewer taps per block: whole kernel rows when one fits, else
+    runs of taps within a row."""
+    if taps >= kw:
+        step = taps // kw
+        return [(slice(i, i + step), slice(0, kw)) for i in range(0, kh, step)]
+    return [(slice(i, i + 1), slice(j, j + taps)) for i in range(kh) for j in range(0, kw, taps)]
+
+
 def dwconv2d(x: Tensor, kernel: Tensor) -> Tensor:
     """Depthwise 2-D convolution, stride 1, zero-padded to the same size.
 
     ``x`` is (H, W, C); ``kernel`` is (kh, kw, C) with odd kh, kw. Channel c
-    of the output depends only on channel c of the input.
+    of the output depends only on channel c of the input:
+    ``y[h, w] = sum over taps (i, j) of xpad[h + i, w + j] * kernel[i, j]``.
+
+    Each kernel is one product of a (kh, kw, rows, W, C) window view of the
+    padded input with the kernel, then one reduction over the tap axis that
+    adds the taps in row-major (i, j) order onto +0.0. The input adjoint is
+    the same product over the zero-padded output adjoint with both tap axes
+    flipped; the kernel adjoint sums each tap's product with the adjoint over
+    (H, W), several whole taps at a time. Every product is cut into blocks
+    of output rows (of taps, for the kernel adjoint) of at most
+    CONV_BLOCK_BYTES, so a paper-width grid takes one row, or one tap, per
+    block. Each output, adjoint included, keeps the bits of the per-tap
+    loop ``y += xpad[i:i+H, j:j+W] * kernel[i, j]`` for a finite kernel.
     """
     xv, kv = x.data, kernel.data
     kh, kw, _ = kv.shape
@@ -424,19 +491,21 @@ def dwconv2d(x: Tensor, kernel: Tensor) -> Tensor:
     H, W, C = xv.shape
     xpad = np.zeros((H + 2 * ph, W + 2 * pw, C), dtype=xv.dtype)
     xpad[ph:ph + H, pw:pw + W] = xv
-    y = np.zeros_like(xv)
-    for i in range(kh):
-        for j in range(kw):
-            y += xpad[i:i + H, j:j + W] * kv[i, j]
+    y = _tap_sum(xpad, kv)
 
     def bw(g):
+        # each tap's product with g, summed over (H, W) as the loop's .sum did
         dk = np.empty_like(kv)
-        dxpad = np.zeros_like(xpad)
-        for i in range(kh):
-            for j in range(kw):
-                window = xpad[i:i + H, j:j + W]
-                dk[i, j] = (window * g).sum(axis=(0, 1))
-                dxpad[i:i + H, j:j + W] += g * kv[i, j]
+        windows = _tap_windows(xpad, kh, kw, 0, H)
+        taps = max(1, CONV_BLOCK_BYTES // (H * W * C * xpad.itemsize))
+        prod = np.empty((min(taps, kh * kw),) + xv.shape, dtype=xv.dtype)
+        for bi, bj in _tap_blocks(kh, kw, taps):
+            block = windows[bi, bj]
+            out = prod[:block.shape[0] * block.shape[1]].reshape(block.shape)
+            np.multiply(block, g, out=out)
+            out.sum(axis=(2, 3), out=dk[bi, bj])
         kernel._accum(dk)
-        x._accum(dxpad[ph:ph + H, pw:pw + W])
+        gpad = np.zeros_like(xpad)
+        gpad[ph:ph + H, pw:pw + W] = g
+        x._accum(_tap_sum(gpad, kv, flip=True))
     return _node(y, (x, kernel), bw)

@@ -306,13 +306,17 @@ def _grid_side(n_tokens: int) -> int:
 
 
 def _to_heads(x: Tensor, n_heads: int) -> Tensor:
+    """(n, d_model) -> (n_heads, n, d_head) as one tape node."""
     n, dm = x.shape
-    return x.reshape(n, n_heads, dm // n_heads).transpose(1, 0, 2)
+    return _node(x.data.reshape(n, n_heads, dm // n_heads).transpose(1, 0, 2), (x,),
+                 lambda g: x._accum(g.transpose(1, 0, 2).reshape(n, dm)))
 
 
 def _from_heads(x: Tensor) -> Tensor:
+    """(n_heads, n, d_head) -> (n, d_model) as one tape node."""
     h, n, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(n, h * dh)
+    return _node(x.data.transpose(1, 0, 2).reshape(n, h * dh), (x,),
+                 lambda g: x._accum(g.reshape(n, h, dh).transpose(1, 0, 2)))
 
 
 def _segment_mean_matrix(n: int, m: int, dtype) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""The composed tape chains that ``model.layer_norm`` and
-``model.newton_schulz_pinv`` fuse, kept as their bitwise oracles.
+"""The composed tape chains that ``model.layer_norm``,
+``model.newton_schulz_pinv`` and the head split fuse, and the per-tap loop
+that ``autodiff.dwconv2d`` replaced, kept as their bitwise oracles.
 
 The fused ops must reproduce these chains' values and gradients bit for bit,
 so the chains are kept verbatim, with the subtraction, division, reductions
@@ -72,3 +73,40 @@ def composed_newton_schulz_pinv(a: Tensor, iters: int) -> Tensor:
         inner = tape_sub(eye * 13.0, az @ inner)
         z = z * 0.25 @ inner
     return z
+
+
+def chained_to_heads(x: Tensor, n_heads: int) -> Tensor:
+    n, dm = x.shape
+    return x.reshape(n, n_heads, dm // n_heads).transpose(1, 0, 2)
+
+
+def chained_from_heads(x: Tensor) -> Tensor:
+    h, n, dh = x.shape
+    return x.transpose(1, 0, 2).reshape(n, h * dh)
+
+
+def loop_dwconv2d(x: Tensor, kernel: Tensor) -> Tensor:
+    """``autodiff.dwconv2d`` as one numpy op per kernel tap forward and two
+    per tap backward, the form the windowed products must match bit for bit."""
+    xv, kv = x.data, kernel.data
+    kh, kw, _ = kv.shape
+    ph, pw = kh // 2, kw // 2
+    H, W, C = xv.shape
+    xpad = np.zeros((H + 2 * ph, W + 2 * pw, C), dtype=xv.dtype)
+    xpad[ph:ph + H, pw:pw + W] = xv
+    y = np.zeros_like(xv)
+    for i in range(kh):
+        for j in range(kw):
+            y += xpad[i:i + H, j:j + W] * kv[i, j]
+
+    def bw(g):
+        dk = np.empty_like(kv)
+        dxpad = np.zeros_like(xpad)
+        for i in range(kh):
+            for j in range(kw):
+                window = xpad[i:i + H, j:j + W]
+                dk[i, j] = (window * g).sum(axis=(0, 1))
+                dxpad[i:i + H, j:j + W] += g * kv[i, j]
+        kernel._accum(dk)
+        x._accum(dxpad[ph:ph + H, pw:pw + W])
+    return _node(y, (x, kernel), bw)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tape_oracles import tape_div, tape_max, tape_mean, tape_sqrt, tape_sub
+from tape_oracles import loop_dwconv2d, tape_div, tape_max, tape_mean, tape_sqrt, tape_sub
 from tdam import autodiff, model
 from tdam.autodiff import SCAN_CHUNK, Tensor, checkpoint, concat, dwconv2d, linear_recurrence, no_grad
 
@@ -141,6 +141,78 @@ def test_dwconv2d_identity_kernel():
 
 def test_dwconv2d_grad():
     check_op(lambda x, k: (dwconv2d(x, k) * 2.0).sum(), (4, 4, 2), (3, 3, 2))
+
+
+def conv_case(side, ksize, channels, dtype, seed):
+    """Input, kernel and output adjoint, with +0.0 and -0.0 among the input
+    and adjoint entries."""
+    rng = np.random.default_rng(seed)
+    x, g = (rng.standard_normal((side, side, channels)).astype(dtype) for _ in range(2))
+    for a in (x, g):
+        a[rng.random(a.shape) < 0.1] = 0.0
+        a[rng.random(a.shape) < 0.1] = -0.0
+    return x, rng.standard_normal((ksize, ksize, channels)).astype(dtype), g
+
+
+def conv_bits(conv, x, k, g):
+    """y, dk and dx of ``conv`` with output adjoint ``g``."""
+    xt, kt = Tensor(x.copy()), Tensor(k.copy())
+    y = conv(xt, kt)
+    y.backward(g)
+    return y.data, kt.grad, xt.grad
+
+
+def assert_conv_is_the_loop(x, k, g):
+    for got, want, name in zip(conv_bits(dwconv2d, x, k, g), conv_bits(loop_dwconv2d, x, k, g), ("y", "dk", "dx")):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+
+
+# sides 1 and 2 lie below the 7x7 kernel's half-width
+CONV_SIDES = (1, 2, 3, 4, 5, 9, 17)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("channels", [24, 256])
+@pytest.mark.parametrize("ksize", [3, 5, 7])
+def test_dwconv2d_is_bitwise_the_tap_loop(ksize, channels, dtype):
+    for side in CONV_SIDES:
+        assert_conv_is_the_loop(*conv_case(side, ksize, channels, dtype, seed=side))
+
+
+# (side, kernel, block bytes) on float64 and 24 channels, where one tap's
+# product is side^2 * 192 bytes and one output row's 49 taps' 9 * 49 * 192:
+# 4 rows per block with a 1-row remainder and 3 kernel rows per dk block;
+# one row per block and 3 taps per dk block; one row and one tap per block.
+CONV_BLOCKS = [(9, 7, 4 * 9 * 49 * 192), (9, 7, 3 * 81 * 192), (9, 7, 1), (4, 5, 1), (1, 3, 1)]
+
+
+@pytest.mark.parametrize("side, ksize, block", CONV_BLOCKS)
+def test_dwconv2d_blocks_keep_the_tap_loop_bits(monkeypatch, side, ksize, block):
+    monkeypatch.setattr(autodiff, "CONV_BLOCK_BYTES", block)
+    assert_conv_is_the_loop(*conv_case(side, ksize, 24, np.float64, seed=block))
+
+
+def test_dwconv2d_at_paper_width_is_bitwise_the_tap_loop():
+    # 46^2 x 256 float32: one tap's product alone exceeds the block bytes
+    assert 46 * 46 * 256 * 4 > autodiff.CONV_BLOCK_BYTES
+    for ksize in (7, 3):
+        assert_conv_is_the_loop(*conv_case(46, ksize, 256, np.float32, seed=ksize))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dwconv2d_sums_signed_zeros_from_plus_zero(dtype):
+    """Channel 0 has a zero input and adjoint and a negative kernel, so every
+    tap product of y and dx is -0.0; both sums start from +0.0, as the loop's
+    np.zeros do, so both read +0.0."""
+    x, k, g = conv_case(5, 7, 3, dtype, seed=0)
+    x[..., 0] = 0.0
+    g[..., 0] = 0.0
+    k[..., 0] = -np.abs(k[..., 0]) - 0.5
+    y, _, dx = conv_bits(dwconv2d, x, k, g)
+    assert (y[..., 0] == 0.0).all() and not np.signbit(y[..., 0]).any()
+    assert (dx[..., 0] == 0.0).all() and not np.signbit(dx[..., 0]).any()
+    assert_conv_is_the_loop(x, k, g)
 
 
 def test_backward_requires_scalar():

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tape_oracles import composed_layer_norm, composed_newton_schulz_pinv
+from tape_oracles import (chained_from_heads, chained_to_heads, composed_layer_norm, composed_newton_schulz_pinv,
+                          loop_dwconv2d)
 from tdam import model, survival
 from tdam.autodiff import SCAN_CHUNK, Tensor, _node, no_grad
 from tdam.bags import FeatureBag, grid_coords
@@ -695,6 +696,18 @@ def test_recomputed_cores_give_bitwise_the_recorded_step(monkeypatch, ablation, 
     assert step_bits(cfg, n, dtype) == recorded
 
 
+@pytest.mark.parametrize("n", [5, 30])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ablation", model.ABLATIONS)
+def test_train_step_is_bitwise_that_of_the_tap_loop_and_the_chained_head_split(monkeypatch, ablation, dtype, n):
+    cfg = TINY.with_ablation(ablation)
+    windowed = step_bits(cfg, n, dtype)
+    monkeypatch.setattr(model, "dwconv2d", loop_dwconv2d)
+    monkeypatch.setattr(model, "_to_heads", chained_to_heads)
+    monkeypatch.setattr(model, "_from_heads", chained_from_heads)
+    assert step_bits(cfg, n, dtype) == windowed
+
+
 CORE_WEIGHTS = {
     "attn1": ("attn1.Wq", "attn1.Wk", "attn1.Wv", "attn1.Wo"),
     "attn2": ("attn2.Wq", "attn2.Wk", "attn2.Wv", "attn2.Wo"),
@@ -753,8 +766,9 @@ ACCEPT_MODEL = model.ModelConfig(
     srmamba_layers=1, srmamba_rate=5, ssm_state_dim=6, dropout=0.25, agent_bias_side=4,
 )
 # Tape nodes of one acceptance-scale train step (forward and loss) on a
-# 16-patch bag, as the fused layer norm and pseudo-inverse left it.
-MAX_TAPE_NODES_PER_STEP = 148
+# 16-patch bag, with the fused layer norm and pseudo-inverse and the head
+# split as one node each way.
+MAX_TAPE_NODES_PER_STEP = 135
 
 
 def test_acceptance_scale_train_step_tape_does_not_regrow(monkeypatch):
