@@ -6,7 +6,13 @@ accepts only the flags it reads: --jobs, --config and --opt belong to train
 and ablate, and each statistic has its own flags. Every output artifact
 embeds the tool version, the run seed, and a hash of the effective
 configuration, either in a leading comment line (CSV) or a "meta" object
-(JSON). Exit codes: 0 success, 2 usage, 3 data error, 4 solver error.
+(JSON). A number in a CSV cell is written as the shortest text that reads
+back as the same float. Exit codes: 0 success, 2 usage, 3 data error,
+4 solver error.
+
+The parser is built from two tables: FLAGS holds each flag's argparse
+keywords, and COMMANDS each command's handler, help line, and the flags it
+reads and requires (STATS does the same for each statistic).
 """
 
 from __future__ import annotations
@@ -82,12 +88,14 @@ def meta_comment(seed: int, chash: str) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows, seed: int, chash: str) -> None:
+    """A CSV with the meta comment first; a float cell (numpy's too) is
+    written as the shortest repr that round-trips it, any other cell as is."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(meta_comment(seed, chash) + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row] for row in rows)
 
 
 def write_json(path: Path, payload: dict, seed: int, chash: str) -> None:
@@ -171,11 +179,8 @@ def cmd_train(args, opts, seed, chash) -> int:
 
 def _emit_risks(cohort, bag_map, params, out_csv: Path, seed, chash) -> dict[str, float]:
     risks = trainer.predict_risks(bag_map, params, [r.patient_id for r in cohort.records])
-    write_csv(
-        out_csv, ["patient_id", "risk"],
-        [[pid, repr(risks[pid])] for pid in (r.patient_id for r in cohort.records)],
-        seed, chash,
-    )
+    write_csv(out_csv, ["patient_id", "risk"], [[r.patient_id, risks[r.patient_id]] for r in cohort.records],
+              seed, chash)
     return risks
 
 
@@ -214,12 +219,8 @@ def cmd_heatmap(args, opts, seed, chash) -> int:
         raise DataError("heatmap needs --bag or --cohort")
     for name, bag in targets:
         table = explain.attention_heatmap(bag, params)
-        write_csv(
-            out / f"heatmap_{name}.csv",
-            ["x", "y", "bin0", "bin1", "bin2", "bin3"],
-            [[x, y, repr(a), repr(b), repr(c), repr(d)] for x, y, a, b, c, d in table.rows()],
-            seed, chash,
-        )
+        write_csv(out / f"heatmap_{name}.csv", ["x", "y", "bin0", "bin1", "bin2", "bin3"], table.rows(),
+                  seed, chash)
         if args.pgm:
             (out / f"heatmap_{name}_bin{args.pgm_bin}.pgm").write_text(
                 explain.heatmap_to_pgm(table, args.pgm_bin, comment=meta_comment(seed, chash)[2:]),
@@ -232,7 +233,7 @@ def cmd_heatmap(args, opts, seed, chash) -> int:
 def cmd_erf(args, opts, seed, chash) -> int:
     params, config, _ = load_checkpoint(args.checkpoint)
     params = ModelParams(config.with_ablation(args.ablation or config.ablation), params.flat)
-    bag = bags.load_bag(args.bag) if args.bag else None
+    bag = bags.load_bag(args.bag[-1]) if args.bag else None
     erf = explain.erf_map(bag, params, side=args.side, seed=seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -262,9 +263,8 @@ def _stats_km(args, cohort, times, events):
     rows = []
     for name, t, e in groups:
         km = survstats.km_fit(t, e)
-        for i in range(km.times.size):
-            rows.append([name, repr(float(km.times[i])), repr(float(km.surv[i])),
-                         int(km.n_at_risk[i]), int(km.n_events[i]), repr(float(km.var[i]))])
+        rows += [[name, time, surv, int(at_risk), int(n_events), var]
+                 for time, surv, at_risk, n_events, var in zip(km.times, km.surv, km.n_at_risk, km.n_events, km.var)]
     return {"km.csv": (["group", "time", "surv", "at_risk", "events", "greenwood_var"], rows)}
 
 
@@ -276,15 +276,11 @@ def _stats_logrank(args, cohort, times, events):
 
 def _stats_cox(args, cohort, times, events):
     rows, joint = survstats.multivariable_pipeline(times, events, _collect_variables(args, cohort))
-    joint_rows = [] if joint is None else [
-        [joint.names[i], repr(float(joint.beta[i])), repr(float(joint.hr[i])),
-         repr(float(joint.se[i])), repr(float(joint.wald_p[i]))]
-        for i in range(len(joint.names))
-    ]
+    joint_rows = [] if joint is None else list(zip(joint.names, joint.beta, joint.hr, joint.se, joint.wald_p))
     return {
         "cox_univariable.csv": (
             ["variable", "beta", "hr", "se", "p", "error"],
-            [[r.name, repr(r.beta), repr(r.hr), repr(r.se), repr(r.p), r.error or ""] for r in rows],
+            [[r.name, r.beta, r.hr, r.se, r.p, r.error or ""] for r in rows],
         ),
         "cox_multivariable.csv": (["variable", "beta", "hr", "se", "p"], joint_rows),
         # the joint fit's solver diagnostics; null without a joint fit
@@ -299,9 +295,9 @@ def _stats_timeroc(args, cohort, times, events):
     for h in args.horizons:
         try:
             auc = survstats.timeroc_auc(aligned, times, events, h)
-            rows.append([repr(h), repr(auc), ""])
+            rows.append([h, auc, ""])
         except UndefinedError as exc:
-            rows.append([repr(h), "", str(exc)])
+            rows.append([h, "", str(exc)])
     return {"timeroc.csv": (["horizon", "auc", "note"], rows)}
 
 
@@ -311,8 +307,7 @@ def _stats_rmst(args, cohort, times, events):
     for year in range(1, max(1, int(args.tau // 12)) + 1):
         tau = min(12.0 * year, args.tau)
         cmp = survstats.rmst_compare(times[hi], events[hi], times[~hi], events[~hi], tau)
-        rows.append([year, repr(cmp.rmst_a.value), repr(cmp.rmst_b.value),
-                     repr(cmp.diff), repr(cmp.lci), repr(cmp.uci), repr(cmp.p)])
+        rows.append([year, cmp.rmst_a.value, cmp.rmst_b.value, cmp.diff, cmp.lci, cmp.uci, cmp.p])
     return {"rmst.csv": (["Year", "RMST (high)", "RMST (low)", "Estimation", "LCI", "UCI", "p-value"], rows)}
 
 
@@ -333,7 +328,7 @@ def _stats_calib(args, cohort, times, events):
     points, _ = survstats.calibration_curve(pred, times, events, args.horizon)
     return {"calibration.csv": (
         ["mean_predicted", "observed", "lci", "uci", "n"],
-        [[repr(p.mean_predicted), repr(p.observed), repr(p.lci), repr(p.uci), p.n] for p in points],
+        [[p.mean_predicted, p.observed, p.lci, p.uci, p.n] for p in points],
     )}
 
 
@@ -342,7 +337,7 @@ def _stats_dca(args, cohort, times, events):
     rows = survstats.dca_curve(pred, times, events, args.horizon, args.thresholds)
     return {"dca.csv": (
         ["threshold", "net_benefit", "treat_all", "treat_none"],
-        [[repr(r.threshold), repr(r.net_benefit), repr(r.treat_all), repr(r.treat_none)] for r in rows],
+        [[r.threshold, r.net_benefit, r.treat_all, r.treat_none] for r in rows],
     )}
 
 
@@ -352,8 +347,7 @@ def _stats_nomogram(args, cohort, times, events):
     fit = survstats.coxph_fit(times, events, xmat, list(variables))
     ranges = {n: (float(np.min(v)), float(np.max(v))) for n, v in variables.items()}
     model = survstats.nomogram_build(fit, ranges)
-    rows = [[repr(r["total_points"])] + [repr(r[f"s@{h}"]) for h in args.horizons]
-            for r in model.points_table(args.horizons)]
+    rows = [[r["total_points"]] + [r[f"s@{h}"] for h in args.horizons] for r in model.points_table(args.horizons)]
     return {
         "nomogram_points.csv": (["total_points"] + [f"surv@{h}" for h in args.horizons], rows),
         "nomogram.json": {
@@ -364,64 +358,6 @@ def _stats_nomogram(args, cohort, times, events):
             "scale": model.scale,
         },
     }
-
-
-# argparse types: argparse reports their ValueError as a usage error (exit 2)
-
-
-def finite_floats(text: str) -> list[float]:
-    return [bags.finite_float(v) for v in text.split(",")]
-
-
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"{text!r} is not a positive integer")
-    return value
-
-
-def non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"{text!r} is not a non-negative integer")
-    return value
-
-
-def span_of(cast):
-    """The argparse type of a ``LO:HI`` pair whose ends ``cast`` parses."""
-
-    def span(text: str) -> tuple:
-        lo, _, hi = text.partition(":")
-        return cast(lo), cast(hi)
-
-    return span
-
-
-# each stats flag's argparse keywords; a statistic declares only the flags it reads
-STAT_FLAGS = {
-    "--risks": {"help": "risk CSV (patient_id,risk)"},
-    "--risks-b": {"help": "second marker CSV"},
-    "--pred": {"help": "prediction CSV"},
-    "--vars": {"help": "comma-separated covariate columns"},
-    "--horizon": {"type": bags.finite_float, "default": 36.0},
-    "--horizons": {"type": finite_floats, "default": "12,36,60"},
-    "--tau": {"type": bags.finite_float, "default": 60.0},
-    "--thresholds": {"type": finite_floats, "default": "0.1,0.2,0.3,0.4,0.5"},
-    "--n-boot": {"type": positive_int, "default": 500},
-}
-
-# statistic -> (handler, flags it reads, flags it cannot run without)
-STATS = {
-    "km": (_stats_km, ("--risks",), ()),
-    "logrank": (_stats_logrank, ("--risks",), ("--risks",)),
-    "cox": (_stats_cox, ("--risks", "--vars"), ()),
-    "timeroc": (_stats_timeroc, ("--risks", "--horizons"), ("--risks",)),
-    "rmst": (_stats_rmst, ("--risks", "--tau"), ("--risks",)),
-    "boot": (_stats_boot, ("--risks", "--risks-b", "--horizon", "--n-boot"), ("--risks", "--risks-b")),
-    "calib": (_stats_calib, ("--pred", "--horizon"), ("--pred",)),
-    "dca": (_stats_dca, ("--pred", "--horizon", "--thresholds"), ("--pred",)),
-    "nomogram": (_stats_nomogram, ("--risks", "--vars", "--horizons"), ()),
-}
 
 
 def cmd_stats(args, opts, seed, chash) -> int:
@@ -461,15 +397,12 @@ def cmd_netlink(args, opts, seed, chash) -> int:
     cohort = bags.load_cohort_manifest(args.cohort)
     ids = [r.patient_id for r in cohort.records]
     if args.features:
-        feat_names, feats = _read_matrix_csv(args.features, ids)
+        feat_names, feats = _read_matrix_csv(args.features, ids, by_column=False)
     else:
         _, bag_map = _load_cohort_and_bags(args.cohort, args.bags_root)
         feats = np.stack([bag_map[pid].features.mean(axis=0) for pid in ids])
         feat_names = [f"Feature_{i}" for i in range(feats.shape[1])]
-    if args.genes_orientation == "genes":
-        gene_names, genes = _read_matrix_csv_transposed(args.genes, ids)
-    else:
-        gene_names, genes = _read_matrix_csv(args.genes, ids)
+    gene_names, genes = _read_matrix_csv(args.genes, ids, by_column=args.genes_orientation == "genes")
     risks = _aligned_scores(cohort, read_score_csv(args.risks))
     result = netlink.build_network(
         feats, risks, genes, cohort.times(), cohort.events(),
@@ -478,26 +411,33 @@ def cmd_netlink(args, opts, seed, chash) -> int:
     )
     out = Path(args.out)
     write_csv(out / "edges.csv", ["node_a", "node_b", "rho", "p", "q"],
-              [[e.node_a, e.node_b, repr(e.rho), repr(e.p), repr(e.q)]
-               for e in result.feature_risk_edges + result.cross_edges],
+              [[e.node_a, e.node_b, e.rho, e.p, e.q] for e in result.feature_risk_edges + result.cross_edges],
               seed, chash)
     write_csv(out / "centrality.csv", ["Term", "Group", "Degree", "Eigenvector Centrality"],
               [[r.term, r.group, r.degree, f"{r.centrality:.3f}"] for r in result.table],
               seed, chash)
     enet = result.enet
     write_csv(out / "enet_path.csv", ["lambda", "cv_mse", "selected"],
-              [[repr(float(lam)), repr(float(mse)), int(lam == enet.lambda_)]
-               for lam, mse in zip(enet.lambdas, enet.cv_mse)],
+              [[lam, mse, int(lam == enet.lambda_)] for lam, mse in zip(enet.lambdas, enet.cv_mse)],
               seed, chash)
     print(f"network: {len(result.cross_edges)} feature-gene edges, top hub {result.table[0].term}")
     return 0
 
 
-def _read_matrix_csv(path: str, ids: list[str]) -> tuple[list[str], np.ndarray]:
-    """samples x columns layout: header patient_id,<name>,...; one row per patient."""
+def _read_matrix_csv(path: str, ids: list[str], by_column: bool) -> tuple[list[str], np.ndarray]:
+    """(names, values with one row per patient in ``ids`` order) of a matrix
+    CSV. Samples layout: header patient_id,<name>,...; one row per patient.
+    Genes layout (``by_column``): header gene_id,<patient>,...; one row per
+    gene, read as its transpose."""
     rows = bags.read_csv_rows(path)
-    if len(rows) < 2 or rows[0][0] != "patient_id":
-        raise DataError(f"{path}: needs a header starting with patient_id and at least one row")
+    if len(rows) < 2 or not (by_column or rows[0][0] == "patient_id"):
+        raise DataError(f"{path}: needs a header{'' if by_column else ' starting with patient_id'} "
+                        "and at least one row")
+    if by_column:
+        for r in rows[1:]:
+            if len(r) < len(rows[0]):
+                raise DataError(f"{path}: gene row {r[0]!r} ends before patient {rows[0][len(r)]}")
+        rows = [list(column) for column in zip(*rows)]
     header = rows[0]
     by_id: dict[str, list[float]] = {}
     for r in rows[1:]:
@@ -509,30 +449,8 @@ def _read_matrix_csv(path: str, ids: list[str]) -> tuple[list[str], np.ndarray]:
         by_id[pid] = [_finite(path, pid, v, "value") for v in r[1:]]
     missing = [pid for pid in ids if pid not in by_id]
     if missing:
-        raise DataError(f"{path}: rows missing for {len(missing)} patients (first: {missing[0]})")
+        raise DataError(f"{path}: values missing for {len(missing)} patients (first: {missing[0]})")
     return header[1:], np.array([by_id[pid] for pid in ids], dtype=np.float64)
-
-
-def _read_matrix_csv_transposed(path: str, ids: list[str]) -> tuple[list[str], np.ndarray]:
-    """genes x samples layout: header gene_id,<patient>,...; one row per gene."""
-    rows = bags.read_csv_rows(path)
-    if len(rows) < 2:
-        raise DataError(f"{path}: needs a header row and at least one gene row")
-    header = rows[0]
-    cols = {pid: i for i, pid in enumerate(header) if i > 0}
-    if len(cols) != len(header) - 1:
-        raise DataError(f"{path}: a patient column is repeated")
-    missing = [pid for pid in ids if pid not in cols]
-    if missing:
-        raise DataError(f"{path}: columns missing for {len(missing)} patients (first: {missing[0]})")
-    for r in rows[1:]:
-        if len(r) < len(header):
-            raise DataError(f"{path}: gene row {r[0]!r} ends before patient {header[len(r)]}")
-    names = [r[0] for r in rows[1:]]
-    data = np.array(
-        [[_finite(path, pid, r[cols[pid]], "value") for r in rows[1:]] for pid in ids], dtype=np.float64
-    )
-    return names, data
 
 
 def cmd_ablate(args, opts, seed, chash) -> int:
@@ -545,7 +463,7 @@ def cmd_ablate(args, opts, seed, chash) -> int:
         result = trainer.train(cohort, bag_map, cfg, train_cfg,
                                out_dir=out / ablation, jobs=args.jobs or 1)
         write_json(out / ablation / "cv_report.json", result.report(), seed, chash)
-        rows.append([ablation, repr(result.mean_cindex), repr(result.std_cindex), result.formatted()])
+        rows.append([ablation, result.mean_cindex, result.std_cindex, result.formatted()])
     write_csv(out / "ablation.csv", ["variant", "mean_cindex", "std_cindex", "formatted"],
               rows, seed, chash)
     print(f"wrote ablation table under {out}")
@@ -555,106 +473,141 @@ def cmd_ablate(args, opts, seed, chash) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+# argparse types: argparse reports their ValueError as a usage error (exit 2)
+
+
+def finite_floats(text: str) -> list[float]:
+    return [bags.finite_float(v) for v in text.split(",")]
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{text!r} is not a positive integer")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{text!r} is not a non-negative integer")
+    return value
+
+
+def span_of(cast):
+    """The argparse type of a ``LO:HI`` pair whose ends ``cast`` parses."""
+
+    def span(text: str) -> tuple:
+        lo, _, hi = text.partition(":")
+        return cast(lo), cast(hi)
+
+    return span
+
+
+# each flag's argparse keywords; a command's parser declares only the flags it reads
+FLAGS = {
+    # a command also accepts the global flags it reads after its name
+    "--seed": {"type": non_negative_int, "default": argparse.SUPPRESS},
+    "--jobs": {"type": positive_int, "default": argparse.SUPPRESS},
+    "--config": {"default": argparse.SUPPRESS},
+    # kept apart from the top-level --opt, which a sub-parser's list would replace; run() joins them
+    "--opt": {"action": "append", "dest": "command_opt", "default": argparse.SUPPRESS, "metavar": "K=V"},
+    "--out": {},
+    "--cohort": {},
+    "--bags-root": {},
+    "--checkpoint": {},
+    "--bag": {"action": "append"},
+    "--n": {"type": int},
+    "--patches": {"type": span_of(positive_int), "default": "9:16", "help": "LO:HI patches per bag"},
+    "--dim": {"type": positive_int, "default": 512},
+    "--signal": {"type": span_of(bags.finite_float), "default": "0:1", "help": "LO:HI planted signal fraction"},
+    "--censor": {"type": float, "default": 0.25},
+    "--pgm": {"action": "store_true", "help": "also write a PGM raster"},
+    "--pgm-bin": {"type": int, "default": 3, "choices": (0, 1, 2, 3)},
+    "--side": {"type": positive_int, "default": 8, "help": "synthetic grid side when no bag is given"},
+    "--ablation": {"choices": ABLATIONS, "help": "stages to run (default: the checkpoint's own ablation)"},
+    "--risks": {"help": "risk CSV (patient_id,risk)"},
+    "--risks-b": {"help": "second marker CSV"},
+    "--pred": {"help": "prediction CSV"},
+    "--vars": {"help": "comma-separated covariate columns"},
+    "--horizon": {"type": bags.finite_float, "default": 36.0},
+    "--horizons": {"type": finite_floats, "default": "12,36,60"},
+    "--tau": {"type": bags.finite_float, "default": 60.0},
+    "--thresholds": {"type": finite_floats, "default": "0.1,0.2,0.3,0.4,0.5"},
+    "--n-boot": {"type": positive_int, "default": 500},
+    "--features": {"help": "patient_id x feature CSV (default: mean bag features)"},
+    "--genes": {"help": "expression CSV"},
+    "--genes-orientation": {"default": "samples", "choices": ("samples", "genes"),
+                            "help": "'samples': patient rows x gene columns; 'genes': gene rows x patient columns"},
+    "--binary-adjacency": {"action": "store_true"},
+}
+
+# statistic -> (handler, flags it reads, flags it cannot run without)
+STATS = {
+    "km": (_stats_km, ("--cohort", "--risks"), ("--cohort",)),
+    "logrank": (_stats_logrank, ("--cohort", "--risks"), ("--cohort", "--risks")),
+    "cox": (_stats_cox, ("--cohort", "--risks", "--vars"), ("--cohort",)),
+    "timeroc": (_stats_timeroc, ("--cohort", "--risks", "--horizons"), ("--cohort", "--risks")),
+    "rmst": (_stats_rmst, ("--cohort", "--risks", "--tau"), ("--cohort", "--risks")),
+    "boot": (_stats_boot, ("--cohort", "--risks", "--risks-b", "--horizon", "--n-boot"),
+             ("--cohort", "--risks", "--risks-b")),
+    "calib": (_stats_calib, ("--cohort", "--pred", "--horizon"), ("--cohort", "--pred")),
+    "dca": (_stats_dca, ("--cohort", "--pred", "--horizon", "--thresholds"), ("--cohort", "--pred")),
+    "nomogram": (_stats_nomogram, ("--cohort", "--risks", "--vars", "--horizons"), ("--cohort",)),
+}
+
+# command -> (handler, help, flags it reads, flags it cannot run without);
+# every command also reads --seed and writes under the required --out, and
+# stats reads a statistic's name and then that row of STATS
+_TRAINING = ("--jobs", "--config", "--opt", "--cohort", "--bags-root")
+_SCORING = ("--cohort", "--bags-root", "--checkpoint")
+COMMANDS = {
+    "synth": (cmd_synth, "generate a synthetic cohort with bags",
+              ("--n", "--patches", "--dim", "--signal", "--censor"), ("--n",)),
+    "train": (cmd_train, "5-fold cross-validated training", _TRAINING, ("--cohort",)),
+    "eval": (cmd_eval, "risk scores + C-index for a cohort", _SCORING, ("--cohort", "--checkpoint")),
+    "predict": (cmd_predict, "per-patient risk CSV", _SCORING, ("--cohort", "--checkpoint")),
+    "heatmap": (cmd_heatmap, "per-bin attention heatmap CSVs",
+                ("--checkpoint", "--bag", "--cohort", "--bags-root", "--pgm", "--pgm-bin"), ("--checkpoint",)),
+    "erf": (cmd_erf, "effective-receptive-field map", ("--checkpoint", "--bag", "--side", "--ablation"),
+            ("--checkpoint",)),
+    "stats": (cmd_stats, "survival statistics on cohort + score files", STATS, ()),
+    "netlink": (cmd_netlink, "feature/gene network + centrality table",
+                ("--cohort", "--bags-root", "--features", "--genes", "--genes-orientation", "--risks",
+                 "--binary-adjacency"), ("--cohort", "--genes", "--risks")),
+    "ablate": (cmd_ablate, "train all ablation variants and compare", _TRAINING, ("--cohort",)),
+}
+
+
+def _leaf_parsers(subs):
+    """Add a parser per COMMANDS row to ``subs`` and yield (parser, flags it
+    reads, flags it requires) for every entry point: a command, or under
+    stats each statistic."""
+    for name, (handler, help_text, flags, required) in COMMANDS.items():
+        p = subs.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(func=handler)
+        if flags is not STATS:
+            yield p, flags, required
+            continue
+        stat_subs = p.add_subparsers(dest="stat", required=True)
+        for stat, (_, stat_flags, stat_required) in STATS.items():
+            yield stat_subs.add_parser(stat, allow_abbrev=False), stat_flags, stat_required
+
+
 def build_parser() -> argparse.ArgumentParser:
     # no prefix matching: a flag a command does not declare is an error
     parser = argparse.ArgumentParser(prog="tdam", description=__doc__, allow_abbrev=False)
-    parser.add_argument("--seed", type=non_negative_int, default=0, help="run seed; all randomness derives from it")
-    # only train and ablate read these three; run() rejects them before any other command
-    parser.add_argument("--jobs", type=positive_int, default=None,
-                        help="parallel workers (folds); 1 (default) = bitwise deterministic")
-    parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--opt", action="append", default=None, metavar="K=V",
-                        help="config override (repeatable), e.g. model.d_model=64")
-    # a command also accepts the global flags it reads after its name
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=non_negative_int, default=argparse.SUPPRESS)
-    training = argparse.ArgumentParser(add_help=False)
-    training.add_argument("--jobs", type=positive_int, default=argparse.SUPPRESS)
-    training.add_argument("--config", default=argparse.SUPPRESS)
-    # kept apart from the top-level --opt, which a sub-parser's list would replace; run() joins them
-    training.add_argument("--opt", action="append", dest="command_opt", default=argparse.SUPPRESS,
-                          metavar="K=V")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, *parents, **kwargs):
-        return subs.add_parser(name, parents=[common, *parents], allow_abbrev=False, **kwargs)
-
-    p = add_parser("synth", help="generate a synthetic cohort with bags")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--patches", type=span_of(positive_int), default="9:16", help="LO:HI patches per bag")
-    p.add_argument("--dim", type=positive_int, default=512)
-    p.add_argument("--signal", type=span_of(bags.finite_float), default="0:1",
-                   help="LO:HI planted signal fraction")
-    p.add_argument("--censor", type=float, default=0.25)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
-
-    p = add_parser("train", training, help="5-fold cross-validated training")
-    p.add_argument("--cohort", required=True)
-    p.add_argument("--bags-root", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
-
-    p = add_parser("eval", help="risk scores + C-index for a cohort")
-    p.add_argument("--cohort", required=True)
-    p.add_argument("--bags-root", default=None)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
-
-    p = add_parser("predict", help="per-patient risk CSV")
-    p.add_argument("--cohort", required=True)
-    p.add_argument("--bags-root", default=None)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_predict)
-
-    p = add_parser("heatmap", help="per-bin attention heatmap CSVs")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--bag", action="append", default=[])
-    p.add_argument("--cohort", default=None)
-    p.add_argument("--bags-root", default=None)
-    p.add_argument("--pgm", action="store_true", help="also write a PGM raster")
-    p.add_argument("--pgm-bin", type=int, default=3, choices=(0, 1, 2, 3))
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_heatmap)
-
-    p = add_parser("erf", help="effective-receptive-field map")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--bag", default=None)
-    p.add_argument("--side", type=positive_int, default=8, help="synthetic grid side when no bag is given")
-    p.add_argument("--ablation", default=None, choices=ABLATIONS,
-                   help="stages to run (default: the checkpoint's own ablation)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_erf)
-
-    stats = subs.add_parser("stats", help="survival statistics on cohort + score files", allow_abbrev=False)
-    stats.set_defaults(func=cmd_stats)
-    stat_subs = stats.add_subparsers(dest="stat", required=True)
-    for name, (_, flags, required) in STATS.items():
-        p = stat_subs.add_parser(name, parents=[common], allow_abbrev=False)
-        p.add_argument("--cohort", required=True)
-        for flag in flags:
-            p.add_argument(flag, required=flag in required, **STAT_FLAGS[flag])
-        p.add_argument("--out", required=True)
-
-    p = add_parser("netlink", help="feature/gene network + centrality table")
-    p.add_argument("--cohort", required=True)
-    p.add_argument("--bags-root", default=None)
-    p.add_argument("--features", default=None, help="patient_id x feature CSV (default: mean bag features)")
-    p.add_argument("--genes", required=True, help="expression CSV")
-    p.add_argument("--genes-orientation", default="samples", choices=("samples", "genes"),
-                   help="'samples': patient rows x gene columns; 'genes': gene rows x patient columns")
-    p.add_argument("--risks", required=True)
-    p.add_argument("--binary-adjacency", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_netlink)
-
-    p = add_parser("ablate", training, help="train all ablation variants and compare")
-    p.add_argument("--cohort", required=True)
-    p.add_argument("--bags-root", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ablate)
+    # only train and ablate read the last three; run() rejects them before any other command
+    for flag, default, help_text in (
+        ("--seed", 0, "run seed; all randomness derives from it"),
+        ("--jobs", None, "parallel workers (folds); 1 (default) = bitwise deterministic"),
+        ("--config", None, "key=value config file"),
+        ("--opt", None, "config override (repeatable), e.g. model.d_model=64"),
+    ):
+        parser.add_argument(flag, **{**FLAGS[flag], "dest": flag[2:], "default": default, "help": help_text})
+    for p, flags, required in _leaf_parsers(parser.add_subparsers(dest="command", required=True)):
+        for flag in ("--seed", *flags, "--out"):
+            p.add_argument(flag, required=flag == "--out" or flag in required, **FLAGS[flag])
     return parser
 
 

@@ -687,19 +687,29 @@ def grad_check(
 # -- checkpoints ----------------------------------------------------------------
 
 
+def _manifest_tensors(config: ModelConfig, limit: int) -> list[dict]:
+    """The checkpoint's tensor list for ``config``: each tensor's name, shape,
+    dtype and byte offset, contiguous in ``param_layout`` order. Raises
+    TruncatedError once the offsets pass ``limit`` bytes, so a config too big
+    for its file is refused before anything is allocated, and the walk over
+    a huge layer count stops early."""
+    entries, offset = [], 0
+    for name, shape, _ in param_layout(config):
+        entries.append({"name": name, "shape": list(shape), "dtype": "f4", "offset": offset})
+        offset += math.prod(shape) * 4
+        if offset > limit:
+            raise TruncatedError(f"config implies more than the {limit} bytes of weights the file holds")
+    return entries
+
+
 def save_checkpoint(path: str | Path, params: ModelParams, seed: int = 0) -> None:
     """Single-file checkpoint: magic, JSON manifest, then an f32 blob."""
     params.check_finite()
-    manifest_tensors = []
-    offset = 0
-    for name, t in params.tensors.items():
-        manifest_tensors.append({"name": name, "shape": list(t.shape), "dtype": "f4", "offset": offset})
-        offset += t.data.size * 4
     manifest = {
         "version": CKPT_MAGIC.decode(),
         "config": asdict(params.config),
         "seed": int(seed),
-        "tensors": manifest_tensors,
+        "tensors": _manifest_tensors(params.config, params.flat.size * 4),
     }
     payload = json.dumps(manifest, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -724,34 +734,15 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelConfig, int]:
     if not isinstance(config_dict, dict) or not isinstance(entries, list):
         raise FormatError(f"{path}: checkpoint config must be a JSON object and tensors a list")
     config = config_from_dict(config_dict)
-    # the config comes from the file, so its weights must fit the blob before
-    # anything is allocated; this also bounds the walk over a huge layer count
-    implied = 0
-    for _, shape, _ in param_layout(config):
-        implied += math.prod(shape) * 4
-        if implied > len(blob):
-            raise TruncatedError(f"{path}: config implies more than the {len(blob)} bytes of weights the file holds")
-    params = ModelParams(config, np.empty(implied // 4, dtype=np.float32))
-    loaded: set[str] = set()
-    for entry in entries:
-        try:
-            name, shape, lo = entry["name"], entry["shape"], entry["offset"]
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"{path}: tensor entry {entry!r} lacks name, shape or offset") from exc
-        if not isinstance(name, str) or name not in params.tensors or name in loaded:
-            raise FormatError(f"{path}: unexpected or repeated tensor {name!r}")
-        view = params[name].data
-        if shape != list(view.shape):
-            raise FormatError(f"{path}: tensor {name} has shape {shape!r}, config implies {list(view.shape)}")
-        if not isinstance(lo, int) or isinstance(lo, bool) or lo < 0:
-            raise FormatError(f"{path}: tensor {name} has offset {lo!r}, not a byte offset")
-        hi = lo + view.size * 4
-        if hi > len(blob):
-            raise TruncatedError(f"{path}: blob ends before tensor {name}")
-        view[...] = np.frombuffer(blob[lo:hi], dtype="<f4").reshape(view.shape)
-        loaded.add(name)
-    missing = [name for name in params.names() if name not in loaded]
-    if missing:
-        raise FormatError(f"{path}: checkpoint lacks {len(missing)} tensors (first: {missing[0]})")
+    try:
+        expected = _manifest_tensors(config, len(blob))
+    except TruncatedError as exc:
+        raise TruncatedError(f"{path}: {exc}") from None
+    # compared as JSON text, so neither 0.0 nor false passes for an offset of 0
+    if json.dumps(entries, sort_keys=True) != json.dumps(expected, sort_keys=True):
+        raise FormatError(f"{path}: the tensor list is not the config's layout "
+                          "(each tensor in order, its shape, dtype f4 and contiguous offsets)")
+    size = sum(math.prod(entry["shape"]) for entry in expected)
+    params = ModelParams(config, np.frombuffer(blob, dtype="<f4", count=size).astype(np.float32))
     params.check_finite()
     return params, config, seed

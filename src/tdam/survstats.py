@@ -10,7 +10,7 @@ net benefit, and a points-based nomogram over a fitted Cox model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -201,7 +201,6 @@ class CoxFit:
     baseline_cumhaz: np.ndarray  # Breslow cumulative hazard at covariates = 0
     n_iter: int
     score_norm: float
-    x_mean: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def linear_predictor(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=np.float64) @ self.beta
@@ -339,7 +338,6 @@ def coxph_fit(times, events, x, names=None) -> CoxFit:
         baseline_cumhaz=np.cumsum(d / risk_w),
         n_iter=n_iter,
         score_norm=float(np.abs(score).max()),
-        x_mean=x.mean(axis=0),
     )
 
 

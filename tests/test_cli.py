@@ -423,6 +423,34 @@ def test_each_entry_point_accepts_only_the_flags_it_reads():
     assert top == {"--seed", "--jobs", "--config", "--opt"}
 
 
+def test_every_flag_in_the_table_is_read_by_some_command():
+    """FLAGS holds no flag that no command or statistic declares."""
+    read = {"--seed", "--out"}
+    for _, _, flags, _ in cli.COMMANDS.values():
+        read.update(flags if flags is not cli.STATS else ())
+    for _, flags, _ in cli.STATS.values():
+        read.update(flags)
+    assert read == set(cli.FLAGS)
+
+
+@pytest.mark.parametrize("command", list(FLAG_SURFACE))
+def test_each_entry_point_prints_its_help(capsys, command):
+    """argparse formats the table's help strings only here, so a stray %
+    in one would first fail a user's --help."""
+    assert cli.run([*command.split(), "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: tdam {command} [-h] [--seed SEED]")
+
+
+def test_write_csv_writes_every_float_as_its_repr(tmp_path):
+    """numpy float cells are written as the Python float's repr, never as
+    np.float64(...); int and str cells are written unchanged."""
+    value = 0.1 + 0.2
+    row = [np.float32(0.1), np.float64(value), value, np.int64(7), 3, "x", ""]
+    cli.write_csv(tmp_path / "t.csv", list("abcdefg"), [row], seed=1, chash="0")
+    _, rows = read_csv_rows(tmp_path / "t.csv")
+    assert rows == [[repr(float(np.float32(0.1))), repr(value), repr(value), "7", "3", "x", ""]]
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["predict", "--opt", "model.ablation=no_agent", "--cohort", "{cohort}",
                   "--checkpoint", "{ckpt}", "--out", "{out}"], id="predict-opt"),
@@ -573,6 +601,12 @@ def _edit_tensors(edit):
                  "FormatError", id="no-offset"),
     pytest.param(_edit_tensors(lambda ts: [{**ts[0], "offset": "0"}] + ts[1:]), "FormatError", id="bad-offset"),
     pytest.param(_edit_tensors(lambda ts: {"proj.W": ts[0]}), "FormatError", id="tensors-not-a-list"),
+    # the list is the config's layout: in order, with contiguous offsets
+    pytest.param(_edit_tensors(lambda ts: [ts[1], ts[0]] + ts[2:]), "FormatError", id="out-of-order"),
+    pytest.param(_edit_tensors(lambda ts: ts[:-1] + [{**ts[-1], "offset": ts[-1]["offset"] + 4}]),
+                 "FormatError", id="offset-gap"),
+    pytest.param(_edit_tensors(lambda ts: [{**ts[0], "offset": False}] + ts[1:]), "FormatError",
+                 id="offset-false"),
     # a config whose weights would not fit the file is refused before any is built
     pytest.param(lambda m: json.dumps({**m, "config": {**m["config"], "d_model": 65536, "n_heads": 1}}).encode(),
                  "TruncatedError", id="huge-d-model"),
@@ -698,6 +732,22 @@ def test_netlink_rejects_bad_matrix_csv(tmp_path, capsys, orientation, defect):
     payload = single_json_error(capsys)
     assert payload["error"] == "DataError"
     assert str(genes) in payload["message"] and ids[3] in payload["message"]
+
+
+def test_matrix_reader_reads_both_layouts_alike(tmp_path):
+    """One matrix written in each layout reads to the same names and array,
+    its rows in the order of the ids asked for."""
+    ids = [f"P{i:04d}" for i in range(5)]
+    read = {}
+    for orientation in ("samples", "genes"):
+        path = tmp_path / f"{orientation}.csv"
+        write_matrix(path, ids, orientation)
+        read[orientation] = cli._read_matrix_csv(str(path), ids[::-1], by_column=orientation == "genes")
+    (names_s, values_s), (names_g, values_g) = read["samples"], read["genes"]
+    assert names_s == names_g == ["G0", "G1", "G2"]
+    assert values_s.shape == (5, 3)
+    np.testing.assert_array_equal(values_s, values_g)
+    np.testing.assert_array_equal(values_s, np.random.default_rng(0).standard_normal((5, 3))[::-1])
 
 
 @pytest.mark.parametrize("orientation", ["samples", "genes"])

@@ -1033,7 +1033,6 @@ def coxph_fit_oracle(times, events, x, names=None) -> ss.CoxFit:
         baseline_cumhaz=np.cumsum(d / risk_w),
         n_iter=n_iter,
         score_norm=float(np.abs(score).max()),
-        x_mean=x.mean(axis=0),
     )
 
 
