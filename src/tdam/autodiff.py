@@ -12,7 +12,10 @@ diagonal recurrence and readout, run in chunks and recomputed in backward).
 window view of the padded grid by the kernel in one product and sums the
 taps in one reduction, in row-major tap order from +0.0, so it keeps the
 bits of a loop over the taps; products are cut into blocks of output rows
-(whole taps, for the kernel adjoint) of at most CONV_BLOCK_BYTES.
+(whole taps, for the kernel adjoint) of at most CONV_BLOCK_BYTES. Both
+fused ops take leading batch axes (a stack of grids, of sequences), as the
+elementwise ops and matmul do by broadcasting, so a stack of bags runs
+through the model in one pass.
 The model adds two more fused ops through :func:`_node`, each with a
 hand-written backward: ``layer_norm`` and the Newton-Schulz
 pseudo-inverse. Forward dtype is preserved, so the same graph runs in
@@ -311,11 +314,13 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def _scan_chunk(delta, a, b_in, u, h0, work):
     """Discretize one chunk and run its recurrence from the state ``h0``.
 
-    Fills ``work`` = (da, abar, expm1(da)/da, h), each (L, d, s), in place,
-    and returns the mask of entries where expm1(da)/da took its series.
+    ``delta`` and ``u`` are (L, ..., d) and ``b_in`` is (L, ..., s), token
+    axis first. Fills ``work`` = (da, abar, expm1(da)/da, h), each
+    (L, ..., d, s), in place, and returns the mask of entries where
+    expm1(da)/da took its series.
     """
     da, abar, e, h = work
-    d3 = delta[:, :, None]
+    d3 = delta[..., None]
     np.multiply(d3, a, out=da)
     np.exp(da, out=abar)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -327,8 +332,8 @@ def _scan_chunk(delta, a, b_in, u, h0, work):
         e[small] = 1.0 + zs * 0.5 + zs * zs / 6.0
     # h[t] = contrib[t] + abar[t] * h[t-1], built in place over contrib
     np.multiply(d3, e, out=h)
-    h *= b_in[:, None, :]
-    h *= u[:, :, None]
+    h *= b_in[..., None, :]
+    h *= u[..., None]
     step = np.empty_like(h0)
     prev = h0
     for abar_t, h_t in zip(abar, h):
@@ -341,63 +346,72 @@ def _scan_chunk(delta, a, b_in, u, h0, work):
 def linear_recurrence(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor, u: Tensor) -> Tensor:
     """The selective scan's recurrence with its discretization and readout fused in.
 
-    ``delta`` and ``u`` are (n, d), ``b_in`` and ``c_out`` are (n, s) and
-    ``a`` is (d, s). With a zero-order hold, per step t::
+    ``delta`` and ``u`` are (..., n, d), ``b_in`` and ``c_out`` are
+    (..., n, s) and ``a`` is (d, s); leading axes are independent sequences
+    (bags) that share ``a``. With a zero-order hold, per step t::
 
         abar[t] = exp(delta[t] a)
         h[t]    = abar[t] * h[t-1] + delta[t] expm1(delta[t] a)/(delta[t] a) * b_in[t] * u[t]
         y[t]    = sum_j h[t, :, j] * c_out[t, j]
 
-    with h[-1] = 0; returns y, (n, d). expm1(z)/z takes its series
+    with h[-1] = 0; returns y, (..., n, d). expm1(z)/z takes its series
     1 + z/2 + z^2/6 where |z| < 1e-5, so A = 0 is no singularity. The
-    (n, d, s) intermediates never exist at once: the forward pass walks
+    (n, ..., d, s) intermediates never exist at once: the forward pass walks
     chunks of SCAN_CHUNK steps and keeps only the state at each chunk start,
     and the backward pass walks the chunks in reverse, recomputes each one
     from its start state and runs the reverse-time adjoint scan through it.
+    Each step of the Python loop advances the states of every sequence at
+    once. Every value is computed elementwise or summed along the state axis
+    alone, so a sequence gets the same bits alone as in a stack.
     """
     dv, av, bv, cv, uv = delta.data, a.data, b_in.data, c_out.data, u.data
-    n, d = dv.shape
+    *lead, n, d = dv.shape
     s = av.shape[1]
-    if uv.shape != (n, d) or av.shape != (d, s) or bv.shape != (n, s) or cv.shape != (n, s):
+    if uv.shape != dv.shape or av.shape != (d, s) or bv.shape != (*lead, n, s) or cv.shape != bv.shape:
         raise ValueError("linear_recurrence operands have inconsistent shapes")
+    # token axis first, as views; one sequence keeps its own layout
+    dt, bt, ct, ut = (np.moveaxis(x, -2, 0) for x in (dv, bv, cv, uv))
     dtype = np.result_type(dv, av, bv, uv)
     chunks = [slice(lo, min(lo + SCAN_CHUNK, n)) for lo in range(0, n, SCAN_CHUNK)]
-    work = np.empty((4, min(n, SCAN_CHUNK), d, s), dtype=dtype)
+    work = np.empty((4, min(n, SCAN_CHUNK), *lead, d, s), dtype=dtype)
     starts = []
-    state = np.zeros((d, s), dtype=dtype)
-    y = np.empty((n, d), dtype=np.result_type(dtype, cv))
+    state = np.zeros((*lead, d, s), dtype=dtype)
+    y = np.empty((*lead, n, d), dtype=np.result_type(dtype, cv))
+    yt = np.moveaxis(y, -2, 0)
     for ck in chunks:
         starts.append(state)
         part = work[:, : ck.stop - ck.start]
-        _scan_chunk(dv[ck], av, bv[ck], uv[ck], state, part)
+        _scan_chunk(dt[ck], av, bt[ck], ut[ck], state, part)
         # expm1(da)/da is spent once h is built, so its buffer takes the readout product
         h, prod = part[3], part[2]
-        np.multiply(h, cv[ck, None, :], out=prod)
-        prod.sum(axis=2, out=y[ck])
+        np.multiply(h, ct[ck][..., None, :], out=prod)
+        prod.sum(axis=-1, out=yt[ck])
         state = h[-1].copy()
 
     def bw(g):
         g_delta, g_b, g_c, g_u = (np.empty_like(x) for x in (dv, bv, cv, uv))
+        gdt, gbt, gct, gut = (np.moveaxis(x, -2, 0) for x in (g_delta, g_b, g_c, g_u))
+        gt = np.moveaxis(g, -2, 0)
         g_a = np.zeros_like(av)
         carry = np.zeros_like(state)
         for ck, h0 in zip(reversed(chunks), reversed(starts)):
             part = work[:, : ck.stop - ck.start]
-            small = _scan_chunk(dv[ck], av, bv[ck], uv[ck], h0, part)
+            small = _scan_chunk(dt[ck], av, bt[ck], ut[ck], h0, part)
             da, abar, e, h = part
-            gk, dk, uk, bk = g[ck], dv[ck], uv[ck], bv[ck]
-            g_c[ck] = np.matmul(gk[:, None, :], h)[:, 0]
+            gk, dk, uk, bk = gt[ck], dt[ck], ut[ck], bt[ck]
+            gct[ck] = np.matmul(gk[..., None, :], h)[..., 0, :]
             # adjoint of h[t]: its readout plus abar[t+1] times the adjoint of h[t+1]
-            gh = gk[:, :, None] * cv[ck, None, :]
+            gh = gk[..., None] * ct[ck][..., None, :]
             for abar_t, gh_t in zip(abar[::-1], gh[::-1]):
                 gh_t += carry
                 np.multiply(abar_t, gh_t, out=carry)
             # contrib = delta e b u: with w = gh e, g_b = (delta u) . w and
             # g_u, g_delta collect delta (w b) and u (w b)
             w = gh * e
-            wb = np.matmul(w, bk[:, :, None])[:, :, 0]
+            wb = np.matmul(w, bk[..., None])[..., 0]
             du = dk * uk
-            g_b[ck] = np.matmul(du[:, None, :], w)[:, 0]
-            g_u[ck] = dk * wb
+            gbt[ck] = np.matmul(du[..., None, :], w)[..., 0, :]
+            gut[ck] = dk * wb
             # d/dz expm1(z)/z = (exp(z) - expm1(z)/z) / z
             with np.errstate(divide="ignore", invalid="ignore"):
                 de = (abar - e) / da
@@ -409,11 +423,11 @@ def linear_recurrence(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor, u: 
             h[0] = h0
             g_da = h
             g_da *= abar
-            de *= du[:, :, None] * bk[:, None, :]
+            de *= du[..., None] * bk[..., None, :]
             g_da += de
             g_da *= gh
-            g_delta[ck] = uk * wb + np.einsum("tij,ij->ti", g_da, av)
-            g_a += np.einsum("tij,ti->ij", g_da, dk)
+            gdt[ck] = uk * wb + np.einsum("t...ij,ij->t...i", g_da, av)
+            g_a += np.einsum("tij,ti->ij", g_da.reshape(-1, d, s), dk.reshape(-1, d))
         delta._accum(g_delta)
         a._accum(g_a)
         b_in._accum(g_b)
@@ -423,37 +437,38 @@ def linear_recurrence(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor, u: 
 
 
 def _tap_windows(pad: np.ndarray, kh: int, kw: int, row: int, rows: int, flip: bool = False) -> np.ndarray:
-    """The (kh, kw, rows, W, C) view ``v[i, j, r, w] = pad[row + r + i, w + j]``
-    of the padded grid ``pad``, (H + kh - 1, W + kw - 1, C) and C-contiguous;
-    with ``flip``, tap (i, j) reads tap (kh-1-i, kw-1-j). Built directly on
-    pad's buffer, which costs a fraction of a ``sliding_window_view``."""
-    s0, s1, s2 = pad.strides
+    """The (kh, kw, ..., rows, W, C) view ``v[i, j, ..., r, w] = pad[..., row + r + i, w + j]``
+    of the padded grid ``pad``, (..., H + kh - 1, W + kw - 1, C) and
+    C-contiguous; with ``flip``, tap (i, j) reads tap (kh-1-i, kw-1-j). Built
+    directly on pad's buffer, which costs a fraction of a ``sliding_window_view``."""
+    *lead_strides, s0, s1, s2 = pad.strides
     offset = row * s0
     t0, t1 = s0, s1
     if flip:
         offset += (kh - 1) * s0 + (kw - 1) * s1
         t0, t1 = -s0, -s1
-    shape = (kh, kw, rows, pad.shape[1] - kw + 1, pad.shape[2])
-    return np.ndarray(shape, pad.dtype, buffer=pad, offset=offset, strides=(t0, t1, s0, s1, s2))
+    shape = (kh, kw, *pad.shape[:-3], rows, pad.shape[-2] - kw + 1, pad.shape[-1])
+    return np.ndarray(shape, pad.dtype, buffer=pad, offset=offset, strides=(t0, t1, *lead_strides, s0, s1, s2))
 
 
 def _tap_sum(pad: np.ndarray, kv: np.ndarray, flip: bool = False) -> np.ndarray:
-    """``out[h, w] = sum over taps (i, j) of window[i, j, h, w] * kv[i, j]``,
+    """``out[..., h, w] = sum over taps (i, j) of window[i, j, ..., h, w] * kv[i, j]``,
     the taps added in row-major order onto +0.0, ``window`` as in
-    :func:`_tap_windows`. Works in blocks of output rows whose products stay
-    within CONV_BLOCK_BYTES."""
+    :func:`_tap_windows`. Works in blocks of output rows (of every grid in
+    the stack at once) whose products stay within CONV_BLOCK_BYTES."""
     kh, kw, c = kv.shape
-    h, w = pad.shape[0] - kh + 1, pad.shape[1] - kw + 1
-    out = np.empty((h, w, c), dtype=pad.dtype)
-    rows = min(h, max(1, CONV_BLOCK_BYTES // (kh * kw * w * c * pad.itemsize)))
-    prod = np.empty((kh * kw, rows, w, c), dtype=pad.dtype)
-    weights = kv[:, :, None, None, :]
+    *lead, hp, wp, _ = pad.shape
+    h, w = hp - kh + 1, wp - kw + 1
+    out = np.empty((*lead, h, w, c), dtype=pad.dtype)
+    rows = min(h, max(1, CONV_BLOCK_BYTES // (kh * kw * math.prod(lead) * w * c * pad.itemsize)))
+    prod = np.empty((kh * kw, *lead, rows, w, c), dtype=pad.dtype)
+    weights = kv[(slice(None), slice(None)) + (None,) * (len(lead) + 2)]
     for row in range(0, h, rows):
         n = min(rows, h - row)
-        block = prod[:, :n]
-        np.multiply(_tap_windows(pad, kh, kw, row, n, flip), weights, out=block.reshape(kh, kw, n, w, c))
+        block = prod[..., :n, :, :]
+        np.multiply(_tap_windows(pad, kh, kw, row, n, flip), weights, out=block.reshape(kh, kw, *block.shape[1:]))
         # the tap axis is outermost, so each output element sums its taps in order
-        np.add.reduce(block, axis=0, initial=0.0, out=out[row:row + n])
+        np.add.reduce(block, axis=0, initial=0.0, out=out[..., row:row + n, :, :])
     return out
 
 
@@ -470,17 +485,18 @@ def _tap_blocks(kh: int, kw: int, taps: int) -> list[tuple[slice, slice]]:
 def dwconv2d(x: Tensor, kernel: Tensor) -> Tensor:
     """Depthwise 2-D convolution, stride 1, zero-padded to the same size.
 
-    ``x`` is (H, W, C); ``kernel`` is (kh, kw, C) with odd kh, kw. Channel c
-    of the output depends only on channel c of the input:
-    ``y[h, w] = sum over taps (i, j) of xpad[h + i, w + j] * kernel[i, j]``.
+    ``x`` is (..., H, W, C), leading axes a stack of grids; ``kernel`` is
+    (kh, kw, C) with odd kh, kw. Channel c of the output depends only on
+    channel c of the input:
+    ``y[..., h, w] = sum over taps (i, j) of xpad[..., h + i, w + j] * kernel[i, j]``.
 
-    Each kernel is one product of a (kh, kw, rows, W, C) window view of the
-    padded input with the kernel, then one reduction over the tap axis that
-    adds the taps in row-major (i, j) order onto +0.0. The input adjoint is
-    the same product over the zero-padded output adjoint with both tap axes
-    flipped; the kernel adjoint sums each tap's product with the adjoint over
-    (H, W), several whole taps at a time. Every product is cut into blocks
-    of output rows (of taps, for the kernel adjoint) of at most
+    Each kernel is one product of a (kh, kw, ..., rows, W, C) window view of
+    the padded input with the kernel, then one reduction over the tap axis
+    that adds the taps in row-major (i, j) order onto +0.0. The input adjoint
+    is the same product over the zero-padded output adjoint with both tap
+    axes flipped; the kernel adjoint sums each tap's product with the adjoint
+    over (..., H, W), several whole taps at a time. Every product is cut into
+    blocks of output rows (of taps, for the kernel adjoint) of at most
     CONV_BLOCK_BYTES, so a paper-width grid takes one row, or one tap, per
     block. Each output, adjoint included, keeps the bits of the per-tap
     loop ``y += xpad[i:i+H, j:j+W] * kernel[i, j]`` for a finite kernel.
@@ -488,24 +504,25 @@ def dwconv2d(x: Tensor, kernel: Tensor) -> Tensor:
     xv, kv = x.data, kernel.data
     kh, kw, _ = kv.shape
     ph, pw = kh // 2, kw // 2
-    H, W, C = xv.shape
-    xpad = np.zeros((H + 2 * ph, W + 2 * pw, C), dtype=xv.dtype)
-    xpad[ph:ph + H, pw:pw + W] = xv
+    *lead, H, W, C = xv.shape
+    xpad = np.zeros((*lead, H + 2 * ph, W + 2 * pw, C), dtype=xv.dtype)
+    inner = (Ellipsis, slice(ph, ph + H), slice(pw, pw + W), slice(None))
+    xpad[inner] = xv
     y = _tap_sum(xpad, kv)
 
     def bw(g):
-        # each tap's product with g, summed over (H, W) as the loop's .sum did
+        # each tap's product with g, summed over (..., H, W) as the loop's .sum did
         dk = np.empty_like(kv)
         windows = _tap_windows(xpad, kh, kw, 0, H)
-        taps = max(1, CONV_BLOCK_BYTES // (H * W * C * xpad.itemsize))
+        taps = max(1, CONV_BLOCK_BYTES // (xv.size * xpad.itemsize))
         prod = np.empty((min(taps, kh * kw),) + xv.shape, dtype=xv.dtype)
         for bi, bj in _tap_blocks(kh, kw, taps):
             block = windows[bi, bj]
             out = prod[:block.shape[0] * block.shape[1]].reshape(block.shape)
             np.multiply(block, g, out=out)
-            out.sum(axis=(2, 3), out=dk[bi, bj])
+            out.sum(axis=tuple(range(2, out.ndim - 1)), out=dk[bi, bj])
         kernel._accum(dk)
         gpad = np.zeros_like(xpad)
-        gpad[ph:ph + H, pw:pw + W] = g
+        gpad[inner] = g
         x._accum(_tap_sum(gpad, kv, flip=True))
     return _node(y, (x, kernel), bw)

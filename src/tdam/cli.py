@@ -231,9 +231,12 @@ def cmd_heatmap(args, opts, seed, chash) -> int:
 
 
 def cmd_erf(args, opts, seed, chash) -> int:
+    # --bag repeats for heatmap, but an ERF map is of one bag
+    if args.bag and len(args.bag) > 1:
+        raise DataError(f"erf maps one bag, but --bag was given {len(args.bag)} times")
     params, config, _ = load_checkpoint(args.checkpoint)
     params = ModelParams(config.with_ablation(args.ablation or config.ablation), params.flat)
-    bag = bags.load_bag(args.bag[-1]) if args.bag else None
+    bag = bags.load_bag(args.bag[0]) if args.bag else None
     erf = explain.erf_map(bag, params, side=args.side, seed=seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -334,6 +337,11 @@ def _stats_calib(args, cohort, times, events):
 
 def _stats_dca(args, cohort, times, events):
     pred = _aligned_scores(cohort, read_score_csv(args.pred))
+    outside = np.flatnonzero((pred < 0.0) | (pred > 1.0))
+    if outside.size:
+        i = outside[0]
+        raise DataError(f"{args.pred}: patient {cohort.records[i].patient_id} has predicted probability "
+                        f"{float(pred[i])!r}, outside [0, 1]")
     rows = survstats.dca_curve(pred, times, events, args.horizon, args.thresholds)
     return {"dca.csv": (
         ["threshold", "net_benefit", "treat_all", "treat_none"],
@@ -360,7 +368,19 @@ def _stats_nomogram(args, cohort, times, events):
     }
 
 
+def _check_stat_bounds(args) -> None:
+    """Refuse what argparse's finite-number types let through: a horizon
+    that is not > 0, or a decision threshold outside (0, 1)."""
+    for h in [*getattr(args, "horizons", []), *([args.horizon] if hasattr(args, "horizon") else [])]:
+        if not h > 0:
+            raise DataError(f"horizon {h!r} must be > 0")
+    for t in getattr(args, "thresholds", []):
+        if not 0 < t < 1:
+            raise DataError(f"threshold {t!r} must lie in (0, 1)")
+
+
 def cmd_stats(args, opts, seed, chash) -> int:
+    _check_stat_bounds(args)
     out = Path(args.out)
     cohort = bags.load_cohort_manifest(args.cohort)
     handler = STATS[args.stat][0]
@@ -437,6 +457,8 @@ def _read_matrix_csv(path: str, ids: list[str], by_column: bool) -> tuple[list[s
         for r in rows[1:]:
             if len(r) < len(rows[0]):
                 raise DataError(f"{path}: gene row {r[0]!r} ends before patient {rows[0][len(r)]}")
+            if len(r) > len(rows[0]):
+                raise DataError(f"{path}: gene row {r[0]!r} has {len(r)} cells, the header has {len(rows[0])}")
         rows = [list(column) for column in zip(*rows)]
     header = rows[0]
     by_id: dict[str, list[float]] = {}

@@ -8,7 +8,9 @@ reordering of the tokens -> gated attention pooling -> 4 bin logits.
 
 Everything runs on the tape engine in :mod:`tdam.autodiff`, so analytic
 gradients of the survival loss are available for training and can be checked
-against finite differences (:func:`grad_check`).
+against finite differences (:func:`grad_check`). Every stage also takes
+leading batch axes, so bags of one padded grid size can run as one stack
+(:func:`forward` on a list), each with the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -288,11 +290,19 @@ def project_input(x: np.ndarray | Tensor, params: ModelParams) -> Tensor:
     return gelu(x @ params["proj.W"] + params["proj.b"])
 
 
+def padded_grid_size(n: int) -> int:
+    """n', the least perfect square >= n: the grid a bag of ``n`` patches is
+    cycle-padded to. Every shape after padding depends only on n'."""
+    if n < 1:
+        raise ShapeError(f"a bag needs at least one patch, got {n}")
+    return (math.isqrt(n - 1) + 1) ** 2
+
+
 def pad_square_with_class(xp: Tensor, params: ModelParams) -> tuple[Tensor, int]:
     """Cycle tokens from the sequence start up to the next perfect square,
     then prepend the class token."""
     n = xp.shape[0]
-    n_prime = (math.isqrt(n - 1) + 1) ** 2
+    n_prime = padded_grid_size(n)
     grid = xp if n_prime == n else xp.take(np.arange(n_prime) % n, axis=0)
     return concat([params["cls_token"], grid], axis=0), n_prime
 
@@ -306,17 +316,23 @@ def _grid_side(n_tokens: int) -> int:
 
 
 def _to_heads(x: Tensor, n_heads: int) -> Tensor:
-    """(n, d_model) -> (n_heads, n, d_head) as one tape node."""
-    n, dm = x.shape
-    return _node(x.data.reshape(n, n_heads, dm // n_heads).transpose(1, 0, 2), (x,),
-                 lambda g: x._accum(g.transpose(1, 0, 2).reshape(n, dm)))
+    """(..., n, d_model) -> (..., n_heads, n, d_head) as one tape node."""
+    *lead, n, dm = x.shape
+    return _node(x.data.reshape(*lead, n, n_heads, dm // n_heads).swapaxes(-3, -2), (x,),
+                 lambda g: x._accum(g.swapaxes(-3, -2).reshape(*lead, n, dm)))
 
 
 def _from_heads(x: Tensor) -> Tensor:
-    """(n_heads, n, d_head) -> (n, d_model) as one tape node."""
-    h, n, dh = x.shape
-    return _node(x.data.transpose(1, 0, 2).reshape(n, h * dh), (x,),
-                 lambda g: x._accum(g.reshape(n, h, dh).transpose(1, 0, 2)))
+    """(..., n_heads, n, d_head) -> (..., n, d_model) as one tape node."""
+    *lead, h, n, dh = x.shape
+    return _node(x.data.swapaxes(-3, -2).reshape(*lead, n, h * dh), (x,),
+                 lambda g: x._accum(g.reshape(*lead, n, h, dh).swapaxes(-3, -2)))
+
+
+def _swap_last(x: Tensor) -> Tensor:
+    """``x`` with its last two axes swapped (a stack of transposed matrices)."""
+    nd = len(x.shape)
+    return x.transpose(*range(nd - 2), nd - 1, nd - 2)
 
 
 def _segment_mean_matrix(n: int, m: int, dtype) -> np.ndarray:
@@ -332,7 +348,8 @@ def _segment_mean_matrix(n: int, m: int, dtype) -> np.ndarray:
 
 
 def newton_schulz_pinv(a: Tensor, iters: int) -> Tensor:
-    """Iterative Moore-Penrose pseudo-inverse of a stack of square matrices.
+    """Iterative Moore-Penrose pseudo-inverse of a stack of square matrices,
+    (..., m, m).
 
     One tape op: z0 = a^T / (|a|_1 |a|_inf), then per iteration, with
     az = a z, z <- 0.25 z (13 I - az (15 I - az (7 I - az))). The backward
@@ -347,7 +364,7 @@ def newton_schulz_pinv(a: Tensor, iters: int) -> Tensor:
     norm1 = col_sums.max(axis=-1, keepdims=True)
     norm_inf = row_sums.max(axis=-2, keepdims=True)
     den = norm1 * norm_inf
-    at = av.transpose(0, 2, 1)
+    at = av.swapaxes(-1, -2)
     z = at / den
     steps = []
     for _ in range(iters):
@@ -370,7 +387,7 @@ def newton_schulz_pinv(a: Tensor, iters: int) -> Tensor:
             g_a.append(g_az @ z.swapaxes(-1, -2))
             g = g_zs * 0.25 + at @ g_az
         g_den = _unbroadcast(-g * at / (den * den), den.shape)
-        g_a.append((g / den).transpose(0, 2, 1))
+        g_a.append((g / den).swapaxes(-1, -2))
         # each norm is a max over sums of a: its adjoint goes to the maximal sums
         for sums, norm, axis, g_norm in ((col_sums, norm1, -1, g_den * norm_inf),
                                          (row_sums, norm_inf, -2, g_den * norm1)):
@@ -383,21 +400,23 @@ def newton_schulz_pinv(a: Tensor, iters: int) -> Tensor:
 
 def _attention_core(fn, x: Tensor, *weights: Tensor) -> Tensor:
     """``fn(x, *weights)``, recomputed in backward once ``x`` has at least
-    RECOMPUTE_MIN_TOKENS rows. The re-run happens in backward, outside any
-    forward, so ``fn`` calls none of the public stages that ``forward`` looks
-    up in this module (a profiler may label those with the forward's mode).
+    RECOMPUTE_MIN_TOKENS rows per bag. The re-run happens in backward,
+    outside any forward, so ``fn`` calls none of the public stages that
+    ``forward`` looks up in this module (a profiler may label those with the
+    forward's mode).
 
     Gradients keep their bits because ``x`` and each weight feed only this
     core: checkpoint hands an input its whole adjoint from ``fn`` as one
     term, which would change the order of a sum over uses outside ``fn``."""
-    if x.shape[0] >= RECOMPUTE_MIN_TOKENS:
+    if x.shape[-2] >= RECOMPUTE_MIN_TOKENS:
         return checkpoint(fn, x, *weights)
     return fn(x, *weights)
 
 
 def _nystrom_core(cfg: ModelConfig, x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) -> Tensor:
-    """Multi-head Nystrom attention of the normalized rows ``x``, through ``wo``."""
-    n = x.shape[0]
+    """Multi-head Nystrom attention of the normalized rows ``x``, (..., n,
+    d_model), through ``wo``."""
+    n = x.shape[-2]
     scale = 1.0 / math.sqrt(cfg.head_dim)
     q = _to_heads(x @ wq, cfg.n_heads) * scale
     k = _to_heads(x @ wk, cfg.n_heads)
@@ -406,14 +425,14 @@ def _nystrom_core(cfg: ModelConfig, x: Tensor, wq: Tensor, wk: Tensor, wv: Tenso
     if m == n:
         # segment size 1: F pinv(A) B collapses to A A+ A = A, i.e. exact
         # softmax attention, which the landmark construction computes directly
-        out = (q @ k.transpose(0, 2, 1)).softmax() @ v
+        out = (q @ _swap_last(k)).softmax() @ v
     else:
         seg = _segment_mean_matrix(n, m, x.data.dtype)
         q_land = seg @ q
         k_land = seg @ k
-        kernel_f = (q @ k_land.transpose(0, 2, 1)).softmax()
-        kernel_a = (q_land @ k_land.transpose(0, 2, 1)).softmax()
-        kernel_b = (q_land @ k.transpose(0, 2, 1)).softmax()
+        kernel_f = (q @ _swap_last(k_land)).softmax()
+        kernel_a = (q_land @ _swap_last(k_land)).softmax()
+        kernel_b = (q_land @ _swap_last(k)).softmax()
         out = kernel_f @ (newton_schulz_pinv(kernel_a, cfg.pinv_iters) @ (kernel_b @ v))
     return _from_heads(out) @ wo
 
@@ -435,19 +454,21 @@ def ppeg_encode(seq: Tensor, params: ModelParams) -> Tensor:
     """Multi-scale depthwise-conv positional encoding on the token grid.
 
     The class token bypasses; the remaining tokens are reshaped to their
-    square grid and receive Conv7 + Conv5 + Conv3 + identity.
+    square grid and receive Conv7 + Conv5 + Conv3 + identity. ``seq`` is
+    (..., 1 + n', d_model).
     """
-    n_grid = seq.shape[0] - 1
+    *lead, n_tokens, dm = seq.shape
+    n_grid = n_tokens - 1
     side = _grid_side(n_grid)
-    cls_row = seq[0:1]
-    img = seq[1:].reshape(side, side, seq.shape[1])
+    cls_row = seq[..., 0:1, :]
+    img = seq[..., 1:, :].reshape(*lead, side, side, dm)
     out = (
         dwconv2d(img, params["ppeg.K7"])
         + dwconv2d(img, params["ppeg.K5"])
         + dwconv2d(img, params["ppeg.K3"])
         + img
     )
-    return concat([cls_row, out.reshape(n_grid, seq.shape[1])], axis=0)
+    return concat([cls_row, out.reshape(*lead, n_grid, dm)], axis=-2)
 
 
 def _nearest_grid_index(side: int, stored_side: int) -> np.ndarray:
@@ -461,13 +482,13 @@ _AGENT_WEIGHTS = ("Wq", "Wkv", "P_agent", "Wdw", "Wout", "B_A2P", "B_P2A")
 
 def _agent_core(cfg: ModelConfig, x: Tensor, wq: Tensor, wkv: Tensor, p_agent: Tensor, wdw: Tensor,
                 wout: Tensor, bias_a2p: Tensor, bias_p2a: Tensor) -> Tensor:
-    """Agent attention of the grid rows ``x``, through ``wout``."""
-    n = x.shape[0]
+    """Agent attention of the grid rows ``x``, (..., n, d_model), through ``wout``."""
+    *lead, n, _ = x.shape
     side = _grid_side(n)
     dm = cfg.d_model
     q = x @ wq
     kv = x @ wkv
-    k, v = kv[:, :dm], kv[:, dm:]
+    k, v = kv[..., :dm], kv[..., dm:]
     scale = 1.0 / math.sqrt(cfg.head_dim)
     qh = _to_heads(q, cfg.n_heads) * scale
     kh = _to_heads(k, cfg.n_heads)
@@ -477,11 +498,11 @@ def _agent_core(cfg: ModelConfig, x: Tensor, wq: Tensor, wkv: Tensor, p_agent: T
         idx = _nearest_grid_index(side, cfg.agent_bias_side)
         bias_a2p = bias_a2p.take(idx, axis=2)
         bias_p2a = bias_p2a.take(idx, axis=1)
-    a2p = (agents @ kh.transpose(0, 2, 1) + bias_a2p).softmax()
+    a2p = (agents @ _swap_last(kh) + bias_a2p).softmax()
     agents_updated = a2p @ vh
-    p2a = (qh @ agents_updated.transpose(0, 2, 1) + bias_p2a).softmax()
+    p2a = (qh @ _swap_last(agents_updated) + bias_p2a).softmax()
     attended = _from_heads(p2a @ agents_updated)
-    local = dwconv2d(v.reshape(side, side, dm), wdw).reshape(n, dm)
+    local = dwconv2d(v.reshape(*lead, side, side, dm), wdw).reshape(*lead, n, dm)
     return (local + attended) @ wout
 
 
@@ -514,19 +535,18 @@ def selective_scan(x: Tensor, params: ModelParams, layer: int) -> Tensor:
     plus a learned skip D. Discretization, recurrence and readout run as the
     one fused op :func:`tdam.autodiff.linear_recurrence`. The scan runs on
     the stride-reordered sequence and the result is permuted back; the
-    residual is the caller's job.
+    residual is the caller's job. ``x`` is (..., n, d_model).
     """
     p = f"srmamba{layer}"
     cfg = params.config
-    n = x.shape[0]
-    perm = srmamba_reorder(n, cfg.srmamba_rate)
-    u = x.take(perm, axis=0) if cfg.srmamba_rate > 1 else x
+    perm = srmamba_reorder(x.shape[-2], cfg.srmamba_rate)
+    u = x.take(perm, axis=-2) if cfg.srmamba_rate > 1 else x
     delta = (u @ params[f"{p}.W_delta"] + params[f"{p}.b_delta"]).softplus()
     b_in = u @ params[f"{p}.W_B"]
     c_out = u @ params[f"{p}.W_C"]
     y = linear_recurrence(delta, params[f"{p}.A"], b_in, c_out, u) + u * params[f"{p}.D"]
     if cfg.srmamba_rate > 1:
-        y = y.take(np.argsort(perm), axis=0)
+        y = y.take(np.argsort(perm), axis=-2)
     return y
 
 
@@ -536,14 +556,17 @@ def attention_pool(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """Gated attention pooling over the (parameter-free) normalized tokens;
-    returns the pooled row, the per-token weights and the normalized tokens."""
+    """Gated attention pooling over the (parameter-free) normalized tokens of
+    ``z``, (..., n, d_model): each bag's softmax runs over its own tokens.
+    Returns the pooled (..., 1, d_model) row, the per-token weights and the
+    normalized tokens."""
     z_norm = layer_norm(z)
     scores = (z_norm @ params["pool.W1"] + params["pool.b1"]).tanh() @ params["pool.W2"] + params["pool.b2"]
     if train:
         scores = _dropout(scores, params.config.dropout, rng)
-    weights = scores.reshape(scores.shape[0]).softmax()
-    pooled = weights.reshape(1, -1) @ z_norm
+    *lead, n, _ = scores.shape
+    weights = scores.reshape(*lead, n).softmax()
+    pooled = weights.reshape(*lead, 1, n) @ z_norm
     return pooled, weights, z_norm
 
 
@@ -556,43 +579,63 @@ class ForwardTrace:
     tensors: dict = field(default_factory=dict)
 
 
-def forward(bag: FeatureBag, params: ModelParams, *, mode: str = "eval",
+def forward(bag: FeatureBag | list[FeatureBag], params: ModelParams, *, mode: str = "eval",
             seed: int = 0) -> tuple[np.ndarray, ForwardTrace]:
-    """Run a bag through the model; returns (logits, trace).
+    """Run a bag, or a list of bags of one padded grid size, through the model;
+    returns (logits, trace).
 
     ``mode="train"`` activates dropout seeded by ``seed``; eval mode is a
     pure function of (bag, params). ``params.config.ablation`` picks the
     stages to run (:data:`STAGES`); a skipped stage leaves every tensor
     shape unchanged. To run weights under another variant, pass
     ``ModelParams(other_config, params.flat)``.
+
+    One bag gives (4,) logits and runs on 2-D (tokens, d_model) arrays. A
+    list of B bags that share n' (:func:`padded_grid_size`) gives (B, 4)
+    logits, and the trace's arrays gain the same leading axis: each bag is
+    projected and cycle-padded alone, then the stack of their (1 + n',
+    d_model) sequences runs through every stage at once. Every stage
+    treats leading axes as independent bags, and numpy computes each slice
+    of a stacked product or reduction as it would the bag alone, so each
+    bag's logits keep the bits of its own forward.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")
-    bag.validate()
+    single = isinstance(bag, FeatureBag)
+    group = [bag] if single else list(bag)
+    for b in group:
+        b.validate()
+    sizes = {padded_grid_size(b.n_patches) for b in group}
+    if len(sizes) != 1:
+        raise ShapeError(f"a group of bags must share one padded grid size, got {sorted(sizes)}")
     cfg = params.config
     stages = STAGES[cfg.ablation]
     train = mode == "train"
     rng = np.random.default_rng(seed) if train else None
     dtype = params["proj.W"].data.dtype
-    xp = project_input(np.ascontiguousarray(bag.features, dtype=dtype), params)
-    if train:
-        xp = _dropout(xp, cfg.dropout, rng)
-    seq, n_prime = pad_square_with_class(xp, params)
+    seqs = []
+    for b in group:
+        xp = project_input(np.ascontiguousarray(b.features, dtype=dtype), params)
+        if train:
+            xp = _dropout(xp, cfg.dropout, rng)
+        seq, n_prime = pad_square_with_class(xp, params)
+        seqs.append(seq)
+    seq = seqs[0] if single else concat([s.reshape(1, *s.shape) for s in seqs], axis=0)
     embedded = seq
     if "transformer" in stages:
         seq = nystrom_attention_layer(seq, params, "attn1")
         seq = ppeg_encode(seq, params)
         seq = nystrom_attention_layer(seq, params, "attn2")
     if "agent" in stages:
-        grid = agent_attention(seq[1:], params)
-        seq = concat([seq[0:1], grid], axis=0)
+        grid = agent_attention(seq[..., 1:, :], params)
+        seq = concat([seq[..., 0:1, :], grid], axis=-2)
     if "scan" in stages:
         for layer in range(cfg.srmamba_layers):
             normed = layer_norm(seq, params[f"srmamba{layer}.ln_g"], params[f"srmamba{layer}.ln_b"])
             seq = seq + selective_scan(normed, params, layer)
     pooled, weights, z_norm = attention_pool(seq, params, train, rng)
     logits_t = pooled @ params["clf.W"] + params["clf.b"]
-    logits = logits_t.data.reshape(N_BINS).astype(np.float64)
+    logits = logits_t.data.reshape(*seq.shape[:-2], N_BINS).astype(np.float64)
     if not np.isfinite(logits).all():
         raise NonFiniteError("forward pass produced non-finite logits")
     trace = ForwardTrace(

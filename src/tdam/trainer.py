@@ -12,13 +12,22 @@ import numpy as np
 from .autodiff import no_grad
 from .bags import Cohort, FeatureBag
 from .errors import ConvergenceError, DataError, GradError, NonFiniteError, UndefinedError
-from .model import ModelConfig, ModelParams, dataclass_from_dict, forward, init_params, save_checkpoint
+from .model import (ModelConfig, ModelParams, dataclass_from_dict, forward, init_params, padded_grid_size,
+                    save_checkpoint)
 from .rng import substream
 from .survival import assign_bin, compute_bin_edges, concordance_index, nll_graph, risk_score
 
 log = logging.getLogger(__name__)
 
 IMPROVE_TOL = 1e-6  # float-noise guard on "strictly better" validation C-index
+
+# Bytes of scan state, (1 + n') x d_model x ssm_state_dim per bag, that one
+# grouped eval forward may hold: about 25 acceptance-scale bags (d_model 24)
+# per forward, while a paper-width bag (d_model 256, 16 states) of more than
+# 4 patches is scored alone. At acceptance scale the time per bag is flat
+# from 2**18 to 2**20 bytes, and a forward's transient memory grows with it
+# (the scan's four work buffers and the pseudo-inverse's iterates).
+EVAL_GROUP_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -230,8 +239,7 @@ def train_fold(
                     epoch_loss += float(loss.data)
                 train_losses.append(epoch_loss / len(order))
 
-                with no_grad():
-                    risks = np.array([risk_score(forward(bags[p], params)[0]) for p in val_ids])
+                risks = _score([bags[p] for p in val_ids], params)
                 try:
                     val_c = concordance_index(risks, val_times, val_events)
                 except UndefinedError:
@@ -308,12 +316,37 @@ def train(
     return out
 
 
+def _score(bag_list: list[FeatureBag], params: ModelParams) -> np.ndarray:
+    """Eval-mode risk of each bag, in order, under no_grad().
+
+    Bags are grouped by padded grid size n' and each group is cut into runs
+    whose scan state fits EVAL_GROUP_BYTES; each run is one ``forward`` on
+    the list of its bags. Every risk keeps the bits of its bag's own
+    forward (see :func:`tdam.model.forward`)."""
+    cfg = params.config
+    groups: dict[int, list[int]] = {}
+    for i, bag in enumerate(bag_list):
+        groups.setdefault(padded_grid_size(bag.n_patches), []).append(i)
+    risks = np.empty(len(bag_list))
+    with no_grad():
+        for n_prime, idx in groups.items():
+            bag_bytes = (1 + n_prime) * cfg.d_model * cfg.ssm_state_dim * params.flat.itemsize
+            size = max(1, EVAL_GROUP_BYTES // bag_bytes)
+            for lo in range(0, len(idx), size):
+                run = idx[lo:lo + size]
+                logits, _ = forward([bag_list[i] for i in run], params)
+                for i, row in zip(run, logits):
+                    risks[i] = risk_score(row)
+    return risks
+
+
 def predict_risks(
     bags: dict[str, FeatureBag],
     params: ModelParams,
     ids: list[str] | None = None,
 ) -> dict[str, float]:
-    """Eval-mode risk score per patient, computed without a backward graph."""
+    """Eval-mode risk score per patient, in ``ids`` order, computed without a
+    backward graph. Bags of one padded grid size are scored together, a run
+    of them per ``forward`` call, with the bits each bag gets alone."""
     ids = list(bags) if ids is None else ids
-    with no_grad():
-        return {pid: risk_score(forward(bags[pid], params)[0]) for pid in ids}
+    return dict(zip(ids, _score([bags[pid] for pid in ids], params).tolist()))

@@ -339,6 +339,55 @@ def test_stats_rejects_bad_score(tmp_path, capsys, stat, row):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("stat,argv,named", [
+    pytest.param("timeroc", ["--risks", "{risks}", "--horizons", "12,0"], "horizon 0.0", id="timeroc-horizon-0"),
+    pytest.param("nomogram", ["--risks", "{risks}", "--horizons", "-6"], "horizon -6.0", id="nomogram-horizon-neg"),
+    pytest.param("boot", ["--risks", "{risks}", "--risks-b", "{risks}", "--horizon", "-1"], "horizon -1.0",
+                 id="boot-horizon-neg"),
+    pytest.param("calib", ["--pred", "{pred}", "--horizon", "0"], "horizon 0.0", id="calib-horizon-0"),
+    pytest.param("dca", ["--pred", "{pred}", "--thresholds", "0.1,1"], "threshold 1.0", id="dca-threshold-1"),
+    pytest.param("dca", ["--pred", "{pred}", "--thresholds", "0"], "threshold 0.0", id="dca-threshold-0"),
+    pytest.param("dca", ["--pred", "{bad_pred}"], "outside [0, 1]", id="dca-pred-above-1"),
+])
+def test_stats_rejects_out_of_range_numbers(tmp_path, capsys, stat, argv, named):
+    """A horizon must be > 0, a threshold in (0, 1) and a dca probability in
+    [0, 1]; each is refused before any output is written."""
+    data = synth(tmp_path, seed=11, n=30)
+    risks = tmp_path / "risks.csv"
+    write_risks_from_signal(data, risks)
+    pred, bad_pred = tmp_path / "pred.csv", tmp_path / "bad_pred.csv"
+    lines = risks.read_text().splitlines()
+    pid = lines[5].split(",")[0]
+    rows = [line for line in lines if not line.startswith("#")]
+    pred.write_text("\n".join([rows[0]] + [f"{row.split(',')[0]},0.5" for row in rows[1:]]) + "\n")
+    bad_pred.write_text(pred.read_text().replace(f"{pid},0.5", f"{pid},1.5"))
+    paths = {"risks": risks, "pred": pred, "bad_pred": bad_pred}
+    capsys.readouterr()
+    rc = cli.run(["stats", stat, "--cohort", str(data / "cohort.csv"),
+                  *(a.format(**paths) for a in argv), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    payload = single_json_error(capsys)
+    assert payload["error"] == "DataError" and named in payload["message"]
+    if "{bad_pred}" in argv:
+        assert pid in payload["message"] and "1.5" in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_erf_refuses_a_second_bag(tmp_path, capsys):
+    data = synth(tmp_path, seed=11, n=12)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_params(ModelConfig(d_in=8, d_model=8, n_heads=2, n_agents=2, n_landmarks=4,
+                                                  srmamba_layers=1, srmamba_rate=2, ssm_state_dim=2,
+                                                  agent_bias_side=3)))
+    capsys.readouterr()
+    rc = cli.run(["erf", "--checkpoint", str(ckpt), "--bag", str(data / "bags" / "P0000.bag"),
+                  "--bag", str(data / "bags" / "P0001.bag"), "--out", str(tmp_path / "erf")])
+    assert rc == 3
+    payload = single_json_error(capsys)
+    assert payload["error"] == "DataError" and "given 2 times" in payload["message"]
+    assert not (tmp_path / "erf").exists()
+
+
 @pytest.mark.parametrize("target", ["risks", "cohort", "config"])
 def test_non_utf8_input_exits_3(tmp_path, capsys, target):
     data = synth(tmp_path, seed=11, n=30)
@@ -713,9 +762,12 @@ def write_matrix(path: Path, ids: list[str], orientation: str) -> None:
 
 @pytest.mark.parametrize("orientation,defect", [
     ("samples", "cell"), ("samples", "short-row"), ("genes", "cell"), ("genes", "short-row"),
+    ("samples", "long-row"), ("genes", "long-row"),
 ])
 def test_netlink_rejects_bad_matrix_csv(tmp_path, capsys, orientation, defect):
-    """Both matrix readers name the file and the patient of a bad cell or a short row."""
+    """Both matrix readers name the file and the patient of a bad cell or a
+    short row; a row longer than the header is refused, named by its patient
+    or gene and its cell count."""
     data = synth(tmp_path, seed=21, n=12)
     risks = tmp_path / "risks.csv"
     write_risks_from_signal(data, risks)
@@ -724,14 +776,20 @@ def test_netlink_rejects_bad_matrix_csv(tmp_path, capsys, orientation, defect):
     write_matrix(genes, ids, orientation)
     # the cell of patient ids[3], gene G1, in either layout
     row, col = (4, 2) if orientation == "samples" else (2, 4)
-    _apply_csv_edit(genes, ("cell", (row, col, "x")) if defect == "cell" else ("short-row", (row, col)))
+    edit = {"cell": ("cell", (row, col, "x")), "short-row": ("short-row", (row, col)),
+            "long-row": ("long-row", (row, ["999", "abc"]))}[defect]
+    _apply_csv_edit(genes, edit)
     capsys.readouterr()
     rc = cli.run(["netlink", "--cohort", str(data / "cohort.csv"), "--risks", str(risks),
                   "--genes", str(genes), "--genes-orientation", orientation, "--out", str(tmp_path / "net")])
     assert rc == 3
     payload = single_json_error(capsys)
-    assert payload["error"] == "DataError"
-    assert str(genes) in payload["message"] and ids[3] in payload["message"]
+    assert payload["error"] == "DataError" and str(genes) in payload["message"]
+    if defect != "long-row":
+        assert ids[3] in payload["message"]
+    else:
+        named = ids[3] if orientation == "samples" else "'G1'"
+        assert f"{named} has {len(ids) + 3 if orientation == 'genes' else 6} cells" in payload["message"]
 
 
 def test_matrix_reader_reads_both_layouts_alike(tmp_path):
@@ -841,6 +899,9 @@ def _apply_csv_edit(path: Path, edit) -> None:
     elif kind == "short-row":
         row, keep = arg
         rows[row] = rows[row][:keep]
+    elif kind == "long-row":
+        row, extra = arg
+        rows[row] = rows[row] + extra
     elif kind == "drop-row":
         del rows[arg[0]]
     elif kind == "drop-column":

@@ -593,6 +593,82 @@ def test_forward_takes_dropout_from_the_params_config():
     assert not np.array_equal(dropped, eval_logits)
 
 
+# -- grouped eval forward -----------------------------------------------------------
+
+
+# Groups of one padded grid size n'. At TINY's 4 landmarks, n' = 1 (2 tokens)
+# takes exact attention and every larger n' the landmarks and the pinv; each
+# group but the first mixes a bag with n = n' and cycle-padded ones, n' = 9
+# matches the stored agent-bias grid and n' = 64 (65 tokens) runs two scan
+# chunks.
+GROUPS = ([1, 1, 1], [4, 2, 3], [9, 5, 7, 8, 9], [16, 10, 13], [64, 50])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ablation", model.ABLATIONS)
+def test_grouped_forward_gives_each_bag_the_bits_of_its_own_forward(ablation, dtype):
+    assert SCAN_CHUNK < 65 <= 1 + max(map(max, GROUPS))
+    params = model.init_params(TINY.with_ablation(ablation), seed=33, dtype=dtype)
+    for sizes in GROUPS:
+        bags = [random_bag(n=n, seed=100 * n + i) for i, n in enumerate(sizes)]
+        with no_grad():
+            many = model.forward(bags, params)
+            assert many[0].shape == (len(bags), 4) and many[1].n_prime == model.padded_grid_size(sizes[0])
+            for i, bag in enumerate(bags):
+                want, want_trace = model.forward(bag, params)
+                for (got, got_trace), j in ((many, i), (model.forward([bag], params), 0)):
+                    assert_bitwise(got[j], want)
+                    assert_bitwise(got_trace.pool_weights[j], want_trace.pool_weights)
+                    assert_bitwise(got_trace.z_norm[j], want_trace.z_norm)
+
+
+def test_grouped_forward_refuses_mixed_grid_sizes_and_no_bags():
+    params = tiny_params(seed=34)
+    with pytest.raises(ShapeError, match="one padded grid size"):
+        model.forward([random_bag(n=4), random_bag(n=5)], params)
+    with pytest.raises(ShapeError):
+        model.forward([], params)
+
+
+def test_padded_grid_size_is_the_least_square_at_or_above_n():
+    assert [model.padded_grid_size(n) for n in range(1, 18)] == [1, 4, 4, 4, 9, 9, 9, 9, 9] + [16] * 7 + [25]
+    with pytest.raises(ShapeError):
+        model.padded_grid_size(0)
+
+
+def test_stacked_backward_gives_each_bag_its_own_adjoints():
+    """Stages take leading axes on the tape too: a stacked forward's adjoints
+    of the stacked inputs are the per-bag ones, and the shared weights get
+    the per-bag sum up to rounding."""
+    params = tiny_params(seed=35)
+    xs = [np.random.default_rng(i).standard_normal((10, TINY.d_model)) for i in range(3)]
+
+    def stages(seq):
+        seq = model.ppeg_encode(model.nystrom_attention_layer(seq, params, "attn1"), params)
+        grid = model.agent_attention(seq[..., 1:, :], params)
+        seq = model.concat([seq[..., 0:1, :], grid], axis=-2)
+        seq = seq + model.selective_scan(seq, params, 0)
+        return model.attention_pool(seq, params)[0]
+
+    singles = []
+    for x in xs:
+        params.clear_grads()
+        leaf = Tensor(x)
+        stages(leaf).sum().backward()
+        singles.append((leaf.grad, {n: params[n].grad for n in params.names()}))
+    params.clear_grads()
+    stacked = Tensor(np.stack(xs))
+    stages(stacked).sum().backward()
+    for i, (g_x, _) in enumerate(singles):
+        assert_bitwise(stacked.grad[i], g_x)
+    for name in params.names():
+        per_bag = [g[name] for _, g in singles]
+        if per_bag[0] is None:
+            assert params[name].grad is None, name
+        else:
+            np.testing.assert_allclose(params[name].grad, sum(per_bag), rtol=1e-12, atol=1e-14, err_msg=name)
+
+
 # -- fused ops against the tape chains they replace --------------------------------
 
 

@@ -81,3 +81,29 @@ def test_traced_backward_recomputes_the_attention_cores(monkeypatch):
         for _, stage in layers.STAGES:
             assert f"model.{stage}.{mode}" in spans
     assert {"autodiff.dwconv2d", "autodiff.backward"} <= spans.keys()
+
+
+def test_traced_grouped_scoring_runs_every_stage_in_eval_and_records_no_tape(monkeypatch):
+    """Grouped eval scoring enters the model through ``forward``, whose
+    wrapper pushes the mode that every stage span is named after."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    from tracer import Tracer
+
+    sc = bags.synth_cohort(12, (2, 9), d=TINY.d_in, censor_rate=0.3, seed=5)
+    ids = [r.patient_id for r in sc.cohort.records]
+    assert len({model.padded_grid_size(b.n_patches) for b in sc.bags.values()}) >= 2
+    cfg = trainer.TrainConfig(lr=1e-3, max_epochs=1, warmup_epochs=0, folds=2, seed=3)
+    t = Tracer()
+    try:
+        layers.install(t)
+        res = trainer.train_fold(0, ids[:8], ids[8:], sc.cohort, sc.bags, TINY, cfg)
+        risks = trainer.predict_risks(sc.bags, res.params)
+    finally:
+        t.restore()
+    assert len(risks) == len(sc.bags) and np.isfinite(list(risks.values())).all()
+    spans = t.self_times()
+    for _, stage in layers.STAGES:
+        assert f"model.{stage}.eval" in spans
+    assert {"trainer.val_forward", "trainer.predict_forward"} <= spans.keys()
+    assert t.counts["nodes.eval"] == 0 and t.counts["nodes.train"] > 0

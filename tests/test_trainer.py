@@ -3,13 +3,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from tdam import autodiff, explain, trainer
+from tdam import autodiff, explain, model, trainer
 from tdam import bags as bagmod
 from tdam.autodiff import Tensor
 from tdam.bags import Cohort, FeatureBag, SurvivalRecord
-from tdam.errors import DataError, GradError
+from tdam.errors import DataError, GradError, NonFiniteError
 from tdam.model import ABLATIONS, ModelConfig, ModelParams, forward, init_params
-from tdam.survival import nll_graph
+from tdam.survival import concordance_index, nll_graph, risk_score
 
 SMALL_MODEL = ModelConfig(
     d_in=8, d_model=8, n_heads=2, n_agents=2, n_landmarks=4,
@@ -355,14 +355,71 @@ def test_predict_risks_in_range():
     assert all(-4 < v < 0 for v in risks.values())
 
 
+def single_bag_risks(bags, params, ids):
+    with autodiff.no_grad():
+        return [risk_score(forward(bags[pid], params)[0]) for pid in ids]
+
+
+@pytest.mark.parametrize("budget, run", [(trainer.EVAL_GROUP_BYTES, {4: 99, 9: 99}), (1300, {4: 4, 9: 2}),
+                                         (1, {4: 1, 9: 1})])
+def test_predict_risks_scores_groups_with_the_bits_of_single_bags(monkeypatch, budget, run):
+    """SMALL_MODEL holds (1 + n') x 8 x 2 float32 scan states per bag: 320
+    bytes at n' = 4 and 640 at n' = 9, so 1300 bytes make runs of 4 and 2
+    bags; ``run`` is the longest run per n'."""
+    sc = synthetic(15, seed=21)
+    params = init_params(SMALL_MODEL, seed=2)
+    ids = [r.patient_id for r in sc.cohort.records][::-1]
+    calls = []
+
+    def spy(bag, params, **kwargs):
+        calls.append(len(bag))
+        return forward(bag, params, **kwargs)
+
+    monkeypatch.setattr(trainer, "EVAL_GROUP_BYTES", budget)
+    monkeypatch.setattr(trainer, "forward", spy)
+    risks = trainer.predict_risks(sc.bags, params, ids)
+    assert list(risks) == ids
+    assert [np.float64(v).tobytes() for v in risks.values()] == [
+        np.float64(v).tobytes() for v in single_bag_risks(sc.bags, params, ids)]
+    counts = {}
+    for pid in ids:
+        n_prime = model.padded_grid_size(sc.bags[pid].n_patches)
+        counts[n_prime] = counts.get(n_prime, 0) + 1
+    assert counts.keys() == {4, 9} and min(counts.values()) > 2
+    expected = [min(run[n], count - lo) for n, count in counts.items() for lo in range(0, count, run[n])]
+    assert sorted(calls) == sorted(expected)
+
+
+def test_validation_pass_scores_with_the_bits_of_single_bags():
+    sc = synthetic(12, seed=13)
+    ids = [r.patient_id for r in sc.cohort.records]
+    cfg = trainer.TrainConfig(lr=1e-3, max_epochs=1, warmup_epochs=0, folds=2, seed=3)
+    res = trainer.train_fold(0, ids[:8], ids[8:], sc.cohort, sc.bags, SMALL_MODEL, cfg)
+    times = np.array([r.time for r in sc.cohort.records[8:]])
+    events = np.array([r.event for r in sc.cohort.records[8:]])
+    want = concordance_index(np.array(single_bag_risks(sc.bags, res.params, ids[8:])), times, events)
+    assert res.val_cindices == [want]
+
+
+def test_a_non_finite_bag_fails_its_whole_group():
+    sc = synthetic(12, seed=13)
+    params = init_params(SMALL_MODEL, seed=0)
+    pid = next(iter(sc.bags))
+    sc.bags[pid].features[:] = 3e38  # finite, but the projection overflows
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+        trainer.predict_risks(sc.bags, params)
+
+
 def test_inference_forwards_record_no_tape(monkeypatch):
     """Validation, predict_risks and heatmaps run their forwards under
-    no_grad(); training forwards record."""
+    no_grad(); training forwards record. Counts bags, as eval scoring
+    passes several bags of one grid size to one forward."""
     seen = []
 
     def spy(real):
         def forward(bag, params, *args, mode="eval", **kwargs):
-            seen.append((mode, autodiff._recording))
+            n_bags = 1 if isinstance(bag, FeatureBag) else len(bag)
+            seen.extend([(mode, autodiff._recording)] * n_bags)
             return real(bag, params, *args, mode=mode, **kwargs)
         return forward
 
