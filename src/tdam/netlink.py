@@ -3,8 +3,9 @@
 Two screening branches feed one interaction network: (1) extractor channels
 are correlated against the model risk score (Spearman + BH-FDR gate) and
 compressed with an elastic net; (2) genes are screened by univariable Cox
-p-value. Surviving feature-gene pairs become weighted edges, and eigenvector
-centrality (power iteration, largest component) ranks the hubs.
+p-value, all genes in one vectorized Newton. Surviving feature-gene pairs
+become weighted edges, and eigenvector centrality (power iteration, largest
+component) ranks the hubs.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from scipy import stats
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import ConvergenceError, DataError, EmptyNetworkError, UndefinedError
+from .errors import ConvergenceError, DataError, EmptyNetworkError
 from .rng import substream
-from .survstats import coxph_fit
+from .survstats import cox_screen
+from .survstats import coxph_fit  # noqa: F401  (perfbench/layers.py rebinds netlink.coxph_fit)
 
 RISK_NODE = "risk_score"
 RHO_MIN = 0.2
@@ -31,6 +33,11 @@ CV_FOLDS = 10
 CENTRALITY_TOL = 1e-10
 CENTRALITY_MAX_ITER = 10_000
 _SPAN_TOL = 1e-9
+# Lambdas in the elastic-net path's first stacked solve. The window doubles
+# while every lambda in it keeps the active set and starts again after a
+# change, whose later rows are wasted: solving every remaining lambda at once
+# was slower than one solve per lambda when the active set changed often.
+PATH_WINDOW = 8
 
 
 # -- Spearman -----------------------------------------------------------------
@@ -72,21 +79,22 @@ def spearman_matrix(x, y):
 
 
 def bh_fdr(pvals) -> np.ndarray:
-    """Benjamini-Hochberg step-up q-values with monotonicity enforcement."""
+    """Benjamini-Hochberg step-up q-values with monotonicity enforcement.
+
+    A NaN p-value (a zero-variance column's) stays NaN and is not a test:
+    only the others are ranked, and m counts only them.
+    """
     p = np.asarray(pvals, dtype=np.float64).reshape(-1)
-    if p.size == 0:
-        return p.copy()
-    finite = p[~np.isnan(p)]
-    if finite.size and (np.any(finite < 0) or np.any(finite > 1)):
+    q = np.full(p.size, np.nan)
+    tested = np.flatnonzero(~np.isnan(p))
+    finite = p[tested]
+    if np.any(finite < 0) or np.any(finite > 1):
         raise DataError("p-values must lie in [0, 1]")
-    m = p.size
-    order = np.argsort(p, kind="stable")
-    q_sorted = p[order] * m / np.arange(1, m + 1)
+    m = finite.size
+    order = np.argsort(finite, kind="stable")
+    q_sorted = finite[order] * m / np.arange(1, m + 1)
     q_sorted = np.minimum.accumulate(q_sorted[::-1])[::-1]
-    q_sorted = np.minimum(q_sorted, 1.0)
-    q = np.empty(m)
-    q[order] = q_sorted
-    q[np.isnan(p)] = np.nan
+    q[tested[order]] = np.minimum(q_sorted, 1.0)
     return q
 
 
@@ -168,6 +176,61 @@ def _active_set_solve(g, c, lam, alpha, beta0):
     raise ConvergenceError(f"active set did not settle at lambda={lam:.3e}")
 
 
+def _enet_path(g, c, lambdas, alpha, beta0) -> np.ndarray:
+    """Exact coefficients at each lambda in turn, one row each: row i is
+    ``_active_set_solve(g, c, lambdas[i], alpha, row i-1)`` bit for bit, with
+    row -1 the warm start ``beta0``.
+
+    Along a warm-started path the active set changes at few lambdas
+    (Friedman, Hastie & Tibshirani 2010), so the path goes in rounds. Each
+    round keeps the warm start's active set A and signs s, solves
+    (g_AA + lam(1-alpha)I) b_A = c_A - lam alpha s_A for a window of the
+    next lambdas in one stacked solve, and applies ``_active_set_solve``'s
+    checks to all of them at once: no sign crossing and no KKT violation
+    beyond its rounding gate. A lambda that passes gets exactly what
+    ``_active_set_solve`` returns after its first solve. The leading run
+    that passes is kept, the first lambda that fails goes to
+    ``_active_set_solve``, and the next round starts after it. The window
+    starts at PATH_WINDOW lambdas and doubles after a round in which all
+    pass. A stacked solve or product gives each slice the bits of its own
+    call, which the tests check.
+    """
+    lambdas = np.asarray(lambdas, dtype=np.float64)
+    path = np.empty((lambdas.size, beta0.size))
+    abs_c, abs_g = np.abs(c), np.abs(g)
+    beta, k, width = beta0, 0, PATH_WINDOW
+    while k < lambdas.size:
+        l1, l2 = lambdas[k:k + width] * alpha, lambdas[k:k + width] * (1.0 - alpha)
+        active = beta != 0.0
+        idx = np.flatnonzero(active)
+        cand = np.repeat(beta[None], l1.size, axis=0)  # copies keep the zeros' sign bits
+        passed = np.ones(l1.size, dtype=bool)
+        if idx.size:
+            signs = np.sign(beta[idx])
+            a = g[np.ix_(idx, idx)] + l2[:, None, None] * np.eye(idx.size)
+            try:
+                target = np.linalg.solve(a, (c[idx] - l1[:, None] * signs)[..., None])[..., 0]
+            except np.linalg.LinAlgError:  # a singular system: the exact solver decides
+                passed[:] = False
+            else:
+                passed = (target * signs > 0.0).all(axis=1)
+                cand[:, idx] = target
+        with np.errstate(over="ignore", invalid="ignore"):  # rows that fail are dropped
+            corr = c - np.matmul(g, cand[..., None])[..., 0]
+            viol = np.where(active, 0.0, np.abs(corr) - l1[:, None])
+            gate = 256 * np.spacing((abs_c + np.matmul(abs_g, np.abs(cand)[..., None])[..., 0]).max(axis=1))
+            passed &= viol.max(axis=1) <= gate
+        run = int(np.argmin(passed)) if not passed.all() else passed.size
+        path[k:k + run] = cand[:run]
+        k += run
+        if run < passed.size:
+            path[k] = _active_set_solve(g, c, lambdas[k], alpha, path[k - 1] if k else beta0)
+            k += 1
+        width = 2 * width if run == passed.size else PATH_WINDOW
+        beta = path[k - 1]
+    return path
+
+
 def kkt_residual(x, y, beta, lam, alpha) -> float:
     """Largest violation of the elastic-net KKT conditions (stationarity)."""
     n = x.shape[0]
@@ -196,7 +259,10 @@ def elastic_net_fit(x, y, alpha: float = 0.5, lambda_: float | None = None, seed
     so the returned solution meets the KKT conditions to rounding. With
     ``lambda_=None`` the penalty is chosen at the minimum of CV_FOLDS-fold
     CV MSE over N_LAMBDAS log-spaced values from lambda_max down to
-    LAMBDA_MIN_RATIO * lambda_max.
+    LAMBDA_MIN_RATIO * lambda_max. Each fold's path and the full-data path
+    down to the chosen lambda are solved by ``_enet_path`` in stacked
+    solves, with the bits of one ``_active_set_solve`` per lambda, and each
+    fold scores all its lambdas in one stacked product.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -229,16 +295,12 @@ def elastic_net_fit(x, y, alpha: float = 0.5, lambda_: float | None = None, seed
         xt, yt = x[mask], y[mask]
         xv, yv = x[fold], y[fold]
         g_t, c_t = xt.T @ xt / yt.size, xt.T @ yt / yt.size
-        beta = np.zeros(p)
-        for i, lam in enumerate(lambdas):
-            beta = _active_set_solve(g_t, c_t, lam, alpha, beta)
-            resid = yv - xv @ beta
-            cv_mse[i] += float(resid @ resid) / yv.size
+        path = _enet_path(g_t, c_t, lambdas, alpha, np.zeros(p))
+        resid = yv - np.matmul(xv, path[..., None])[..., 0]
+        cv_mse += np.matmul(resid[:, None, :], resid[..., None])[:, 0, 0] / yv.size
     cv_mse /= len(folds)
     lam_opt = float(lambdas[int(np.argmin(cv_mse))])
-    beta = np.zeros(p)
-    for lam in lambdas[lambdas >= lam_opt]:
-        beta = _active_set_solve(g, c, lam, alpha, beta)
+    beta = _enet_path(g, c, lambdas[lambdas >= lam_opt], alpha, np.zeros(p))[-1]
     return EnetFit(beta=beta, lambda_=lam_opt, alpha=alpha,
                    kkt=kkt_residual(x, y, beta, lam_opt, alpha),
                    lambdas=lambdas, cv_mse=cv_mse)
@@ -343,10 +405,14 @@ def build_network(
     """Run both screening branches and assemble the centrality table.
 
     Branch 1: |Spearman(feature, risk)| >= RHO_MIN with BH q < FDR_MAX, then an
-    elastic net (alpha 0.5) keeps nonzero-coefficient features. Branch 2:
-    univariable Cox per gene at p < GENE_P_MAX with a non-degenerate hazard
-    ratio. Cross edges between survivors at the same rho/FDR gate form the
-    network scored by eigenvector centrality.
+    elastic net (alpha 0.5) keeps nonzero-coefficient features; a constant
+    feature has no rho and is not a test. Branch 2: univariable Cox per gene
+    at p < GENE_P_MAX with a non-degenerate hazard ratio, all genes in one
+    vectorized Newton (``survstats.cox_screen``); a gene whose own
+    ``coxph_fit`` would raise (constant, non-finite, monotone likelihood) is
+    skipped. Cross edges between survivors at the same rho/FDR gate form the
+    network scored by eigenvector centrality. Malformed times or events
+    raise DataError.
     """
     features = np.asarray(features, dtype=np.float64)
     risk = np.asarray(risk, dtype=np.float64).reshape(-1)
@@ -382,19 +448,10 @@ def build_network(
         for i in core_idx
     ]
 
-    # branch 2: per-gene univariable Cox screen
-    prognostic_idx = []
-    for g in range(genes.shape[1]):
-        col = genes[:, g]
-        if col.std() == 0:
-            continue
-        try:
-            fit = coxph_fit(times, events, col.reshape(-1, 1), [gene_names[g]])
-        except (ConvergenceError, DataError, UndefinedError):
-            continue
-        if fit.wald_p[0] < GENE_P_MAX and abs(fit.beta[0]) > 0:
-            prognostic_idx.append(g)
-    if not prognostic_idx:
+    # branch 2: univariable Cox screen of every gene at once
+    gene_beta, _, gene_p = cox_screen(times, events, genes)
+    prognostic_idx = np.flatnonzero((gene_p < GENE_P_MAX) & (np.abs(gene_beta) > 0))
+    if not prognostic_idx.size:
         raise EmptyNetworkError("no gene passed the prognostic screen")
     prog_names = [gene_names[g] for g in prognostic_idx]
 

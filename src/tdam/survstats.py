@@ -19,7 +19,7 @@ from .errors import ConvergenceError, DataError, DegenerateError, RangeError, Un
 from .rng import substream
 
 __all__ = [
-    "KmCurve", "km_fit", "logrank_test", "CoxFit", "coxph_fit",
+    "KmCurve", "km_fit", "logrank_test", "CoxFit", "coxph_fit", "cox_screen",
     "multivariable_pipeline", "timeroc_auc", "rmst", "rmst_compare",
     "bootstrap_auc_compare", "median_stratify", "calibration_curve",
     "dca_curve", "NomogramModel", "nomogram_build", "nomogram_score",
@@ -27,6 +27,11 @@ __all__ = [
 
 COX_MAX_ITER = 50
 COX_TOL = 1e-8
+COX_BETA_MAX = 80.0  # a coefficient beyond this is a monotone likelihood
+# Work arrays of one block of cox_screen's genes, about ten (genes, n) float64
+# arrays. At n = 581 a block is 45 genes; larger blocks leave the cache and
+# run slower.
+COX_SCREEN_BYTES = 1 << 21
 CALIBRATION_GROUPS = 10
 NOMOGRAM_STEP = 10.0
 
@@ -70,9 +75,6 @@ class KmCurve:
     def survival_at(self, t, left: bool = False) -> np.ndarray | float:
         """Step-function value S(t); ``left`` gives the left limit S(t-)."""
         return _step_at(self.times, self.surv, 1.0, t, "left" if left else "right")
-
-    def var_at(self, t) -> float:
-        return _step_at(self.times, self.var, 0.0, t)
 
 
 def _risk_table(times, events, at=None, weights=None):
@@ -209,23 +211,32 @@ class CoxFit:
         return _step_at(self.baseline_times, self.baseline_cumhaz, 0.0, t)
 
 
+def _risk_sets(times, events):
+    """Sorted risk-set bookkeeping of a Breslow likelihood: (order, ev, ev_end).
+
+    ``order`` sorts by descending time (stable), ``ev`` holds the sorted
+    positions of the events and ``ev_end`` each event's last sorted position
+    sharing its time (ties are contiguous when descending). Risk-set sums are
+    cumulative sums along ``order`` read at ``ev_end``, so subjects tied on
+    time share the risk set of their last (deepest) index.
+    """
+    order = np.argsort(-times, kind="stable")
+    ts = times[order]
+    ev = np.flatnonzero(events[order] == 1)
+    return order, ev, (np.searchsorted(-ts, -ts, side="right") - 1)[ev]
+
+
 class _CoxRisk:
     """Breslow partial likelihood of one sample, sorted once per fit.
 
-    Risk-set sums are cumulative sums along descending time; subjects tied on
-    time share the risk set of their last (deepest) index. The order, the
-    event rows and their tie ends are fixed at construction, so each
-    evaluation only reweights the sorted rows.
+    The order, the event rows and their tie ends (``_risk_sets``) are fixed
+    at construction, so each evaluation only reweights the sorted rows.
     """
 
     def __init__(self, times, events, x):
-        order = np.argsort(-times, kind="stable")
-        ts = times[order]
+        order, self.ev, self.ev_end = _risk_sets(times, events)
         self.xs = x[order]
         self.xx = self.xs[:, :, None] * self.xs[:, None, :]
-        self.ev = np.flatnonzero(events[order] == 1)
-        # last index sharing each event's time (ties are contiguous when descending)
-        self.ev_end = (np.searchsorted(-ts, -ts, side="right") - 1)[self.ev]
         self.x_ev = self.xs[self.ev]
 
     def _terms(self, beta):
@@ -255,13 +266,16 @@ def coxph_fit(times, events, x, names=None) -> CoxFit:
 
     The sample is sorted once (``_CoxRisk``); each Newton point evaluates the
     score and information, while the null fit and the step-halving probes
-    evaluate the log-likelihood alone. Convergence is declared at
-    |step|_inf < COX_TOL within COX_MAX_ITER steps; monotone-likelihood
-    divergence (exploding coefficients, singular information, or an
-    information that is not positive definite at the estimate) raises
-    ConvergenceError with a diagnostic. Raises DataError for a covariate
-    matrix with no columns, for a non-finite covariate (naming its column),
-    for fewer events than covariates and for a constant covariate.
+    evaluate the log-likelihood alone. A step is halved, at most 30 times,
+    until the likelihood does not fall by more than its rounding.
+    Convergence is declared at |step|_inf < COX_TOL within COX_MAX_ITER
+    steps; monotone-likelihood divergence (a coefficient beyond
+    COX_BETA_MAX, singular information, or an information that is not
+    positive definite at the estimate) raises ConvergenceError with a
+    diagnostic. Raises DataError for a covariate matrix with no columns, for
+    a non-finite covariate (naming its column), for fewer events than
+    covariates and for a constant covariate. ``cox_screen`` fits many
+    univariable models at once by the same rules.
     """
     times, events = _clean(times, events)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -299,14 +313,15 @@ def coxph_fit(times, events, x, names=None) -> CoxFit:
         scale = 1.0
         for _ in range(30):
             cand = beta + scale * step
-            ll_new = risk.loglik(cand)
+            with np.errstate(all="ignore"):  # a non-finite probe is halved
+                ll_new = risk.loglik(cand)
             if np.isfinite(ll_new) and ll_new >= ll - slack:
                 break
             scale *= 0.5
         else:
             raise ConvergenceError("step halving failed; likelihood may be monotone")
         beta = beta + scale * step
-        if np.abs(beta).max() > 80:
+        if np.abs(beta).max() > COX_BETA_MAX:
             raise ConvergenceError("coefficients diverging; monotone likelihood suspected")
         if np.abs(scale * step).max() < COX_TOL:
             break
@@ -339,6 +354,113 @@ def coxph_fit(times, events, x, names=None) -> CoxFit:
         n_iter=n_iter,
         score_norm=float(np.abs(score).max()),
     )
+
+
+def _screen_quantities(xs, xx, x_ev, beta, ev, ev_end):
+    """``_CoxRisk.quantities`` of each row of a sorted (genes, n) block with its
+    own coefficient: (log-likelihoods, scores, informations)."""
+    lp = beta[:, None] * xs
+    lp -= lp.max(axis=1, keepdims=True)  # guard against overflow; Breslow terms are scale-free
+    ll = lp[:, ev].sum(axis=1)
+    w = np.exp(lp, out=lp)
+    s0 = np.cumsum(w, axis=1)[:, ev_end]
+    ll -= np.log(s0).sum(axis=1)
+    wx = w * xs
+    xbar = np.cumsum(wx, axis=1)[:, ev_end]
+    xbar /= s0
+    s2 = np.cumsum(np.multiply(w, xx, out=wx), axis=1)[:, ev_end]
+    s2 /= s0
+    s2 -= xbar * xbar
+    return ll, (x_ev - xbar).sum(axis=1), s2.sum(axis=1)
+
+
+def _screen_block(xs, ev, ev_end):
+    """(beta, se, wald_p) of each row of a (genes, n) block sorted by
+    ``_risk_sets``, NaN where ``coxph_fit`` would raise.
+
+    A step-halving probe evaluates the score and information along with the
+    log-likelihood, so the probe a row accepts is its next Newton point."""
+    b = xs.shape[0]
+    xx, x_ev = xs * xs, xs[:, ev]
+
+    def quantities(rows, beta):
+        sel = rows if rows.size < b else slice(None)
+        with np.errstate(all="ignore"):  # a non-finite probe is halved
+            return _screen_quantities(xs[sel], xx[sel], x_ev[sel], beta, ev, ev_end)
+
+    beta = np.zeros(b)
+    ll, score, info = quantities(np.arange(b), beta)
+    live = np.arange(b)  # rows still iterating
+    done = np.zeros(b, dtype=bool)  # rows that converged
+    for _ in range(COX_MAX_ITER):
+        if not live.size:
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = score[live] / info[live]
+        # halve a row's step until its likelihood does not decrease by more
+        # than its rounding: a few hundred ulps of |ll|
+        floor = ll[live] - 256 * np.spacing(np.maximum(1.0, np.abs(ll[live])))
+        scale = np.ones(live.size)
+        keep = info[live] != 0.0  # a singular information fails its row
+        probe = np.flatnonzero(keep)
+        for _ in range(30):
+            if not probe.size:
+                break
+            rows = live[probe]
+            q = quantities(rows, beta[rows] + scale[probe] * step[probe])
+            ok = np.isfinite(q[0]) & (q[0] >= floor[probe])
+            for have, new in zip((ll, score, info), q):
+                have[rows[ok]] = new[ok]
+            probe = probe[~ok]
+            scale[probe] *= 0.5
+        keep[probe] = False  # step halving failed
+        moved = scale * step
+        beta[live] += moved
+        keep &= ~(np.abs(beta[live]) > COX_BETA_MAX)
+        converged = keep & (np.abs(moved) < COX_TOL)
+        done[live[converged]] = True
+        live = live[keep & ~converged]
+
+    out = np.full((3, b), np.nan)
+    fit = np.flatnonzero(done & (info > 0.0))  # positive definite at the estimate
+    se = np.sqrt(1.0 / info[fit])
+    out[0, fit], out[1, fit] = beta[fit], se
+    out[2, fit] = 2.0 * stats.norm.sf(np.abs(beta[fit] / se))
+    return out
+
+
+def cox_screen(times, events, x):
+    """Univariable Breslow Cox fit of every column of ``x`` at once.
+
+    Returns (beta, se, wald_p), one entry per column: what
+    ``coxph_fit(times, events, x[:, [j]])`` reports for column j, to
+    rounding. All columns share one sort of the sample (``_risk_sets``), and
+    one Newton iteration advances every column still iterating, with the
+    risk-set sums as row-wise cumulative sums over a (columns, n) block.
+    Each column keeps ``coxph_fit``'s rules: the step-halving slack, at most
+    30 halvings, the COX_BETA_MAX bound, COX_TOL, COX_MAX_ITER and a positive
+    information at the estimate. A column whose own fit would raise
+    (non-finite or constant values, no event, a monotone likelihood) gets NaN
+    in all three. Columns go in blocks whose work arrays fit
+    COX_SCREEN_BYTES. Raises DataError for malformed times or events and for
+    an ``x`` without one row per subject.
+    """
+    times, events = _clean(times, events)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != times.size:
+        raise DataError("covariate matrix does not align with times")
+    n, m = x.shape
+    out = np.full((3, m), np.nan)
+    if events.any():
+        order, ev, ev_end = _risk_sets(times, events)
+        block = max(1, COX_SCREEN_BYTES // (10 * n * x.itemsize))
+        for lo in range(0, m, block):
+            xs = np.ascontiguousarray(x[order, lo:lo + block].T)
+            usable = np.isfinite(xs).all(axis=1)
+            usable[usable] = xs[usable].std(axis=1) != 0.0
+            cols = np.flatnonzero(usable)
+            out[:, lo + cols] = _screen_block(xs[cols], ev, ev_end)
+    return out[0], out[1], out[2]
 
 
 @dataclass

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from tdam import netlink as nl
+from tdam import survstats as ss
 from tdam.errors import ConvergenceError, DataError, EmptyNetworkError
+from tdam.rng import substream
 
 
 # -- Spearman -------------------------------------------------------------------
@@ -83,6 +85,14 @@ def test_bh_single_and_all_ones():
 def test_bh_rejects_out_of_range():
     with pytest.raises(DataError):
         nl.bh_fdr([0.5, 1.5])
+
+
+def test_bh_leaves_nan_out_of_the_ranking():
+    # a NaN p-value (a constant column's) is not a test: m counts the others
+    np.testing.assert_allclose(nl.bh_fdr([0.01, np.nan, 0.02, 0.5]), [0.03, np.nan, 0.03, 0.5],
+                               rtol=1e-15)
+    np.testing.assert_array_equal(nl.bh_fdr([np.nan, np.nan]), [np.nan, np.nan])
+    assert nl.bh_fdr([]).shape == (0,)
 
 
 @settings(max_examples=50, deadline=None)
@@ -247,6 +257,119 @@ def test_lasso_with_more_columns_than_rank_matches_coordinate_descent(seed):
         np.testing.assert_allclose(x @ fit.beta, x @ beta_cd, rtol=0, atol=1e-8)
 
 
+# The per-lambda loops of elastic_net_fit before its lambda path was stacked;
+# kept verbatim as the reference whose bits the stacked path must keep.
+def _elastic_net_fit_per_lambda(x, y, alpha, seed):
+    n, p = x.shape
+    g, c = x.T @ x / n, x.T @ y / n
+    lam_max = np.abs(x.T @ y).max() / (n * alpha)
+    lambdas = np.geomspace(lam_max, lam_max * nl.LAMBDA_MIN_RATIO, nl.N_LAMBDAS)
+    rng = substream(seed, "enet-cv")
+    perm = rng.permutation(n)
+    folds = [perm[f::nl.CV_FOLDS] for f in range(min(nl.CV_FOLDS, n))]
+    cv_mse = np.zeros(lambdas.size)
+    for fold in folds:
+        mask = np.ones(n, dtype=bool)
+        mask[fold] = False
+        xt, yt = x[mask], y[mask]
+        xv, yv = x[fold], y[fold]
+        g_t, c_t = xt.T @ xt / yt.size, xt.T @ yt / yt.size
+        beta = np.zeros(p)
+        for i, lam in enumerate(lambdas):
+            beta = nl._active_set_solve(g_t, c_t, lam, alpha, beta)
+            resid = yv - xv @ beta
+            cv_mse[i] += float(resid @ resid) / yv.size
+    cv_mse /= len(folds)
+    lam_opt = float(lambdas[int(np.argmin(cv_mse))])
+    beta = np.zeros(p)
+    for lam in lambdas[lambdas >= lam_opt]:
+        beta = nl._active_set_solve(g, c, lam, alpha, beta)
+    return beta, lam_opt, cv_mse
+
+
+def duplicated_column_data():
+    x, y = enet_data(n=80, p=6, seed=5)
+    return nl.standardize(np.column_stack([x, x[:, 0]])), y
+
+
+def rank7_lasso_data(seed):
+    rng = np.random.default_rng(seed)
+    x = nl.standardize(rng.standard_normal((8, 12)))
+    y = rng.standard_normal(8)
+    return x, y - y.mean()
+
+
+STACKED_PATH_CASES = [
+    pytest.param(lambda: hub_enet_data(3), 0.5, id="hub-a0.5"),
+    pytest.param(lambda: hub_enet_data(4), 1.0, id="hub-a1"),
+    pytest.param(duplicated_column_data, 0.5, id="dup-a0.5"),
+    pytest.param(duplicated_column_data, 1.0, id="dup-a1"),
+    *(pytest.param(lambda s=s: rank7_lasso_data(s), 1.0, id=f"rank7-seed{s}") for s in range(1, 7)),
+]
+
+
+@pytest.mark.parametrize("make, alpha", STACKED_PATH_CASES)
+def test_stacked_lambda_path_keeps_the_bits_of_the_per_lambda_loop(make, alpha):
+    x, y = make()
+    fit = nl.elastic_net_fit(x, y, alpha=alpha, seed=1)
+    beta, lam, cv_mse = _elastic_net_fit_per_lambda(x, y, alpha, seed=1)
+    assert fit.beta.tobytes() == beta.tobytes()
+    assert np.float64(fit.lambda_).tobytes() == np.float64(lam).tobytes()
+    assert fit.cv_mse.tobytes() == cv_mse.tobytes()
+
+
+def cv_fold_systems(x, y, alpha, seed=1):
+    """(g, c, lambdas) of each CV fold of elastic_net_fit, then of the full data."""
+    n = x.shape[0]
+    lam_max = np.abs(x.T @ y).max() / (n * alpha)
+    lambdas = np.geomspace(lam_max, lam_max * nl.LAMBDA_MIN_RATIO, nl.N_LAMBDAS)
+    perm = substream(seed, "enet-cv").permutation(n)
+    systems = []
+    for f in range(nl.CV_FOLDS):
+        mask = np.ones(n, dtype=bool)
+        mask[perm[f::nl.CV_FOLDS]] = False
+        xt, yt = x[mask], y[mask]
+        systems.append((xt.T @ xt / yt.size, xt.T @ yt / yt.size, lambdas))
+    return systems + [(x.T @ x / n, x.T @ y / n, lambdas)]
+
+
+@pytest.mark.parametrize("make, alpha", STACKED_PATH_CASES[:4])
+def test_each_path_row_is_one_active_set_solve_from_the_row_before(make, alpha):
+    x, y = make()
+    first_lambda_violates = 0
+    for g, c, lambdas in cv_fold_systems(x, y, alpha):
+        # at lambda_max of the full data a fold's zero start can violate KKT
+        first_lambda_violates += bool(np.abs(c).max() > lambdas[0] * alpha)
+        # an inactive -0.0 keeps its sign bit in _active_set_solve's copy
+        for start in (np.zeros(c.size), np.full(c.size, -0.0)):
+            path = nl._enet_path(g, c, lambdas, alpha, start)
+            prev = start
+            for lam, row in zip(lambdas, path):
+                want = nl._active_set_solve(g, c, lam, alpha, prev)
+                assert row.tobytes() == want.tobytes()
+                prev = row
+    assert first_lambda_violates >= 1
+
+
+def test_a_singular_stacked_solve_hands_its_lambdas_to_the_exact_solver(monkeypatch):
+    x, y = hub_enet_data(3)
+    want = _elastic_net_fit_per_lambda(x, y, 0.5, seed=1)
+    solve = np.linalg.solve
+    refused = []
+
+    def no_stacks(a, b):
+        if np.ndim(a) == 3:
+            refused.append(len(a))
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", no_stacks)
+    fit = nl.elastic_net_fit(x, y, alpha=0.5, seed=1)
+    assert refused
+    assert fit.beta.tobytes() == want[0].tobytes()
+    assert fit.cv_mse.tobytes() == want[2].tobytes()
+
+
 def test_enet_rejects_unstandardized():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((30, 3)) * 5 + 2
@@ -384,6 +507,109 @@ def test_build_network_empty_when_no_signal():
     events = np.ones(n, dtype=int)
     with pytest.raises(EmptyNetworkError):
         nl.build_network(features, risk, genes, times, events, seed=0)
+
+
+def test_a_constant_feature_column_changes_nothing():
+    features, risk, genes, times, events = planted_hub_data(0)
+    base = nl.build_network(features, risk, genes, times, events, seed=0)
+    more = nl.build_network(np.column_stack([features, np.full(features.shape[0], 2.5)]),
+                            risk, genes, times, events, seed=0)
+    assert more.table == base.table
+    assert more.cross_edges == base.cross_edges
+    assert more.feature_risk_edges == base.feature_risk_edges
+    assert more.screened_features == base.screened_features
+    assert more.enet.beta.tobytes() == base.enet.beta.tobytes()
+    # a non-driver column made constant leaves the planted hub on top
+    features[:, 20] = 1.0
+    assert nl.build_network(features, risk, genes, times, events, seed=0).table[0].term == "Gene_0"
+
+
+# -- gene screen ---------------------------------------------------------------------
+
+
+def per_gene_cox(times, events, genes):
+    """(beta, se, p) of one coxph_fit per column, NaN where the fit raises."""
+    out = np.full((3, genes.shape[1]), np.nan)
+    for j in range(genes.shape[1]):
+        try:
+            fit = ss.coxph_fit(times, events, genes[:, [j]])
+        except (ConvergenceError, DataError):
+            continue
+        out[:, j] = fit.beta[0], fit.se[0], fit.wald_p[0]
+    return out
+
+
+def with_awkward_genes(times, genes, seed):
+    """``genes`` plus columns whose own fits raise or nearly do: constant,
+    NaN, infinite, separating (monotone likelihood), one whose estimate lies
+    beyond COX_BETA_MAX, and near-separating ones."""
+    rng = np.random.default_rng(seed)
+    lead = -np.log(times)  # the highest value dies first: a separating column
+    near = [lead + s * rng.standard_normal(times.size) for s in (0.05, 0.3, 1.0)]
+    extra = [np.full(times.size, 3.0), np.where(np.arange(times.size) == 2, np.nan, 1.0),
+             np.where(np.arange(times.size) == 5, np.inf, lead), lead, near[0] / 20.0, *near]
+    return np.column_stack([genes, *extra])
+
+
+def screen_draws():
+    """(times, events, genes): planted hub, whole-day ties, monotone draws, and
+    no events (every gene's fit raises)."""
+    features, risk, genes, times, events = planted_hub_data(5)
+    yield "hub", times, events, with_awkward_genes(times, genes, 0)
+    yield "no-events", times, np.zeros_like(events), genes
+    days = np.ceil(times / 4.0)  # many subjects share a day
+    yield "tied", days, events, with_awkward_genes(days, genes, 1)
+    rng = np.random.default_rng(2)
+    n = 90
+    t = np.sort(rng.exponential(10.0, n)) + 0.01
+    e = (rng.random(n) < 0.7).astype(int)
+    ranks = np.arange(n, dtype=np.float64)
+    monotone = [ranks[::-1], ranks, np.exp(-ranks / 30.0), (ranks < n // 2).astype(float)]
+    yield "monotone", t, e, np.column_stack([*monotone, rng.standard_normal((n, 3))])
+
+
+@pytest.mark.parametrize("budget", [None, 1, 40_000])
+def test_gene_screen_matches_one_coxph_fit_per_gene(monkeypatch, budget):
+    if budget is not None:  # blocks of one gene, and of a few genes
+        monkeypatch.setattr(ss, "COX_SCREEN_BYTES", budget)
+    skipped = set()
+    for name, times, events, genes in screen_draws():
+        want = per_gene_cox(times, events, genes)
+        got = np.array(ss.cox_screen(times, events, genes))
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want), err_msg=name)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10, err_msg=name)
+        skipped |= {(name, j) for j in np.flatnonzero(np.isnan(want[0]))}
+    # constant, NaN, inf, separating and beyond-the-bound columns are skipped
+    assert {("hub", j) for j in range(12, 17)} <= skipped
+    assert ("monotone", 0) in skipped and ("monotone", 1) in skipped
+    assert {("no-events", j) for j in range(12)} <= skipped
+
+
+@pytest.mark.parametrize("defect", ["negative-time", "event-2", "short-times"])
+def test_build_network_rejects_malformed_times_and_events(defect):
+    features, risk, genes, times, events = planted_hub_data(0)
+    if defect == "negative-time":
+        times[3] = -1.0
+    elif defect == "event-2":
+        events[3] = 2
+    else:
+        times, events = times[:-1], events[:-1]
+    with pytest.raises(DataError):
+        nl.build_network(features, risk, genes, times, events, seed=0)
+
+
+@pytest.mark.parametrize("budget", [None, 40_000])
+def test_build_network_selects_the_genes_of_per_gene_fits(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(ss, "COX_SCREEN_BYTES", budget)
+    for seed in range(4):
+        features, risk, genes, times, events = planted_hub_data(seed)
+        genes = with_awkward_genes(times, genes, seed)
+        beta, _, p = per_gene_cox(times, events, genes)
+        want = [f"Gene_{j}" for j in np.flatnonzero((p < nl.GENE_P_MAX) & (np.abs(beta) > 0))]
+        result = nl.build_network(features, risk, genes, times, events, seed=seed)
+        assert result.prognostic_genes == want
 
 
 @pytest.mark.parametrize("names, match", [

@@ -1098,7 +1098,7 @@ def calibration_curve_per_group(predicted_surv, times, events, horizon: float):
             continue
         km = ss.km_fit(times[idx], events[idx])
         observed = float(km.survival_at(horizon))
-        var = km.var_at(horizon)
+        var = ss._step_at(km.times, km.var, 0.0, horizon)
         if not np.isfinite(var):
             skipped += 1
             continue
