@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Peak memory and time of one bag at the paper's default width.
 
-Each (patch count, mode) runs in a fresh interpreter with BLAS pinned to one
-thread, so each peak RSS (``ru_maxrss``) belongs to that run alone. Modes:
+Each (patch count, mode) runs in a fresh interpreter (``fresh_process``), so
+each peak RSS belongs to that run alone. Modes:
 ``eval_no_grad`` is an eval forward under no_grad(), ``eval_recording`` the
 same forward with the tape recording, and ``fwd_bwd`` a train forward, the
 survival loss and its backward. Prints one JSON line per run.
@@ -12,11 +12,10 @@ survival loss and its backward. Prints one JSON line per run.
 
 import argparse
 import json
-import os
-import resource
-import subprocess
 import sys
 import time
+
+from fresh_process import peak_rss_mb, run_each
 
 MODES = ("eval_no_grad", "eval_recording", "fwd_bwd")
 DEFAULT_PATCHES = (256, 1024, 4096, 16384)
@@ -47,8 +46,7 @@ def probe(n: int, mode: str) -> dict:
         _, trace = model.forward(bag, params, mode="train", seed=SEED)
         survival.nll_graph(trace.tensors["logits"], 1, 0).backward()
     seconds = time.perf_counter() - t0
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    return {"patches": n, "mode": mode, "seconds": round(seconds, 3), "peak_rss_mb": round(peak_mb, 1)}
+    return {"patches": n, "mode": mode, "seconds": round(seconds, 3), "peak_rss_mb": peak_rss_mb()}
 
 
 def main() -> int:
@@ -61,18 +59,8 @@ def main() -> int:
     if args.one:
         print(json.dumps(probe(int(args.one[0]), args.one[1])))
         return 0
-    env = dict(os.environ)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    for n in args.patches:
-        for mode in args.modes:
-            cmd = [sys.executable, __file__, "--one", str(n), mode]
-            proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True)
-            if proc.returncode != 0:
-                print(f"memory probe failed on {n} patches, mode {mode}", file=sys.stderr)
-                return 1
-            print(proc.stdout.strip(), flush=True)
-    return 0
+    return run_each(__file__, [(n, mode) for n in args.patches for mode in args.modes],
+                    "memory probe failed on {} patches, mode {}")
 
 
 if __name__ == "__main__":

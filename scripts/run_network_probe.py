@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Time and peak memory of ``build_network`` at transcriptome scale.
 
-Each gene count runs in a fresh interpreter with BLAS pinned to one thread,
-so each peak RSS (``ru_maxrss``) belongs to that run alone. The input is a
+Each gene count runs in a fresh interpreter (``fresh_process``), so each
+peak RSS belongs to that run alone. The input is a
 planted-hub cohort: ``n`` patients, 25 extractor features of which eight
 track a latent factor that drives the risk score and the survival times,
 and ``genes`` gene columns of which the first tracks the same factor. Prints
@@ -15,11 +15,10 @@ screens, the elastic net, the gene screen and the centrality, the whole
 
 import argparse
 import json
-import os
-import resource
-import subprocess
 import sys
 import time
+
+from fresh_process import peak_rss_mb, run_each
 
 DEFAULT_GENES = (10, 2000, 20000)
 N_PATIENTS = 581  # the paper's discovery cohort
@@ -66,11 +65,10 @@ def probe(n: int, n_genes: int) -> dict:
     t0 = time.perf_counter()
     result = netlink.build_network(*data, seed=SEED)
     total = time.perf_counter() - t0
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return {"n": n, "genes": n_genes, "features": N_FEATURES,
             **{k: round(v, 4) for k, v in seconds.items()}, "total_s": round(total, 4),
             "prognostic_genes": len(result.prognostic_genes), "top_hub": result.table[0].term,
-            "peak_rss_mb": round(peak_mb, 1)}
+            "peak_rss_mb": peak_rss_mb()}
 
 
 def main() -> int:
@@ -83,17 +81,8 @@ def main() -> int:
     if args.one:
         print(json.dumps(probe(*args.one)))
         return 0
-    env = dict(os.environ)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    for n_genes in args.genes:
-        cmd = [sys.executable, __file__, "--one", str(args.n), str(n_genes)]
-        proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True)
-        if proc.returncode != 0:
-            print(f"network probe failed at {args.n} patients x {n_genes} genes", file=sys.stderr)
-            return 1
-        print(proc.stdout.strip(), flush=True)
-    return 0
+    return run_each(__file__, [(args.n, n_genes) for n_genes in args.genes],
+                    "network probe failed at {} patients x {} genes")
 
 
 if __name__ == "__main__":

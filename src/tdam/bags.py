@@ -13,6 +13,7 @@ import json
 import logging
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -319,6 +320,9 @@ def load_cohort_manifest(csv_path: str | Path) -> Cohort:
     if not rows:
         raise ParseError(f"{csv_path}: empty manifest")
     header = [h.strip() for h in rows[0]]
+    repeated = [h for h, k in Counter(header).items() if k > 1]
+    if repeated:
+        raise ParseError(f"{csv_path}: column {repeated[0]!r} appears more than once in the header")
     for needed in ("patient_id", "time", "event"):
         if needed not in header:
             raise ParseError(f"{csv_path}: missing required column {needed!r}")

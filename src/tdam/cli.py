@@ -22,6 +22,7 @@ import csv
 import hashlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -104,42 +105,18 @@ def write_json(path: Path, payload: dict, seed: int, chash: str) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
-def _finite(path: str, pid: str, cell: str, what: str) -> float:
+def _finite(path: str, pid: str, cell: str) -> float:
     try:
         return bags.finite_float(cell)
     except ValueError:
-        raise DataError(f"{path}: patient {pid} has {what} {cell!r}, not a finite number") from None
+        raise DataError(f"{path}: patient {pid} has value {cell!r}, not a finite number") from None
 
 
-def read_score_csv(path: str) -> dict[str, float]:
-    """patient_id -> score from a CSV with a patient_id column and a score
-    column (``risk`` if present, else the first other column)."""
-    rows = bags.read_csv_rows(path)
-    if not rows:
-        raise DataError(f"{path}: empty score file")
-    header = rows[0]
-    if "patient_id" not in header:
-        raise DataError(f"{path}: missing patient_id column")
-    if len(header) < 2:
-        raise DataError(f"{path}: no score column next to patient_id")
-    pid_col = header.index("patient_id")
-    val_col = header.index("risk") if "risk" in header else (1 if pid_col == 0 else 0)
-    scores: dict[str, float] = {}
-    for row in rows[1:]:
-        if len(row) < len(header):
-            raise DataError(f"{path}: row {','.join(row)!r} has fewer cells than the header")
-        pid = row[pid_col]
-        if pid in scores:
-            raise DataError(f"{path}: duplicate patient_id {pid!r}")
-        scores[pid] = _finite(path, pid, row[val_col], "score")
-    return scores
-
-
-def _aligned_scores(cohort: bags.Cohort, scores: dict[str, float]) -> np.ndarray:
-    missing = [r.patient_id for r in cohort.records if r.patient_id not in scores]
-    if missing:
-        raise DataError(f"scores missing for {len(missing)} patients (first: {missing[0]})")
-    return np.array([scores[r.patient_id] for r in cohort.records])
+def _read_scores(path: str, cohort: bags.Cohort) -> np.ndarray:
+    """The cohort-aligned score column of a per-patient CSV (``_read_matrix_csv``'s
+    samples layout): ``risk``, or the first value column if there is none."""
+    names, values = _read_matrix_csv(path, [r.patient_id for r in cohort.records], by_column=False)
+    return values[:, names.index("risk") if "risk" in names else 0]
 
 
 def _load_cohort_and_bags(cohort_path: str, bags_root: str | None):
@@ -177,11 +154,12 @@ def cmd_train(args, opts, seed, chash) -> int:
     return 0
 
 
-def _emit_risks(cohort, bag_map, params, out_csv: Path, seed, chash) -> dict[str, float]:
+def _emit_risks(cohort, bag_map, params, out_csv: Path, seed, chash) -> np.ndarray:
+    """Write and return the cohort's risks, in cohort order."""
     risks = trainer.predict_risks(bag_map, params, [r.patient_id for r in cohort.records])
     write_csv(out_csv, ["patient_id", "risk"], [[r.patient_id, risks[r.patient_id]] for r in cohort.records],
               seed, chash)
-    return risks
+    return np.array([risks[r.patient_id] for r in cohort.records])
 
 
 def cmd_eval(args, opts, seed, chash) -> int:
@@ -189,8 +167,7 @@ def cmd_eval(args, opts, seed, chash) -> int:
     params, _, _ = load_checkpoint(args.checkpoint)
     out = Path(args.out)
     risks = _emit_risks(cohort, bag_map, params, out / "risks.csv", seed, chash)
-    aligned = _aligned_scores(cohort, risks)
-    cindex = survival.concordance_index(aligned, cohort.times(), cohort.events())
+    cindex = survival.concordance_index(risks, cohort.times(), cohort.events())
     write_json(out / "metrics.json", {"cindex": cindex, "n": len(cohort)}, seed, chash)
     print(f"C-index {cindex:.4f} over {len(cohort)} patients")
     return 0
@@ -217,6 +194,9 @@ def cmd_heatmap(args, opts, seed, chash) -> int:
         targets += [(pid, bag_map[pid]) for pid in (r.patient_id for r in cohort.records)]
     if not targets:
         raise DataError("heatmap needs --bag or --cohort")
+    repeated = [name for name, k in Counter(name for name, _ in targets).items() if k > 1]
+    if repeated:  # both would write heatmap_<name>.csv
+        raise DataError(f"two heatmap targets are named {repeated[0]!r}")
     for name, bag in targets:
         table = explain.attention_heatmap(bag, params)
         write_csv(out / f"heatmap_{name}.csv", ["x", "y", "bin0", "bin1", "bin2", "bin3"], table.rows(),
@@ -249,8 +229,8 @@ def cmd_erf(args, opts, seed, chash) -> int:
     return 0
 
 
-def _high_risk(cohort, scores) -> np.ndarray:
-    return survstats.median_stratify(_aligned_scores(cohort, scores)) == "high"
+def _high_risk(path, cohort) -> np.ndarray:
+    return survstats.median_stratify(_read_scores(path, cohort)) == "high"
 
 
 # Each stats handler maps (args, cohort, times, events) to {file name:
@@ -259,7 +239,7 @@ def _high_risk(cohort, scores) -> np.ndarray:
 
 def _stats_km(args, cohort, times, events):
     if args.risks:
-        hi = _high_risk(cohort, read_score_csv(args.risks))
+        hi = _high_risk(args.risks, cohort)
         groups = [("high", times[hi], events[hi]), ("low", times[~hi], events[~hi])]
     else:
         groups = [("all", times, events)]
@@ -272,7 +252,7 @@ def _stats_km(args, cohort, times, events):
 
 
 def _stats_logrank(args, cohort, times, events):
-    hi = _high_risk(cohort, read_score_csv(args.risks))
+    hi = _high_risk(args.risks, cohort)
     chi2, p = survstats.logrank_test([(times[hi], events[hi]), (times[~hi], events[~hi])])
     return {"logrank.json": {"chi2": chi2, "p": p}}
 
@@ -293,7 +273,7 @@ def _stats_cox(args, cohort, times, events):
 
 
 def _stats_timeroc(args, cohort, times, events):
-    aligned = _aligned_scores(cohort, read_score_csv(args.risks))
+    aligned = _read_scores(args.risks, cohort)
     rows = []
     for h in args.horizons:
         try:
@@ -305,7 +285,7 @@ def _stats_timeroc(args, cohort, times, events):
 
 
 def _stats_rmst(args, cohort, times, events):
-    hi = _high_risk(cohort, read_score_csv(args.risks))
+    hi = _high_risk(args.risks, cohort)
     rows = []
     for year in range(1, max(1, int(args.tau // 12)) + 1):
         tau = min(12.0 * year, args.tau)
@@ -315,8 +295,8 @@ def _stats_rmst(args, cohort, times, events):
 
 
 def _stats_boot(args, cohort, times, events):
-    a = _aligned_scores(cohort, read_score_csv(args.risks))
-    b = _aligned_scores(cohort, read_score_csv(args.risks_b))
+    a = _read_scores(args.risks, cohort)
+    b = _read_scores(args.risks_b, cohort)
     res = survstats.bootstrap_auc_compare(a, b, times, events, args.horizon,
                                           n_boot=args.n_boot, seed=args.seed)
     return {"bootstrap.json": {
@@ -327,7 +307,7 @@ def _stats_boot(args, cohort, times, events):
 
 
 def _stats_calib(args, cohort, times, events):
-    pred = _aligned_scores(cohort, read_score_csv(args.pred))
+    pred = _read_scores(args.pred, cohort)
     points, _ = survstats.calibration_curve(pred, times, events, args.horizon)
     return {"calibration.csv": (
         ["mean_predicted", "observed", "lci", "uci", "n"],
@@ -336,7 +316,7 @@ def _stats_calib(args, cohort, times, events):
 
 
 def _stats_dca(args, cohort, times, events):
-    pred = _aligned_scores(cohort, read_score_csv(args.pred))
+    pred = _read_scores(args.pred, cohort)
     outside = np.flatnonzero((pred < 0.0) | (pred > 1.0))
     if outside.size:
         i = outside[0]
@@ -396,7 +376,7 @@ def cmd_stats(args, opts, seed, chash) -> int:
 def _collect_variables(args, cohort) -> dict[str, np.ndarray]:
     variables: dict[str, np.ndarray] = {}
     if args.risks:
-        variables["risk_score"] = _aligned_scores(cohort, read_score_csv(args.risks))
+        variables["risk_score"] = _read_scores(args.risks, cohort)
     for name in (args.vars.split(",") if args.vars else []):
         name = name.strip()
         if not name:
@@ -423,7 +403,7 @@ def cmd_netlink(args, opts, seed, chash) -> int:
         feats = np.stack([bag_map[pid].features.mean(axis=0) for pid in ids])
         feat_names = [f"Feature_{i}" for i in range(feats.shape[1])]
     gene_names, genes = _read_matrix_csv(args.genes, ids, by_column=args.genes_orientation == "genes")
-    risks = _aligned_scores(cohort, read_score_csv(args.risks))
+    risks = _read_scores(args.risks, cohort)
     result = netlink.build_network(
         feats, risks, genes, cohort.times(), cohort.events(),
         feature_names=feat_names, gene_names=gene_names,
@@ -448,7 +428,8 @@ def _read_matrix_csv(path: str, ids: list[str], by_column: bool) -> tuple[list[s
     """(names, values with one row per patient in ``ids`` order) of a matrix
     CSV. Samples layout: header patient_id,<name>,...; one row per patient.
     Genes layout (``by_column``): header gene_id,<patient>,...; one row per
-    gene, read as its transpose."""
+    gene, read as its transpose. The names must be distinct, there must be at
+    least one, and every value is a finite number."""
     rows = bags.read_csv_rows(path)
     if len(rows) < 2 or not (by_column or rows[0][0] == "patient_id"):
         raise DataError(f"{path}: needs a header{'' if by_column else ' starting with patient_id'} "
@@ -461,6 +442,11 @@ def _read_matrix_csv(path: str, ids: list[str], by_column: bool) -> tuple[list[s
                 raise DataError(f"{path}: gene row {r[0]!r} has {len(r)} cells, the header has {len(rows[0])}")
         rows = [list(column) for column in zip(*rows)]
     header = rows[0]
+    if len(header) < 2:
+        raise DataError(f"{path}: the header names no value column next to patient_id")
+    repeated = [name for name, k in Counter(header).items() if k > 1]
+    if repeated:
+        raise DataError(f"{path}: the name {repeated[0]!r} appears more than once")
     by_id: dict[str, list[float]] = {}
     for r in rows[1:]:
         pid = r[0]
@@ -468,7 +454,7 @@ def _read_matrix_csv(path: str, ids: list[str], by_column: bool) -> tuple[list[s
             raise DataError(f"{path}: duplicate patient_id {pid!r}")
         if len(r) != len(header):
             raise DataError(f"{path}: patient {pid} has {len(r)} cells, the header has {len(header)}")
-        by_id[pid] = [_finite(path, pid, v, "value") for v in r[1:]]
+        by_id[pid] = [_finite(path, pid, v) for v in r[1:]]
     missing = [pid for pid in ids if pid not in by_id]
     if missing:
         raise DataError(f"{path}: values missing for {len(missing)} patients (first: {missing[0]})")

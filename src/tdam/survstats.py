@@ -6,6 +6,13 @@ the Breslow partial likelihood, IPCW time-dependent ROC AUC, restricted mean
 survival time with normal-approximation inference, paired bootstrap AUC
 comparison, median risk stratification, calibration tables, decision-curve
 net benefit, and a points-based nomogram over a fitted Cox model.
+
+Two kernels carry every Kaplan-Meier number. ``_risk_counts`` counts the
+integer risk sets and events of labelled patients at the distinct event
+times, for ``km_fit``, ``logrank_test``, ``calibration_curve`` and
+``dca_curve``. ``_product_limit`` turns risk sets into S for those and for
+the IPCW censoring weights of time-ROC and the bootstrap; ``_greenwood``
+adds the variance where it is read.
 """
 
 from __future__ import annotations
@@ -77,22 +84,46 @@ class KmCurve:
         return _step_at(self.times, self.surv, 1.0, t, "left" if left else "right")
 
 
-def _risk_table(times, events, at=None, weights=None):
-    """Risk-set size and event count at each time in ``at`` (by default the
-    distinct event times); returns (at, at_risk, n_events). At risk at t means
-    a time of at least t, and events tied at t count together. With
-    ``weights``, at_risk is the risk set's weight sum instead of its size.
+def _risk_counts(times, events, labels=None, n_labels=1, horizon=np.inf):
+    """Integer risk sets of each label's patients at the sample's distinct
+    event times up to ``horizon``: (knots, at_risk, d), the last two
+    (n_labels, knots). At risk at t means a time of at least t, and events
+    tied at t count together. Without ``labels`` every patient has label 0.
     """
-    order = np.argsort(times, kind="stable")
-    ts, es = times[order], events[order]
-    if at is None:
-        at = np.unique(ts[es == 1])
-    first = np.searchsorted(ts, at, side="left")
-    cum_events = np.concatenate([[0], np.cumsum(es)])
-    n_events = cum_events[np.searchsorted(ts, at, side="right")] - cum_events[first]
-    if weights is None:
-        return at, ts.size - first, n_events
-    return at, np.cumsum(weights[order][::-1])[::-1][first], n_events
+    if labels is None:
+        labels = np.zeros(times.size, dtype=np.intp)
+    hit = (events == 1) & (times <= horizon)
+    knots = np.unique(times[hit])
+    k = knots.size
+    pos = np.searchsorted(knots, times, side="right")  # knots at or before each time
+    ends = np.bincount(labels * (k + 1) + pos, minlength=n_labels * (k + 1)).reshape(n_labels, k + 1)
+    at_risk = ends.sum(axis=1, keepdims=True) - np.cumsum(ends[:, :-1], axis=1)  # at knot j: pos > j
+    d = np.bincount(labels[hit] * k + pos[hit] - 1, minlength=n_labels * k).reshape(n_labels, k)
+    return knots, at_risk, d
+
+
+def _product_limit(at_risk, d):
+    """Kaplan-Meier S along the last axis, from before the first knot on: 1.0,
+    then the running product of 1 - d/n at each knot.
+
+    A knot with d = 0 gives the factor exactly 1.0, even with nobody at risk,
+    so a row's S at any later knot has the bits of its S at its own last
+    event.
+    """
+    surv = np.ones(d.shape[:-1] + (d.shape[-1] + 1,))
+    np.multiply.accumulate(1.0 - d / np.maximum(at_risk, 1), axis=-1, out=surv[..., 1:])
+    return surv
+
+
+def _greenwood(at_risk, d, surv):
+    """Greenwood variance of each S of ``_product_limit``: 0 before any event
+    and once S reaches 0 (a point mass, n == d, after which a row has no
+    event). A knot with d = 0 adds a term of exactly 0.0."""
+    green = np.zeros_like(surv)
+    # nobody at risk gives 0/0, and n == d an infinite sum; neither is kept
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.add.accumulate(np.where(d > 0, d / (at_risk * (at_risk - d)), 0.0), axis=-1, out=green[..., 1:])
+        return np.where(surv > 0, surv * surv * green, 0.0)
 
 
 def km_fit(times, events) -> KmCurve:
@@ -103,51 +134,10 @@ def km_fit(times, events) -> KmCurve:
     The Greenwood variance is 0 once S reaches 0 (a point mass).
     """
     times, events = _clean(times, events)
-    event_times, at_risk, d = _risk_table(times, events)
-    surv = np.multiply.accumulate(1.0 - d / at_risk)
-    with np.errstate(divide="ignore", invalid="ignore"):  # n == d: green is inf, S is 0
-        green = np.add.accumulate(d / (at_risk * (at_risk - d)))
-        var = np.where(at_risk > d, surv * surv * green, 0.0)
-    return KmCurve(times=event_times, surv=surv, n_at_risk=at_risk, n_events=d, var=var, n=times.size)
-
-
-def _horizon_counts(times, events, horizon, labels, n_labels):
-    """Integer risk sets of each label's patients at the sample's distinct
-    event times up to ``horizon``: (at_risk, d), each (n_labels, knots).
-
-    At risk at t means a time of at least t, as in ``_risk_table``.
-    """
-    hit = (events == 1) & (times <= horizon)
-    knots = np.unique(times[hit])
-    k = knots.size
-    pos = np.searchsorted(knots, times, side="right")  # knots at or before each time
-    ends = np.bincount(labels * (k + 1) + pos, minlength=n_labels * (k + 1)).reshape(n_labels, k + 1)
-    at_risk = np.cumsum(ends[:, ::-1], axis=1)[:, -2::-1]  # at risk at knot j: pos > j
-    d = np.bincount(labels[hit] * k + pos[hit] - 1, minlength=n_labels * k).reshape(n_labels, k)
-    return at_risk, d
-
-
-def _km_at_last_event(at_risk, d):
-    """KM survival and Greenwood variance of each row's patients at the last
-    knot where they have an event (1.0 and 0.0 before any), from risk-set
-    counts over shared knots.
-
-    A knot where a row has no event contributes a factor of exactly 1.0 and a
-    Greenwood term of exactly 0.0, and both are read at the row's own last
-    event, so each value has the bits of ``km_fit`` on that row's patients
-    alone, including the ``n == d`` point mass.
-    """
-    rows, k = d.shape
-    step = d > 0
-    surv = np.ones((rows, k + 1))
-    var = np.zeros((rows, k + 1))
-    # nobody at risk gives 0/0, and n == d an infinite Greenwood sum; neither is read
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.multiply.accumulate(np.where(step, 1.0 - d / at_risk, 1.0), axis=1, out=surv[:, 1:])
-        green = np.add.accumulate(np.where(step, d / (at_risk * (at_risk - d)), 0.0), axis=1)
-        var[:, 1:] = np.where(at_risk > d, surv[:, 1:] * surv[:, 1:] * green, 0.0)
-    last = np.max(np.where(step, np.arange(1, k + 1), 0), axis=1, initial=0)
-    return surv[np.arange(rows), last], var[np.arange(rows), last]
+    knots, at_risk, d = _risk_counts(times, events)
+    surv = _product_limit(at_risk, d)
+    var = _greenwood(at_risk, d, surv)
+    return KmCurve(times=knots, surv=surv[0, 1:], n_at_risk=at_risk[0], n_events=d[0], var=var[0, 1:], n=times.size)
 
 
 # -- log-rank --------------------------------------------------------------------
@@ -164,12 +154,13 @@ def logrank_test(groups) -> tuple[float, float]:
         raise DataError("need at least 2 groups")
     cleaned = [_clean(t, e) for t, e in groups]
     k = len(cleaned)
-    pooled = np.unique(np.concatenate([t[e == 1] for t, e in cleaned]))
-    if pooled.size == 0:
+    labels = np.repeat(np.arange(k), [t.size for t, _ in cleaned])
+    _, at_risk, d = _risk_counts(*(np.concatenate(c) for c in zip(*cleaned)), labels, k)
+    if d.shape[1] == 0:
         raise UndefinedError("no events in any group")
-    tables = [_risk_table(t, e, pooled) for t, e in cleaned]
-    n_g = np.column_stack([n for _, n, _ in tables]).astype(np.float64)  # (event times, groups)
-    d_g = np.column_stack([d for _, _, d in tables]).astype(np.float64)
+    # (event times, groups), C-contiguous: the products below keep their bits
+    n_g = at_risk.T.astype(np.float64, order="C")
+    d_g = d.T.astype(np.float64, order="C")
     n_tot = n_g.sum(axis=1, keepdims=True)
     d_tot = d_g.sum(axis=1, keepdims=True)
     frac = n_g / n_tot
@@ -339,8 +330,12 @@ def coxph_fit(times, events, x, names=None) -> CoxFit:
     z = beta / se
     wald_p = 2.0 * stats.norm.sf(np.abs(z))
 
-    # Breslow baseline cumulative hazard at x = 0
-    event_times, risk_w, d = _risk_table(times, events, weights=np.exp(x @ beta))
+    # Breslow baseline cumulative hazard at x = 0: each event time's deaths
+    # over its risk set's weight, a reverse cumsum in ascending time order
+    order = np.argsort(times, kind="stable")
+    event_times, d = np.unique(times[events == 1], return_counts=True)
+    first = np.searchsorted(times[order], event_times, side="left")
+    risk_w = np.cumsum(np.exp(x @ beta)[order][::-1])[::-1][first]
     return CoxFit(
         names=list(names),
         beta=beta,
@@ -574,8 +569,7 @@ class _IpcwAuc:
         censored = _cum_counts(early * self.early_censored)
         at_risk = n - in_time[:, self.knot_lo]
         d = censored[:, self.knot_hi] - censored[:, self.knot_lo]
-        g = np.ones((rows, self.knot_lo.size + 1))
-        np.multiply.accumulate(1.0 - d / at_risk, axis=1, out=g[:, 1:])
+        g = _product_limit(at_risk, d)
         # A control is at risk at every censored time up to the horizon and is
         # not censored there, so each factor is positive and G >= n_controls/n:
         # this cannot fire on a usable resample.
@@ -804,7 +798,7 @@ def calibration_curve(predicted_surv, times, events, horizon: float):
     predicted survival vs KM observed.
 
     Every group's KM survival and Greenwood variance at the horizon come from
-    one table of integer risk sets (``_horizon_counts``), with the bits of a
+    one table of integer risk sets (``_risk_counts``), with the bits of a
     ``km_fit`` on that group alone. Returns (points, n_skipped); empty groups
     are skipped and counted. Raises DataError for non-finite predictions or
     horizon and for predictions outside [0, 1].
@@ -820,7 +814,9 @@ def calibration_curve(predicted_surv, times, events, horizon: float):
     bounds = np.unique(np.quantile(pred, np.linspace(0, 1, CALIBRATION_GROUPS + 1), method="linear"))
     n_groups = max(1, bounds.size - 1)  # constant predictions: one group
     which = np.clip(np.searchsorted(bounds, pred, side="right") - 1, 0, n_groups - 1)
-    surv, var = _km_at_last_event(*_horizon_counts(times, events, horizon, which, n_groups))
+    _, at_risk, d = _risk_counts(times, events, which, n_groups, horizon)
+    surv = _product_limit(at_risk, d)
+    var = _greenwood(at_risk, d, surv)
     points: list[CalibrationPoint] = []
     skipped = 0
     for g in range(n_groups):
@@ -828,8 +824,8 @@ def calibration_curve(predicted_surv, times, events, horizon: float):
         if idx.size == 0:
             skipped += 1
             continue
-        observed = float(surv[g])
-        half = 1.959963984540054 * np.sqrt(float(var[g]))
+        observed = float(surv[g, -1])  # S at the last event up to the horizon
+        half = 1.959963984540054 * np.sqrt(float(var[g, -1]))
         points.append(
             CalibrationPoint(
                 mean_predicted=float(pred[idx].mean()),
@@ -871,9 +867,9 @@ def dca_curve(predicted_event_prob, times, events, horizon: float, thresholds) -
     n = times.size
     cuts = np.unique(thresholds[(thresholds > 0.0) & (thresholds < 1.0)])
     level = np.searchsorted(cuts, pred, side="left")  # cuts strictly below each prediction
-    at_risk, d = _horizon_counts(times, events, horizon, level, cuts.size + 1)
+    _, at_risk, d = _risk_counts(times, events, level, cuts.size + 1, horizon)
     # row r: the patients above r cuts or more; row 0 is the whole sample
-    surv, _ = _km_at_last_event(np.cumsum(at_risk[::-1], axis=0)[::-1], np.cumsum(d[::-1], axis=0)[::-1])
+    surv = _product_limit(np.cumsum(at_risk[::-1], axis=0)[::-1], np.cumsum(d[::-1], axis=0)[::-1])[:, -1]
     n_above = np.cumsum(np.bincount(level, minlength=cuts.size + 1)[::-1])[::-1]
     prevalence = 1.0 - float(surv[0])
     out: list[DcaPoint] = []

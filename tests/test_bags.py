@@ -188,6 +188,16 @@ def test_manifest_non_numeric_time(tmp_path):
         bags.load_cohort_manifest(path)
 
 
+@pytest.mark.parametrize("header", ["patient_id,time,event,age,age", "patient_id,time,event,time,age"])
+def test_manifest_rejects_a_repeated_column(tmp_path, header):
+    """A repeated column would be read from its last copy alone."""
+    path = tmp_path / "cohort.csv"
+    path.write_text(f"{header}\nA,5,1,60,61\nB,6,0,70,71\n")
+    repeated = "age" if header.endswith("age,age") else "time"
+    with pytest.raises(ParseError, match=re.escape(f"{path}: column {repeated!r} appears more than once")):
+        bags.load_cohort_manifest(path)
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
 def test_manifest_time_must_be_finite(tmp_path, cell):
     """A time that is not a finite number is malformed, not an exclusion; the

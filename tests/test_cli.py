@@ -27,6 +27,11 @@ TINY_OPTS = [
 ]
 
 
+# the model TINY_OPTS configures, for a checkpoint made without training
+TINY_CONFIG = ModelConfig(d_in=8, d_model=8, n_heads=2, n_agents=2, n_landmarks=4,
+                          srmamba_layers=1, srmamba_rate=2, ssm_state_dim=2, agent_bias_side=3)
+
+
 def tree_hash(root: Path) -> str:
     digest = hashlib.sha256()
     for path in sorted(root.rglob("*")):
@@ -165,6 +170,24 @@ def test_heatmap_and_erf_outputs(tmp_path):
     assert (erf_dir / "erf.pgm").read_text().startswith("P2")
 
 
+@pytest.mark.parametrize("second", ["bag", "cohort"])
+def test_heatmap_refuses_two_targets_with_one_name(tmp_path, capsys, second):
+    """A bag given twice, or a bag whose slide id is also a cohort patient,
+    would write one heatmap_<name>.csv over the other."""
+    data = synth(tmp_path, seed=7, n=12)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_params(TINY_CONFIG))
+    bag = str(data / "bags" / "P0000.bag")
+    capsys.readouterr()
+    rc = cli.run(["heatmap", "--checkpoint", str(ckpt), "--bag", bag,
+                  *(["--bag", bag] if second == "bag" else ["--cohort", str(data / "cohort.csv")]),
+                  "--out", str(tmp_path / "hm")])
+    assert rc == 3
+    payload = single_json_error(capsys)
+    assert payload["error"] == "DataError" and "'P0000'" in payload["message"]
+    assert not (tmp_path / "hm").exists()
+
+
 def test_erf_ablation_defaults_to_the_checkpoint_and_overrides_it(tmp_path):
     cfg = ModelConfig(d_in=8, d_model=8, n_heads=2, n_agents=2, n_landmarks=4, srmamba_layers=1,
                       srmamba_rate=2, ssm_state_dim=2, agent_bias_side=3, ablation="no_transformer")
@@ -277,7 +300,7 @@ def test_stats_cox_writes_the_joint_fit_diagnostics(tmp_path):
                     "--vars", "signal_fraction", "--out", str(out)]) == 0
     payload = json.loads((out / "cox_fit.json").read_text())
     variables = {
-        "risk_score": cli._aligned_scores(cohort, cli.read_score_csv(str(risks))),
+        "risk_score": cli._read_scores(str(risks), cohort),
         "signal_fraction": np.array([r.covariates["signal_fraction"] for r in cohort.records]),
     }
     _, joint = survstats.multivariable_pipeline(cohort.times(), cohort.events(), variables)
@@ -308,35 +331,55 @@ def single_json_error(capsys) -> dict:
     return json.loads(lines[0])
 
 
-@pytest.mark.parametrize("stat,row", [
-    pytest.param("timeroc", "{pid},nan", id="timeroc-nan"),
-    pytest.param("logrank", "{pid},nan", id="logrank-nan"),
-    pytest.param("logrank", "{pid},abc", id="logrank-abc"),
-    pytest.param("logrank", "{pid}", id="logrank-short-row"),
-    pytest.param("km", "{pid},0.5\n{pid},0.5", id="km-duplicate-id"),
-    pytest.param("km", None, id="km-empty-file"),
+@pytest.mark.parametrize("stat,header,row,named", [
+    pytest.param("timeroc", None, "{pid},nan", "{pid}", id="timeroc-nan"),
+    pytest.param("logrank", None, "{pid},nan", "{pid}", id="logrank-nan"),
+    pytest.param("logrank", None, "{pid},abc", "{pid}", id="logrank-abc"),
+    pytest.param("logrank", None, "{pid}", "{pid}", id="logrank-short-row"),
+    pytest.param("logrank", None, "{pid},0.5,999", "{pid}", id="logrank-long-row"),
+    pytest.param("calib", None, "{pid},0.5,999", "{pid}", id="calib-long-row"),
+    pytest.param("logrank", "patient_id,risk,risk", None, "'risk'", id="logrank-repeated-column"),
+    pytest.param("logrank", "patient_id", None, "no value column", id="logrank-only-patient-id"),
+    pytest.param("logrank", "patient_id,risk,age", "{pid},0.5,abc", "{pid}", id="logrank-text-second-column"),
+    pytest.param("km", None, "{pid},0.5\n{pid},0.5", "{pid}", id="km-duplicate-id"),
+    pytest.param("km", None, None, None, id="km-empty-file"),
 ])
-def test_stats_rejects_bad_score(tmp_path, capsys, stat, row):
-    """``row`` replaces one data row of the score file; None empties the file."""
+def test_stats_rejects_bad_score(tmp_path, capsys, stat, header, row, named):
+    """``header`` replaces the score file's header, each data row then
+    carrying its score once per value column; ``row`` replaces one data row.
+    With neither, the file is emptied. The one JSON error line names the file
+    and ``named``."""
     data = synth(tmp_path, seed=11, n=30)
     risks = tmp_path / "risks.csv"
     write_risks_from_signal(data, risks)
     lines = risks.read_text().splitlines()
     pid = lines[5].split(",")[0]
-    if row is None:
-        risks.write_text("")
-    else:
+    if header is not None:
+        width = len(header.split(","))
+        lines = [header] + [",".join([p] + [score] * (width - 1)) for p, score in (ln.split(",") for ln in lines[1:])]
+    if row is not None:
         lines[5] = row.format(pid=pid)
-        risks.write_text("\n".join(lines) + "\n")
+    risks.write_text("\n".join(lines) + "\n" if header or row else "")
     capsys.readouterr()
-    rc = cli.run(["stats", stat, "--cohort", str(data / "cohort.csv"), "--risks", str(risks),
+    flag = "--pred" if stat == "calib" else "--risks"
+    rc = cli.run(["stats", stat, "--cohort", str(data / "cohort.csv"), flag, str(risks),
                   "--out", str(tmp_path / "out")])
     assert rc == 3
     payload = single_json_error(capsys)
     assert payload["error"] == "DataError"
     assert str(risks) in payload["message"]
-    assert row is None or pid in payload["message"]
+    assert named is None or named.format(pid=pid) in payload["message"]
     assert not (tmp_path / "out").exists()
+
+
+def test_stats_rejects_a_cohort_with_a_repeated_column(tmp_path, capsys):
+    data = synth(tmp_path, seed=11, n=12)
+    cohort = data / "cohort.csv"
+    _apply_csv_edit(cohort, ("cell", (0, 4, "signal_fraction")))  # bag_path renamed
+    capsys.readouterr()
+    assert cli.run(["stats", "km", "--cohort", str(cohort), "--out", str(tmp_path / "out")]) == 3
+    payload = single_json_error(capsys)
+    assert payload["error"] == "ParseError" and "'signal_fraction'" in payload["message"]
 
 
 @pytest.mark.parametrize("stat,argv,named", [
@@ -996,9 +1039,7 @@ def fuzz_base(tmp_path_factory):
     ids = [r.patient_id for r in load_cohort_manifest(data / "cohort.csv").records]
     write_matrix(data / "genes.csv", ids, "samples")
     write_matrix(data / "genes_t.csv", ids, "genes")
-    cfg = ModelConfig(d_in=8, d_model=8, n_heads=2, n_agents=2, n_landmarks=4,
-                      srmamba_layers=1, srmamba_rate=2, ssm_state_dim=2, agent_bias_side=3)
-    save_checkpoint(data / "model.ckpt", init_params(cfg))
+    save_checkpoint(data / "model.ckpt", init_params(TINY_CONFIG))
     return data
 
 

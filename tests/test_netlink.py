@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -626,3 +632,14 @@ def test_build_network_rejects_names_that_do_not_label_one_node_each(names, matc
     features, risk, genes, times, events = planted_hub_data(0)
     with pytest.raises(DataError, match=match):
         nl.build_network(features, risk, genes, times, events, seed=0, **names)
+
+
+def test_network_probe_script_prints_one_line_per_gene_count():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "run_network_probe.py"),
+                           "--genes", "5", "12", "--n", "80"],
+                          env=env, stdout=subprocess.PIPE, text=True, timeout=300, check=True)
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(r["n"], r["genes"]) for r in rows] == [(80, 5), (80, 12)]
+    assert all(r["total_s"] > 0 and r["peak_rss_mb"] > 0 and r["top_hub"] for r in rows)

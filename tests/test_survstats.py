@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from stats_oracles import km_fit as km_fit_oracle, logrank_test as logrank_test_oracle, risk_table
 from tdam import survstats as ss
 from tdam.rng import substream
 from tdam.errors import ConvergenceError, DataError, DegenerateError, RangeError, UndefinedError
@@ -1020,7 +1021,7 @@ def coxph_fit_oracle(times, events, x, names=None) -> ss.CoxFit:
     wald_p = 2.0 * ss.stats.norm.sf(np.abs(z))
 
     # Breslow baseline cumulative hazard at x = 0
-    event_times, risk_w, d = ss._risk_table(times, events, weights=np.exp(x @ beta))
+    event_times, risk_w, d = risk_table(times, events, weights=np.exp(x @ beta))
     return ss.CoxFit(
         names=list(names),
         beta=beta,
@@ -1227,6 +1228,36 @@ def test_sorted_once_statistics_are_bitwise_the_oracles_on_tied_draws():
         thresholds = rng.choice([0.05, 0.2, 0.35, 0.5, 0.7, 0.99, 0.0, 1.0, -0.2], int(rng.integers(0, 9)))
         assert_same_outcome(ss.dca_curve, dca_curve_per_threshold, pred, times, events, horizon, thresholds)
     assert fits > 150
+
+
+def test_km_and_logrank_are_bitwise_the_per_group_tables_on_tied_draws():
+    """Whole-day times with many ties, point masses and empty groups, split
+    into 2-5 groups: every array of ``km_fit`` (dtypes too) and log-rank's
+    (chi2, p), or the error, are the per-group risk tables' own."""
+    rng = np.random.default_rng(2028)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        n = int(rng.integers(1, 80))
+        times = rng.integers(1, 12, n).astype(float)
+        events = rng.integers(0, 2, n) if rng.random() < 0.8 else np.ones(n, dtype=np.int64)
+        assert_same_outcome(ss.km_fit, km_fit_oracle, times, events)
+        k = int(rng.integers(2, 6))
+        labels = rng.integers(0, k, n)
+        groups = [(times[labels == g], events[labels == g]) for g in range(k)]
+        for t, e in groups:
+            assert_same_outcome(ss.km_fit, km_fit_oracle, t, e)
+        outcomes[assert_same_outcome(ss.logrank_test, logrank_test_oracle, groups)] += 1
+    assert outcomes[True] > 150 and outcomes[False] > 10
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_km_and_logrank_are_bitwise_the_per_group_tables_on_the_benchmark_shape(report_cohort, k):
+    x, times, events, _ = report_cohort
+    assert_bitwise(ss.km_fit(times, events), km_fit_oracle(times, events))
+    group = np.searchsorted(np.quantile(x[:, 0], np.arange(1, k) / k), x[:, 0], side="right")
+    groups = [(times[group == g], events[group == g]) for g in range(k)]
+    assert_bitwise(ss.km_fit(*groups[-1]), km_fit_oracle(*groups[-1]))
+    assert_bitwise(ss.logrank_test(groups), logrank_test_oracle(groups))
 
 
 @pytest.mark.parametrize("steps", ["1", "block-1", "block", "block+1"])
