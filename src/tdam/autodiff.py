@@ -8,6 +8,10 @@ nonlinearities tanh, erf, softplus and softmax, the sum reduction, shape
 and gather ops, a depthwise 2-D convolution, and the selective scan as one
 fused op (:func:`linear_recurrence`: zero-order-hold discretization,
 diagonal recurrence and readout, run in chunks and recomputed in backward).
+The scan holds its state state-major, (..., s, d), so every elementwise op
+loops over the d channels; its readout adds the s state rows in the order
+numpy reduces a contiguous axis, and its backward contractions read
+(..., d, s) copies, so it keeps the bits of the same scan held (..., d, s).
 :func:`dwconv2d` multiplies a strided (tap, tap, row, column, channel)
 window view of the padded grid by the kernel in one product and sums the
 taps in one reduction, in row-major tap order from +0.0, so it keeps the
@@ -48,7 +52,7 @@ from scipy import special
 __all__ = ["Tensor", "checkpoint", "concat", "linear_recurrence", "dwconv2d", "no_grad",
            "CONV_BLOCK_BYTES", "SCAN_CHUNK"]
 
-# Steps per chunk of the fused scan: the (chunk, d, s) intermediates of a
+# Steps per chunk of the fused scan: the (chunk, s, d) intermediates of a
 # paper-width layer (d = 256, s = 16) stay near 1 MB each.
 SCAN_CHUNK = 64
 
@@ -258,12 +262,27 @@ class Tensor:
         return _node(self.data[idx], (self,), bw)
 
     def take(self, indices: np.ndarray, axis: int):
-        """Gather along ``axis`` by a 1-D integer index array."""
+        """Gather along ``axis`` by a 1-D integer index array.
+
+        When the index takes each position of the axis exactly once, the
+        adjoint gathers by the inverse permutation, and adding +0.0 turns a
+        -0.0 into the +0.0 that ``np.add.at`` onto zeros gives; repeated or
+        missing positions scatter with ``np.add.at``.
+        """
         idx = np.asarray(indices)
 
         def bw(g):
-            full = np.zeros_like(self.data)
-            np.add.at(np.moveaxis(full, axis, 0), idx, np.moveaxis(g, axis, 0))
+            n = self.data.shape[axis]
+            hit = np.zeros(n, dtype=bool)
+            hit[idx] = True
+            if idx.size == n and hit.all():
+                inv = np.empty(n, dtype=np.intp)
+                inv[idx] = np.arange(n)
+                full = np.take(g, inv, axis=axis).astype(self.data.dtype, copy=False)
+                full += 0.0
+            else:
+                full = np.zeros_like(self.data)
+                np.add.at(np.moveaxis(full, axis, 0), idx, np.moveaxis(g, axis, 0))
             self._accum(full)
         return _node(np.take(self.data, idx, axis=axis), (self,), bw)
 
@@ -311,17 +330,53 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bw)
 
 
-def _scan_chunk(delta, a, b_in, u, h0, work):
+def _state_sum(x: np.ndarray, out: np.ndarray) -> None:
+    """``out = x.sum(axis=-2)`` for state-major ``x``, (..., s, d), added in
+    the order ``np.add.reduce`` adds a contiguous axis: +0.0 plus numpy's
+    pairwise sum of the s rows. So each entry keeps the bits of summing the
+    (..., d, s) transpose over its last axis, while every add runs over the d
+    channels."""
+    np.add(0.0, _pairwise_rows(x, 0, x.shape[-2]), out=out)
+
+
+def _pairwise_rows(x: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """numpy's pairwise sum of the rows ``x[..., lo:lo + n, :]``: fewer than 8
+    rows one after another; up to 128 rows into 8 accumulators, which are
+    combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) before the
+    remainder is added row by row; more rows as two halves split at a multiple
+    of 8."""
+    if n < 8:
+        res = x[..., lo, :].copy()
+        for j in range(lo + 1, lo + n):
+            res += x[..., j, :]
+        return res
+    if n <= 128:
+        acc = x[..., lo:lo + 8, :].copy()
+        stop = lo + n - n % 8
+        for j in range(lo + 8, stop, 8):
+            acc += x[..., j:j + 8, :]
+        acc[..., 0::2, :] += acc[..., 1::2, :]
+        acc[..., 0::4, :] += acc[..., 2::4, :]
+        res = acc[..., 0, :]
+        res += acc[..., 4, :]
+        for j in range(stop, lo + n):
+            res += x[..., j, :]
+        return res
+    half = n // 2 - n // 2 % 8
+    return _pairwise_rows(x, lo, half) + _pairwise_rows(x, lo + half, n - half)
+
+
+def _scan_chunk(delta, a_t, b_in, u, h0, work):
     """Discretize one chunk and run its recurrence from the state ``h0``.
 
-    ``delta`` and ``u`` are (L, ..., d) and ``b_in`` is (L, ..., s), token
-    axis first. Fills ``work`` = (da, abar, expm1(da)/da, h), each
-    (L, ..., d, s), in place, and returns the mask of entries where
-    expm1(da)/da took its series.
+    ``delta`` and ``u`` are (L, ..., d), ``b_in`` is (L, ..., s), token axis
+    first, and ``a_t`` is A transposed, (s, d). Fills ``work`` = (da, abar,
+    expm1(da)/da, h), each state-major (L, ..., s, d), in place, and returns
+    the mask of entries where expm1(da)/da took its series.
     """
     da, abar, e, h = work
-    d3 = delta[..., None]
-    np.multiply(d3, a, out=da)
+    d3 = delta[..., None, :]
+    np.multiply(d3, a_t, out=da)
     np.exp(da, out=abar)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.expm1(da, out=e)
@@ -332,8 +387,8 @@ def _scan_chunk(delta, a, b_in, u, h0, work):
         e[small] = 1.0 + zs * 0.5 + zs * zs / 6.0
     # h[t] = contrib[t] + abar[t] * h[t-1], built in place over contrib
     np.multiply(d3, e, out=h)
-    h *= b_in[..., None, :]
-    h *= u[..., None]
+    h *= b_in[..., None]
+    h *= u[..., None, :]
     step = np.empty_like(h0)
     prev = h0
     for abar_t, h_t in zip(abar, h):
@@ -356,13 +411,19 @@ def linear_recurrence(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor, u: 
 
     with h[-1] = 0; returns y, (..., n, d). expm1(z)/z takes its series
     1 + z/2 + z^2/6 where |z| < 1e-5, so A = 0 is no singularity. The
-    (n, ..., d, s) intermediates never exist at once: the forward pass walks
+    (n, ..., s, d) intermediates never exist at once: the forward pass walks
     chunks of SCAN_CHUNK steps and keeps only the state at each chunk start,
     and the backward pass walks the chunks in reverse, recomputes each one
     from its start state and runs the reverse-time adjoint scan through it.
     Each step of the Python loop advances the states of every sequence at
     once. Every value is computed elementwise or summed along the state axis
     alone, so a sequence gets the same bits alone as in a stack.
+
+    The state h[t] above is (d, s); it is held state-major, (..., s, d), so
+    each elementwise op runs over the d channels innermost. The readout adds its s rows in the order
+    numpy reduces a contiguous axis (:func:`_state_sum`), and each backward
+    contraction reads a (..., d, s) copy of its operand, so output and
+    adjoints keep the bits of the same scan held (..., d, s).
     """
     dv, av, bv, cv, uv = delta.data, a.data, b_in.data, c_out.data, u.data
     *lead, n, d = dv.shape
@@ -371,21 +432,22 @@ def linear_recurrence(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor, u: 
         raise ValueError("linear_recurrence operands have inconsistent shapes")
     # token axis first, as views; one sequence keeps its own layout
     dt, bt, ct, ut = (np.moveaxis(x, -2, 0) for x in (dv, bv, cv, uv))
+    at = np.ascontiguousarray(av.T)
     dtype = np.result_type(dv, av, bv, uv)
     chunks = [slice(lo, min(lo + SCAN_CHUNK, n)) for lo in range(0, n, SCAN_CHUNK)]
-    work = np.empty((4, min(n, SCAN_CHUNK), *lead, d, s), dtype=dtype)
+    work = np.empty((4, min(n, SCAN_CHUNK), *lead, s, d), dtype=dtype)
     starts = []
-    state = np.zeros((*lead, d, s), dtype=dtype)
+    state = np.zeros((*lead, s, d), dtype=dtype)
     y = np.empty((*lead, n, d), dtype=np.result_type(dtype, cv))
     yt = np.moveaxis(y, -2, 0)
     for ck in chunks:
         starts.append(state)
         part = work[:, : ck.stop - ck.start]
-        _scan_chunk(dt[ck], av, bt[ck], ut[ck], state, part)
+        _scan_chunk(dt[ck], at, bt[ck], ut[ck], state, part)
         # expm1(da)/da is spent once h is built, so its buffer takes the readout product
         h, prod = part[3], part[2]
-        np.multiply(h, ct[ck][..., None, :], out=prod)
-        prod.sum(axis=-1, out=yt[ck])
+        np.multiply(h, ct[ck][..., None], out=prod)
+        _state_sum(prod, out=yt[ck])
         state = h[-1].copy()
 
     def bw(g):
@@ -394,23 +456,27 @@ def linear_recurrence(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor, u: 
         gt = np.moveaxis(g, -2, 0)
         g_a = np.zeros_like(av)
         carry = np.zeros_like(state)
+        # the (..., d, s) copy that each contraction reads, one chunk long
+        flipped = np.empty((*work.shape[1:-2], d, s), dtype=dtype)
         for ck, h0 in zip(reversed(chunks), reversed(starts)):
             part = work[:, : ck.stop - ck.start]
-            small = _scan_chunk(dt[ck], av, bt[ck], ut[ck], h0, part)
+            small = _scan_chunk(dt[ck], at, bt[ck], ut[ck], h0, part)
             da, abar, e, h = part
             gk, dk, uk, bk = gt[ck], dt[ck], ut[ck], bt[ck]
-            gct[ck] = np.matmul(gk[..., None, :], h)[..., 0, :]
+            flip = flipped[: ck.stop - ck.start]
+            np.copyto(flip, h.swapaxes(-1, -2))
+            gct[ck] = np.matmul(gk[..., None, :], flip)[..., 0, :]
             # adjoint of h[t]: its readout plus abar[t+1] times the adjoint of h[t+1]
-            gh = gk[..., None] * ct[ck][..., None, :]
+            gh = gk[..., None, :] * ct[ck][..., None]
             for abar_t, gh_t in zip(abar[::-1], gh[::-1]):
                 gh_t += carry
                 np.multiply(abar_t, gh_t, out=carry)
             # contrib = delta e b u: with w = gh e, g_b = (delta u) . w and
             # g_u, g_delta collect delta (w b) and u (w b)
-            w = gh * e
-            wb = np.matmul(w, bk[..., None])[..., 0]
+            np.multiply(gh.swapaxes(-1, -2), e.swapaxes(-1, -2), out=flip)
+            wb = np.matmul(flip, bk[..., None])[..., 0]
             du = dk * uk
-            gbt[ck] = np.matmul(du[..., None, :], w)[..., 0, :]
+            gbt[ck] = np.matmul(du[..., None, :], flip)[..., 0, :]
             gut[ck] = dk * wb
             # d/dz expm1(z)/z = (exp(z) - expm1(z)/z) / z
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -423,11 +489,12 @@ def linear_recurrence(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor, u: 
             h[0] = h0
             g_da = h
             g_da *= abar
-            de *= du[..., None] * bk[..., None, :]
+            de *= du[..., None, :] * bk[..., None]
             g_da += de
             g_da *= gh
-            gdt[ck] = uk * wb + np.einsum("t...ij,ij->t...i", g_da, av)
-            g_a += np.einsum("tij,ti->ij", g_da.reshape(-1, d, s), dk.reshape(-1, d))
+            np.copyto(flip, g_da.swapaxes(-1, -2))
+            gdt[ck] = uk * wb + np.einsum("t...ij,ij->t...i", flip, av)
+            g_a += np.einsum("tij,ti->ij", flip.reshape(-1, d, s), dk.reshape(-1, d))
         delta._accum(g_delta)
         a._accum(g_a)
         b_in._accum(g_b)

@@ -119,6 +119,18 @@ def _read_scores(path: str, cohort: bags.Cohort) -> np.ndarray:
     return values[:, names.index("risk") if "risk" in names else 0]
 
 
+def _read_probabilities(path: str, cohort: bags.Cohort) -> np.ndarray:
+    """``_read_scores``, refusing a predicted probability outside [0, 1] by
+    file and patient."""
+    pred = _read_scores(path, cohort)
+    outside = np.flatnonzero((pred < 0.0) | (pred > 1.0))
+    if outside.size:
+        i = outside[0]
+        raise DataError(f"{path}: patient {cohort.records[i].patient_id} has predicted probability "
+                        f"{float(pred[i])!r}, outside [0, 1]")
+    return pred
+
+
 def _load_cohort_and_bags(cohort_path: str, bags_root: str | None):
     cohort = bags.load_cohort_manifest(cohort_path)
     root = bags_root if bags_root is not None else Path(cohort_path).parent
@@ -307,7 +319,7 @@ def _stats_boot(args, cohort, times, events):
 
 
 def _stats_calib(args, cohort, times, events):
-    pred = _read_scores(args.pred, cohort)
+    pred = _read_probabilities(args.pred, cohort)
     points, _ = survstats.calibration_curve(pred, times, events, args.horizon)
     return {"calibration.csv": (
         ["mean_predicted", "observed", "lci", "uci", "n"],
@@ -316,12 +328,7 @@ def _stats_calib(args, cohort, times, events):
 
 
 def _stats_dca(args, cohort, times, events):
-    pred = _read_scores(args.pred, cohort)
-    outside = np.flatnonzero((pred < 0.0) | (pred > 1.0))
-    if outside.size:
-        i = outside[0]
-        raise DataError(f"{args.pred}: patient {cohort.records[i].patient_id} has predicted probability "
-                        f"{float(pred[i])!r}, outside [0, 1]")
+    pred = _read_probabilities(args.pred, cohort)
     rows = survstats.dca_curve(pred, times, events, args.horizon, args.thresholds)
     return {"dca.csv": (
         ["threshold", "net_benefit", "treat_all", "treat_none"],

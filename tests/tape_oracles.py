@@ -1,6 +1,7 @@
 """The composed tape chains that ``model.layer_norm``,
-``model.newton_schulz_pinv`` and the head split fuse, and the per-tap loop
-that ``autodiff.dwconv2d`` replaced, kept as their bitwise oracles.
+``model.newton_schulz_pinv`` and the head split fuse, the per-tap loop
+that ``autodiff.dwconv2d`` replaced, and the (L, ..., d, s) chunked scan
+that ``autodiff.linear_recurrence`` replaced, kept as their bitwise oracles.
 
 The fused ops must reproduce these chains' values and gradients bit for bit,
 so the chains are kept verbatim, with the subtraction, division, reductions
@@ -10,7 +11,7 @@ and square root the tape engine no longer carries rebuilt here as tape ops on
 
 import numpy as np
 
-from tdam.autodiff import Tensor, _node, _unbroadcast
+from tdam.autodiff import SCAN_CHUNK, Tensor, _node, _unbroadcast
 from tdam.model import LN_EPS
 
 
@@ -110,3 +111,112 @@ def loop_dwconv2d(x: Tensor, kernel: Tensor) -> Tensor:
         kernel._accum(dk)
         x._accum(dxpad[ph:ph + H, pw:pw + W])
     return _node(y, (x, kernel), bw)
+
+
+def state_last_scan_chunk(delta, a, b_in, u, h0, work):
+    """Discretize one chunk and run its recurrence from the state ``h0``.
+
+    ``delta`` and ``u`` are (L, ..., d) and ``b_in`` is (L, ..., s), token
+    axis first. Fills ``work`` = (da, abar, expm1(da)/da, h), each
+    (L, ..., d, s), in place, and returns the mask of entries where
+    expm1(da)/da took its series.
+    """
+    da, abar, e, h = work
+    d3 = delta[..., None]
+    np.multiply(d3, a, out=da)
+    np.exp(da, out=abar)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.expm1(da, out=e)
+        e /= da
+    small = np.abs(da) < 1e-5
+    if small.any():
+        zs = da[small]
+        e[small] = 1.0 + zs * 0.5 + zs * zs / 6.0
+    # h[t] = contrib[t] + abar[t] * h[t-1], built in place over contrib
+    np.multiply(d3, e, out=h)
+    h *= b_in[..., None, :]
+    h *= u[..., None]
+    step = np.empty_like(h0)
+    prev = h0
+    for abar_t, h_t in zip(abar, h):
+        np.multiply(abar_t, prev, out=step)
+        h_t += step
+        prev = h_t
+    return small
+
+
+def state_last_linear_recurrence(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor, u: Tensor) -> Tensor:
+    """``autodiff.linear_recurrence`` with its intermediates held (L, ..., d, s),
+    the readout summed by ``ndarray.sum`` over the state axis, and each
+    backward contraction on that layout: the form the state-major scan must
+    match bit for bit, output and all five adjoints."""
+    dv, av, bv, cv, uv = delta.data, a.data, b_in.data, c_out.data, u.data
+    *lead, n, d = dv.shape
+    s = av.shape[1]
+    if uv.shape != dv.shape or av.shape != (d, s) or bv.shape != (*lead, n, s) or cv.shape != bv.shape:
+        raise ValueError("linear_recurrence operands have inconsistent shapes")
+    # token axis first, as views; one sequence keeps its own layout
+    dt, bt, ct, ut = (np.moveaxis(x, -2, 0) for x in (dv, bv, cv, uv))
+    dtype = np.result_type(dv, av, bv, uv)
+    chunks = [slice(lo, min(lo + SCAN_CHUNK, n)) for lo in range(0, n, SCAN_CHUNK)]
+    work = np.empty((4, min(n, SCAN_CHUNK), *lead, d, s), dtype=dtype)
+    starts = []
+    state = np.zeros((*lead, d, s), dtype=dtype)
+    y = np.empty((*lead, n, d), dtype=np.result_type(dtype, cv))
+    yt = np.moveaxis(y, -2, 0)
+    for ck in chunks:
+        starts.append(state)
+        part = work[:, : ck.stop - ck.start]
+        state_last_scan_chunk(dt[ck], av, bt[ck], ut[ck], state, part)
+        # expm1(da)/da is spent once h is built, so its buffer takes the readout product
+        h, prod = part[3], part[2]
+        np.multiply(h, ct[ck][..., None, :], out=prod)
+        prod.sum(axis=-1, out=yt[ck])
+        state = h[-1].copy()
+
+    def bw(g):
+        g_delta, g_b, g_c, g_u = (np.empty_like(x) for x in (dv, bv, cv, uv))
+        gdt, gbt, gct, gut = (np.moveaxis(x, -2, 0) for x in (g_delta, g_b, g_c, g_u))
+        gt = np.moveaxis(g, -2, 0)
+        g_a = np.zeros_like(av)
+        carry = np.zeros_like(state)
+        for ck, h0 in zip(reversed(chunks), reversed(starts)):
+            part = work[:, : ck.stop - ck.start]
+            small = state_last_scan_chunk(dt[ck], av, bt[ck], ut[ck], h0, part)
+            da, abar, e, h = part
+            gk, dk, uk, bk = gt[ck], dt[ck], ut[ck], bt[ck]
+            gct[ck] = np.matmul(gk[..., None, :], h)[..., 0, :]
+            # adjoint of h[t]: its readout plus abar[t+1] times the adjoint of h[t+1]
+            gh = gk[..., None] * ct[ck][..., None, :]
+            for abar_t, gh_t in zip(abar[::-1], gh[::-1]):
+                gh_t += carry
+                np.multiply(abar_t, gh_t, out=carry)
+            # contrib = delta e b u: with w = gh e, g_b = (delta u) . w and
+            # g_u, g_delta collect delta (w b) and u (w b)
+            w = gh * e
+            wb = np.matmul(w, bk[..., None])[..., 0]
+            du = dk * uk
+            gbt[ck] = np.matmul(du[..., None, :], w)[..., 0, :]
+            gut[ck] = dk * wb
+            # d/dz expm1(z)/z = (exp(z) - expm1(z)/z) / z
+            with np.errstate(divide="ignore", invalid="ignore"):
+                de = (abar - e) / da
+            if small.any():
+                zs = da[small]
+                de[small] = 0.5 + zs / 3.0 + zs * zs / 8.0
+            # g_da: through abar = exp(da) into h[t] = abar h[t-1] + ..., and through e
+            h[1:] = h[:-1]
+            h[0] = h0
+            g_da = h
+            g_da *= abar
+            de *= du[..., None] * bk[..., None, :]
+            g_da += de
+            g_da *= gh
+            gdt[ck] = uk * wb + np.einsum("t...ij,ij->t...i", g_da, av)
+            g_a += np.einsum("tij,ti->ij", g_da.reshape(-1, d, s), dk.reshape(-1, d))
+        delta._accum(g_delta)
+        a._accum(g_a)
+        b_in._accum(g_b)
+        c_out._accum(g_c)
+        u._accum(g_u)
+    return _node(y, (delta, a, b_in, c_out, u), bw)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tape_oracles import loop_dwconv2d, tape_div, tape_max, tape_mean, tape_sqrt, tape_sub
+from tape_oracles import loop_dwconv2d, state_last_linear_recurrence, tape_div, tape_max, tape_mean, tape_sqrt, tape_sub
 from tdam import autodiff, model
 from tdam.autodiff import SCAN_CHUNK, Tensor, checkpoint, concat, dwconv2d, linear_recurrence, no_grad
 
@@ -128,6 +128,86 @@ def test_linear_recurrence_grad():
 
     for n in SCAN_LENGTHS:
         check_op(scan, (n, 2), (2, 3), (n, 3), (n, 3), (n, 2), seed=n)
+
+
+# state sizes below, at and above numpy's 8 pairwise accumulators, and above its
+# 128-element block, where the pairwise sum splits in halves
+SCAN_STATES = (1, 4, 6, 7, 8, 9, 16, 17, 130)
+
+
+def scan_bits(scan, operands, g):
+    """y and the five adjoints of ``scan`` with output adjoint ``g``."""
+    tensors = [Tensor(x.copy()) for x in operands]
+    y = scan(*tensors)
+    y.backward(g)
+    return [y.data] + [t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("a_zero", [True, False], ids=["series", "no-series"])
+@pytest.mark.parametrize("lead", [(), (2, 3)], ids=["one", "stack"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_recurrence_is_bitwise_the_state_last_scan(dtype, lead, a_zero):
+    """Output and all five adjoints against the scan held (..., d, s); with
+    ``a_zero`` one entry of A is 0, so expm1(z)/z takes its series there."""
+    d = 5
+    for n in SCAN_LENGTHS:
+        for s in SCAN_STATES:
+            rng = np.random.default_rng(1000 * n + s)
+            delta = rng.uniform(0.01, 0.5, size=(*lead, n, d)).astype(dtype)
+            a = -rng.uniform(0.1, 2.0, size=(d, s)).astype(dtype)
+            if a_zero:
+                a[1, s // 2] = 0.0
+            b, c = (rng.standard_normal((*lead, n, s)).astype(dtype) for _ in range(2))
+            u, g = (rng.standard_normal((*lead, n, d)).astype(dtype) for _ in range(2))
+            got = scan_bits(linear_recurrence, (delta, a, b, c, u), g)
+            want = scan_bits(state_last_linear_recurrence, (delta, a, b, c, u), g)
+            for name, x, w in zip(("y", "delta", "a", "b", "c", "u"), got, want):
+                assert (x.dtype, x.shape) == (w.dtype, w.shape), (n, s, name)
+                assert x.tobytes() == w.tobytes(), (n, s, name)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_state_sum_is_bitwise_add_reduce(dtype):
+    """The readout's row sum against np.add.reduce over a contiguous last
+    axis, for 1 to 140 rows, with +0.0, -0.0, +inf, -inf and NaN entries.
+    Where two NaNs meet, the hardware add picks which one survives, so a
+    NaN is compared by position, every other entry bit for bit."""
+    for s in range(1, 141):
+        rng = np.random.default_rng(s)
+        x = rng.standard_normal((3, s, 7)).astype(dtype)
+        for value, share in ((0.0, 0.1), (-0.0, 0.1), (np.inf, 0.03), (-np.inf, 0.03), (np.nan, 0.02)):
+            x[rng.random(x.shape) < share] = value
+        x[0, :, 0] = -0.0
+        x[0, :, 1] = 0.0
+        got = np.empty((3, 7), dtype=dtype)
+        with np.errstate(invalid="ignore"):
+            autodiff._state_sum(x, out=got)
+            want = np.add.reduce(np.ascontiguousarray(x.swapaxes(-1, -2)), axis=-1)
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan, err_msg=f"s={s}")
+        assert got[~nan].tobytes() == want[~nan].tobytes(), s
+        assert not np.signbit(got[0, :2]).any(), s
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("axis", [0, 1, -2])
+def test_take_by_a_permutation_has_the_add_at_adjoint(dtype, axis):
+    """A permutation's adjoint gathers by the inverse permutation; it must
+    give np.add.at's bits onto zeros, a -0.0 adjoint coming out +0.0."""
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((5, 9, 4)).astype(dtype)
+    n = x.shape[axis]
+    for idx in (rng.permutation(n), np.arange(n), rng.permutation(n) - n):
+        g = rng.standard_normal(x.shape).astype(dtype)
+        g[rng.random(g.shape) < 0.2] = -0.0
+        t = Tensor(x.copy())
+        out = t.take(idx, axis=axis)
+        out.backward(g)
+        want = np.zeros_like(x)
+        np.add.at(np.moveaxis(want, axis, 0), idx, np.moveaxis(g, axis, 0))
+        assert t.grad.dtype == want.dtype
+        assert t.grad.tobytes() == want.tobytes()
+        assert not np.signbit(t.grad[t.grad == 0.0]).any()
 
 
 def test_dwconv2d_identity_kernel():

@@ -391,10 +391,12 @@ def test_stats_rejects_a_cohort_with_a_repeated_column(tmp_path, capsys):
     pytest.param("dca", ["--pred", "{pred}", "--thresholds", "0.1,1"], "threshold 1.0", id="dca-threshold-1"),
     pytest.param("dca", ["--pred", "{pred}", "--thresholds", "0"], "threshold 0.0", id="dca-threshold-0"),
     pytest.param("dca", ["--pred", "{bad_pred}"], "outside [0, 1]", id="dca-pred-above-1"),
+    pytest.param("calib", ["--pred", "{bad_pred}"], "outside [0, 1]", id="calib-pred-above-1"),
 ])
 def test_stats_rejects_out_of_range_numbers(tmp_path, capsys, stat, argv, named):
-    """A horizon must be > 0, a threshold in (0, 1) and a dca probability in
-    [0, 1]; each is refused before any output is written."""
+    """A horizon must be > 0, a threshold in (0, 1) and a calib or dca
+    probability in [0, 1]; each is refused before any output is written, and
+    a refused probability is named by file and patient."""
     data = synth(tmp_path, seed=11, n=30)
     risks = tmp_path / "risks.csv"
     write_risks_from_signal(data, risks)
@@ -412,6 +414,7 @@ def test_stats_rejects_out_of_range_numbers(tmp_path, capsys, stat, argv, named)
     payload = single_json_error(capsys)
     assert payload["error"] == "DataError" and named in payload["message"]
     if "{bad_pred}" in argv:
+        assert str(bad_pred) in payload["message"]
         assert pid in payload["message"] and "1.5" in payload["message"]
     assert not (tmp_path / "out").exists()
 
