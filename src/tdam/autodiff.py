@@ -4,10 +4,11 @@ Tape-style engine in the micrograd tradition, but tensor-valued: each op
 records a closure that maps the output adjoint onto the parents' adjoints.
 It carries only the ops the model in :mod:`tdam.model` and the survival
 loss reach: broadcasting add and mul, negation, batched matmul, the
-nonlinearities tanh, erf, softplus and softmax, the sum reduction, shape
-and gather ops, a depthwise 2-D convolution, and the selective scan as one
-fused op (:func:`linear_recurrence`: zero-order-hold discretization,
-diagonal recurrence and readout, run in chunks and recomputed in backward).
+nonlinearities tanh, softplus and softmax, the sum reduction, shape and
+gather ops, a depthwise 2-D convolution, and the selective scan's
+recurrence as one fused op (:func:`linear_recurrence`: zero-order-hold
+discretization, diagonal recurrence and readout, run in chunks and
+recomputed in backward).
 The scan holds its state state-major, (..., s, d), so every elementwise op
 loops over the d channels; its readout adds the s state rows in the order
 numpy reduces a contiguous axis, and its backward contractions read
@@ -20,24 +21,29 @@ bits of a loop over the taps; products are cut into blocks of output rows
 fused ops take leading batch axes (a stack of grids, of sequences), as the
 elementwise ops and matmul do by broadcasting, so a stack of bags runs
 through the model in one pass.
-The model adds two more fused ops through :func:`_node`, each with a
-hand-written backward: ``layer_norm`` and the Newton-Schulz
-pseudo-inverse. Forward dtype is preserved, so the same graph runs in
-float32 for training and float64 for gradient checking. Inside :func:`no_grad` the ops compute the
-same values but record nothing: each output has no parents and no closure,
-so inference builds no backward graph.
+The model adds more fused ops through :func:`_node`, each with a
+hand-written backward: ``gelu``, ``layer_norm``, the Newton-Schulz
+pseudo-inverse and a whole selective-scan layer. Forward dtype is
+preserved, so the same graph runs in float32 for training and float64 for
+gradient checking. Inside :func:`no_grad` the ops compute the same values
+but record nothing: each output has no parents and no closure, so
+inference builds no backward graph.
 
 Only a :class:`Tensor` is a parent. An operand that is not one (a number or
 an ndarray, such as the model's bag features and dropout masks) is a
 constant: it depends on nothing being differentiated, so it gets no adjoint.
 
-Backward frees each non-leaf adjoint as soon as its closure has consumed
-it; leaves (tensors made directly, such as parameters) keep theirs, and so
-does any tensor marked with :meth:`Tensor.retain_grad`. :func:`checkpoint`
-trades memory for compute: it records a whole function as one node that
-keeps only its inputs, and re-runs the function in backward to
-backpropagate through it (Chen et al. 2016, "Training Deep Nets with
-Sublinear Memory Cost").
+Backward consumes the tape: once a node's closure has run, the node lets go
+of its closure and its parents, so the arrays a closure saved are freed as
+the pass moves on, and a graph can be backpropagated only once (a second
+:meth:`Tensor.backward` through it raises RuntimeError). Backward also
+frees each non-leaf adjoint as soon as its closure has consumed it; leaves
+(tensors made directly, such as parameters) keep theirs, and so does any
+tensor marked with :meth:`Tensor.retain_grad`. :func:`checkpoint` trades
+memory for compute: it records a whole function as one node that keeps
+only its inputs, and re-runs the function in backward to backpropagate
+through it (Chen et al. 2016, "Training Deep Nets with Sublinear Memory
+Cost").
 """
 
 from __future__ import annotations
@@ -84,6 +90,11 @@ def _node(data, parents: tuple, backward) -> Tensor:
     """An op's output: a tape node with ``parents`` and ``backward`` while
     recording, a bare tensor inside no_grad()."""
     return Tensor(data, parents, backward) if _recording else Tensor(data)
+
+
+def _consumed(g) -> None:
+    """The backward of a node whose closure backward has already run."""
+    raise RuntimeError("this graph has already been backpropagated; run the forward again")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -141,8 +152,13 @@ class Tensor:
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor (scalar unless ``seed`` given).
 
-        Each node's adjoint is dropped once its closure has passed it on,
-        unless the node is a leaf or was marked with :meth:`retain_grad`.
+        The pass consumes the graph: each node is dropped from the order
+        once its closure has run, and lets go of its closure and its
+        parents, so what the closure saved is freed as the pass moves on.
+        A later backward that reaches such a node raises RuntimeError
+        before any closure runs. Each node's adjoint is dropped once its
+        closure has passed it on, unless the node is a leaf or was marked
+        with :meth:`retain_grad`.
         """
         topo: list[Tensor] = []
         seen: set[int] = set()
@@ -154,6 +170,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _consumed:
+                _consumed(None)
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -164,11 +182,15 @@ class Tensor:
                 raise ValueError("backward() without seed requires a scalar output")
             seed = np.ones_like(self.data)
         self.grad = np.asarray(seed, dtype=self.data.dtype)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
-                if not node._retain:
-                    node.grad = None
+            node._backward, node._parents = _consumed, ()
+            if not node._retain:
+                node.grad = None
 
     # -- arithmetic -------------------------------------------------------
 
@@ -215,11 +237,6 @@ class Tensor:
         y = np.tanh(self.data)
         return _node(y, (self,), lambda g: self._accum(g * (1.0 - y * y)))
 
-    def erf(self):
-        coeff = 2.0 / math.sqrt(math.pi)
-        return _node(special.erf(self.data), (self,),
-                     lambda g: self._accum(g * coeff * np.exp(-self.data * self.data)))
-
     def softplus(self):
         return _node(np.logaddexp(0.0, self.data).astype(self.data.dtype), (self,),
                      lambda g: self._accum(g * special.expit(self.data)))
@@ -264,25 +281,25 @@ class Tensor:
     def take(self, indices: np.ndarray, axis: int):
         """Gather along ``axis`` by a 1-D integer index array.
 
-        When the index takes each position of the axis exactly once, the
-        adjoint gathers by the inverse permutation, and adding +0.0 turns a
-        -0.0 into the +0.0 that ``np.add.at`` onto zeros gives; repeated or
-        missing positions scatter with ``np.add.at``.
+        The adjoint adds into zeros in occurrence rounds: round k adds the
+        k-th occurrence of each position with one fancy-index ``+=``, which
+        touches each position at most once. So every position sums its
+        occurrences in index order from +0.0, as ``np.add.at`` onto zeros
+        does, with the same bits; a position never taken stays +0.0.
         """
         idx = np.asarray(indices)
 
         def bw(g):
-            n = self.data.shape[axis]
-            hit = np.zeros(n, dtype=bool)
-            hit[idx] = True
-            if idx.size == n and hit.all():
-                inv = np.empty(n, dtype=np.intp)
-                inv[idx] = np.arange(n)
-                full = np.take(g, inv, axis=axis).astype(self.data.dtype, copy=False)
-                full += 0.0
-            else:
-                full = np.zeros_like(self.data)
-                np.add.at(np.moveaxis(full, axis, 0), idx, np.moveaxis(g, axis, 0))
+            full = np.zeros_like(self.data)
+            dst, src = np.moveaxis(full, axis, 0), np.moveaxis(g, axis, 0)
+            # rank[j]: how many entries before order[j], in index order, take its position
+            order = np.argsort(idx, kind="stable")
+            ranked = idx[order]
+            first = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+            rank = np.arange(idx.size) - np.repeat(first, np.diff(np.r_[first, idx.size]))
+            for k in range(rank.max(initial=-1) + 1):
+                picks = order[rank == k]
+                dst[idx[picks]] += src[picks]
             self._accum(full)
         return _node(np.take(self.data, idx, axis=axis), (self,), bw)
 
@@ -398,7 +415,19 @@ def _scan_chunk(delta, a_t, b_in, u, h0, work):
     return small
 
 
-def linear_recurrence(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor, u: Tensor) -> Tensor:
+def _scan_chunks(n: int) -> list[slice]:
+    """The scan's chunks of SCAN_CHUNK steps over n tokens, in order."""
+    return [slice(lo, min(lo + SCAN_CHUNK, n)) for lo in range(0, n, SCAN_CHUNK)]
+
+
+def _scan_work(dv: np.ndarray, s: int, dtype) -> np.ndarray:
+    """The four state-major (chunk, ..., s, d) buffers that :func:`_scan_chunk` fills."""
+    *lead, n, d = dv.shape
+    return np.empty((4, min(n, SCAN_CHUNK), *lead, s, d), dtype=dtype)
+
+
+def linear_recurrence(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor, u: Tensor,
+                      starts: list | None = None) -> Tensor:
     """The selective scan's recurrence with its discretization and readout fused in.
 
     ``delta`` and ``u`` are (..., n, d), ``b_in`` and ``c_out`` are
@@ -413,11 +442,15 @@ def linear_recurrence(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor, u: 
     1 + z/2 + z^2/6 where |z| < 1e-5, so A = 0 is no singularity. The
     (n, ..., s, d) intermediates never exist at once: the forward pass walks
     chunks of SCAN_CHUNK steps and keeps only the state at each chunk start,
-    and the backward pass walks the chunks in reverse, recomputes each one
-    from its start state and runs the reverse-time adjoint scan through it.
-    Each step of the Python loop advances the states of every sequence at
-    once. Every value is computed elementwise or summed along the state axis
-    alone, so a sequence gets the same bits alone as in a stack.
+    and the backward pass (:func:`_recurrence_adjoints`) walks the chunks in
+    reverse, recomputes each one from its start state in work buffers of its
+    own and runs the reverse-time adjoint scan through it. Each step of the
+    Python loop advances the states of every sequence at once. Every value
+    is computed elementwise or summed along the state axis alone, so a
+    sequence gets the same bits alone as in a stack. A list passed as
+    ``starts`` receives the chunk start states, with which a caller that
+    records its own node backpropagates through the recurrence without
+    re-running it.
 
     The state h[t] above is (d, s); it is held state-major, (..., s, d), so
     each elementwise op runs over the d channels innermost. The readout adds its s rows in the order
@@ -434,13 +467,13 @@ def linear_recurrence(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor, u: 
     dt, bt, ct, ut = (np.moveaxis(x, -2, 0) for x in (dv, bv, cv, uv))
     at = np.ascontiguousarray(av.T)
     dtype = np.result_type(dv, av, bv, uv)
-    chunks = [slice(lo, min(lo + SCAN_CHUNK, n)) for lo in range(0, n, SCAN_CHUNK)]
-    work = np.empty((4, min(n, SCAN_CHUNK), *lead, s, d), dtype=dtype)
-    starts = []
+    work = _scan_work(dv, s, dtype)
+    if starts is None:
+        starts = []
     state = np.zeros((*lead, s, d), dtype=dtype)
     y = np.empty((*lead, n, d), dtype=np.result_type(dtype, cv))
     yt = np.moveaxis(y, -2, 0)
-    for ck in chunks:
+    for ck in _scan_chunks(n):
         starts.append(state)
         part = work[:, : ck.stop - ck.start]
         _scan_chunk(dt[ck], at, bt[ck], ut[ck], state, part)
@@ -451,56 +484,68 @@ def linear_recurrence(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor, u: 
         state = h[-1].copy()
 
     def bw(g):
-        g_delta, g_b, g_c, g_u = (np.empty_like(x) for x in (dv, bv, cv, uv))
-        gdt, gbt, gct, gut = (np.moveaxis(x, -2, 0) for x in (g_delta, g_b, g_c, g_u))
-        gt = np.moveaxis(g, -2, 0)
-        g_a = np.zeros_like(av)
-        carry = np.zeros_like(state)
-        # the (..., d, s) copy that each contraction reads, one chunk long
-        flipped = np.empty((*work.shape[1:-2], d, s), dtype=dtype)
-        for ck, h0 in zip(reversed(chunks), reversed(starts)):
-            part = work[:, : ck.stop - ck.start]
-            small = _scan_chunk(dt[ck], at, bt[ck], ut[ck], h0, part)
-            da, abar, e, h = part
-            gk, dk, uk, bk = gt[ck], dt[ck], ut[ck], bt[ck]
-            flip = flipped[: ck.stop - ck.start]
-            np.copyto(flip, h.swapaxes(-1, -2))
-            gct[ck] = np.matmul(gk[..., None, :], flip)[..., 0, :]
-            # adjoint of h[t]: its readout plus abar[t+1] times the adjoint of h[t+1]
-            gh = gk[..., None, :] * ct[ck][..., None]
-            for abar_t, gh_t in zip(abar[::-1], gh[::-1]):
-                gh_t += carry
-                np.multiply(abar_t, gh_t, out=carry)
-            # contrib = delta e b u: with w = gh e, g_b = (delta u) . w and
-            # g_u, g_delta collect delta (w b) and u (w b)
-            np.multiply(gh.swapaxes(-1, -2), e.swapaxes(-1, -2), out=flip)
-            wb = np.matmul(flip, bk[..., None])[..., 0]
-            du = dk * uk
-            gbt[ck] = np.matmul(du[..., None, :], flip)[..., 0, :]
-            gut[ck] = dk * wb
-            # d/dz expm1(z)/z = (exp(z) - expm1(z)/z) / z
-            with np.errstate(divide="ignore", invalid="ignore"):
-                de = (abar - e) / da
-            if small.any():
-                zs = da[small]
-                de[small] = 0.5 + zs / 3.0 + zs * zs / 8.0
-            # g_da: through abar = exp(da) into h[t] = abar h[t-1] + ..., and through e
-            h[1:] = h[:-1]
-            h[0] = h0
-            g_da = h
-            g_da *= abar
-            de *= du[..., None, :] * bk[..., None]
-            g_da += de
-            g_da *= gh
-            np.copyto(flip, g_da.swapaxes(-1, -2))
-            gdt[ck] = uk * wb + np.einsum("t...ij,ij->t...i", flip, av)
-            g_a += np.einsum("tij,ti->ij", flip.reshape(-1, d, s), dk.reshape(-1, d))
-        delta._accum(g_delta)
-        a._accum(g_a)
-        b_in._accum(g_b)
-        c_out._accum(g_c)
-        u._accum(g_u)
+        grads = _recurrence_adjoints(g, dv, av, bv, cv, uv, starts)
+        for t, grad in zip((delta, a, b_in, c_out, u), grads):
+            t._accum(grad)
     return _node(y, (delta, a, b_in, c_out, u), bw)
+
+
+def _recurrence_adjoints(g: np.ndarray, dv: np.ndarray, av: np.ndarray, bv: np.ndarray, cv: np.ndarray,
+                        uv: np.ndarray, starts: list) -> tuple[np.ndarray, ...]:
+    """The adjoints of :func:`linear_recurrence`'s operands, in its argument
+    order, for the output adjoint ``g``, from the operands' arrays and the
+    chunk start states its forward gave in ``starts``."""
+    *lead, n, d = dv.shape
+    s = av.shape[1]
+    dt, bt, ct, ut = (np.moveaxis(x, -2, 0) for x in (dv, bv, cv, uv))
+    at = np.ascontiguousarray(av.T)
+    dtype = np.result_type(dv, av, bv, uv)
+    work = _scan_work(dv, s, dtype)
+    g_delta, g_b, g_c, g_u = (np.empty_like(x) for x in (dv, bv, cv, uv))
+    gdt, gbt, gct, gut = (np.moveaxis(x, -2, 0) for x in (g_delta, g_b, g_c, g_u))
+    gt = np.moveaxis(g, -2, 0)
+    g_a = np.zeros_like(av)
+    carry = np.zeros_like(starts[0])
+    # the (..., d, s) copy that each contraction reads, one chunk long
+    flipped = np.empty((*work.shape[1:-2], d, s), dtype=dtype)
+    for ck, h0 in zip(reversed(_scan_chunks(n)), reversed(starts)):
+        part = work[:, : ck.stop - ck.start]
+        small = _scan_chunk(dt[ck], at, bt[ck], ut[ck], h0, part)
+        da, abar, e, h = part
+        gk, dk, uk, bk = gt[ck], dt[ck], ut[ck], bt[ck]
+        flip = flipped[: ck.stop - ck.start]
+        np.copyto(flip, h.swapaxes(-1, -2))
+        gct[ck] = np.matmul(gk[..., None, :], flip)[..., 0, :]
+        # adjoint of h[t]: its readout plus abar[t+1] times the adjoint of h[t+1]
+        gh = gk[..., None, :] * ct[ck][..., None]
+        for abar_t, gh_t in zip(abar[::-1], gh[::-1]):
+            gh_t += carry
+            np.multiply(abar_t, gh_t, out=carry)
+        # contrib = delta e b u: with w = gh e, g_b = (delta u) . w and
+        # g_u, g_delta collect delta (w b) and u (w b)
+        np.multiply(gh.swapaxes(-1, -2), e.swapaxes(-1, -2), out=flip)
+        wb = np.matmul(flip, bk[..., None])[..., 0]
+        du = dk * uk
+        gbt[ck] = np.matmul(du[..., None, :], flip)[..., 0, :]
+        gut[ck] = dk * wb
+        # d/dz expm1(z)/z = (exp(z) - expm1(z)/z) / z
+        with np.errstate(divide="ignore", invalid="ignore"):
+            de = (abar - e) / da
+        if small.any():
+            zs = da[small]
+            de[small] = 0.5 + zs / 3.0 + zs * zs / 8.0
+        # g_da: through abar = exp(da) into h[t] = abar h[t-1] + ..., and through e
+        h[1:] = h[:-1]
+        h[0] = h0
+        g_da = h
+        g_da *= abar
+        de *= du[..., None, :] * bk[..., None]
+        g_da += de
+        g_da *= gh
+        np.copyto(flip, g_da.swapaxes(-1, -2))
+        gdt[ck] = uk * wb + np.einsum("t...ij,ij->t...i", flip, av)
+        g_a += np.einsum("tij,ti->ij", flip.reshape(-1, d, s), dk.reshape(-1, d))
+    return g_delta, g_a, g_b, g_c, g_u
 
 
 def _tap_windows(pad: np.ndarray, kh: int, kw: int, row: int, rows: int, flip: bool = False) -> np.ndarray:
@@ -567,29 +612,41 @@ def dwconv2d(x: Tensor, kernel: Tensor) -> Tensor:
     CONV_BLOCK_BYTES, so a paper-width grid takes one row, or one tap, per
     block. Each output, adjoint included, keeps the bits of the per-tap
     loop ``y += xpad[i:i+H, j:j+W] * kernel[i, j]`` for a finite kernel.
+    The node keeps only its input; backward pads it again.
     """
     xv, kv = x.data, kernel.data
-    kh, kw, _ = kv.shape
-    ph, pw = kh // 2, kw // 2
-    *lead, H, W, C = xv.shape
-    xpad = np.zeros((*lead, H + 2 * ph, W + 2 * pw, C), dtype=xv.dtype)
-    inner = (Ellipsis, slice(ph, ph + H), slice(pw, pw + W), slice(None))
-    xpad[inner] = xv
-    y = _tap_sum(xpad, kv)
 
     def bw(g):
-        # each tap's product with g, summed over (..., H, W) as the loop's .sum did
-        dk = np.empty_like(kv)
-        windows = _tap_windows(xpad, kh, kw, 0, H)
-        taps = max(1, CONV_BLOCK_BYTES // (xv.size * xpad.itemsize))
-        prod = np.empty((min(taps, kh * kw),) + xv.shape, dtype=xv.dtype)
-        for bi, bj in _tap_blocks(kh, kw, taps):
-            block = windows[bi, bj]
-            out = prod[:block.shape[0] * block.shape[1]].reshape(block.shape)
-            np.multiply(block, g, out=out)
-            out.sum(axis=tuple(range(2, out.ndim - 1)), out=dk[bi, bj])
-        kernel._accum(dk)
-        gpad = np.zeros_like(xpad)
-        gpad[inner] = g
-        x._accum(_tap_sum(gpad, kv, flip=True))
-    return _node(y, (x, kernel), bw)
+        g_x, g_k = _dwconv_adjoints(g, xv, kv)
+        kernel._accum(g_k)
+        x._accum(g_x)
+    return _node(_tap_sum(_same_padded(xv, kv), kv), (x, kernel), bw)
+
+
+def _same_padded(v: np.ndarray, kv: np.ndarray, dtype=None) -> np.ndarray:
+    """The (..., H, W, C) grid ``v`` zero-padded on both sides of H and W for
+    the kernel ``kv``, so the convolution keeps the grid's size."""
+    kh, kw, _ = kv.shape
+    *lead, H, W, C = v.shape
+    out = np.zeros((*lead, H + kh - 1, W + kw - 1, C), dtype=dtype or v.dtype)
+    out[..., kh // 2:kh // 2 + H, kw // 2:kw // 2 + W, :] = v
+    return out
+
+
+def _dwconv_adjoints(g: np.ndarray, xv: np.ndarray, kv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The adjoints of :func:`dwconv2d`'s input ``xv`` and kernel ``kv`` for
+    the output adjoint ``g``. The padded input is built again here rather
+    than kept on the tape."""
+    kh, kw, _ = kv.shape
+    xpad = _same_padded(xv, kv)
+    # each tap's product with g, summed over (..., H, W) as the loop's .sum did
+    dk = np.empty_like(kv)
+    windows = _tap_windows(xpad, kh, kw, 0, xv.shape[-3])
+    taps = max(1, CONV_BLOCK_BYTES // (xv.size * xpad.itemsize))
+    prod = np.empty((min(taps, kh * kw),) + xv.shape, dtype=xv.dtype)
+    for bi, bj in _tap_blocks(kh, kw, taps):
+        block = windows[bi, bj]
+        out = prod[:block.shape[0] * block.shape[1]].reshape(block.shape)
+        np.multiply(block, g, out=out)
+        out.sum(axis=tuple(range(2, out.ndim - 1)), out=dk[bi, bj])
+    return _tap_sum(_same_padded(g, kv, xv.dtype), kv, flip=True), dk

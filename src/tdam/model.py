@@ -20,12 +20,14 @@ import math
 import struct
 import time
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
+from scipy import special
 
-from .autodiff import Tensor, _node, _unbroadcast, checkpoint, concat, dwconv2d, linear_recurrence, no_grad
+from .autodiff import (Tensor, _dwconv_adjoints, _node, _recurrence_adjoints, _unbroadcast, checkpoint, concat,
+                       dwconv2d, linear_recurrence, no_grad)
 from .bags import FeatureBag
 from .errors import DataError, FormatError, GradError, NonFiniteError, ShapeError, TruncatedError
 from .rng import substream
@@ -43,6 +45,7 @@ STAGES = {
 ABLATIONS = tuple(STAGES)
 LN_EPS = 1e-5
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+ERF_SLOPE = 2.0 / math.sqrt(math.pi)  # erf'(z) = ERF_SLOPE * exp(-z * z)
 # Token count from which an attention core (Nystrom or agent) keeps only its
 # inputs on the tape and is recomputed in backward. Recompute adds about a
 # quarter to two fifths to a core's forward+backward time at every size from
@@ -238,8 +241,22 @@ def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelPa
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-CDF GELU: x * Phi(x)."""
-    return x * ((x * INV_SQRT2).erf() + 1.0) * 0.5
+    """Exact Gaussian-CDF GELU, x * Phi(x) = x * (erf(x / sqrt 2) + 1) / 2.
+
+    One tape op that keeps only ``x``. Forward and backward evaluate the
+    expressions of the chain of tape ops x * (erf(x * INV_SQRT2) + 1.0) * 0.5
+    in its order, and ``x`` gets its two adjoint terms (through the product,
+    then through erf) in that chain's order, so values and gradients keep
+    their bits.
+    """
+    xv = x.data
+
+    def bw(g):
+        z = xv * INV_SQRT2
+        g = g * 0.5
+        x._accum(g * (special.erf(z) + 1.0))
+        x._accum(g * xv * ERF_SLOPE * np.exp(-z * z) * INV_SQRT2)
+    return _node(xv * (special.erf(xv * INV_SQRT2) + 1.0) * 0.5, (x,), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
@@ -249,23 +266,28 @@ def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
     the same order, as the chain of elementwise tape ops they replace, so
     values and gradients keep their bits. ``x`` gets its adjoint in two
     accumulations (centered path, then mean path), as that chain gave it.
+    The node keeps only each row's scale: backward centers ``x`` and divides
+    by the scale again, by the same expressions.
     """
     xv = x.data
     inv_n = 1.0 / xv.shape[-1]
-    c = xv + (-(xv.sum(axis=-1, keepdims=True) * inv_n))
+
+    def centered():
+        return xv + (-(xv.sum(axis=-1, keepdims=True) * inv_n))
+    c = centered()
     den = np.sqrt((c * c).sum(axis=-1, keepdims=True) * inv_n + LN_EPS)
-    normed = c / den
-    out = normed
+    out = c / den
     if gain is not None:
         out = out * gain.data
     if bias is not None:
         out = out + bias.data
 
     def bw(g):
+        c = centered()
         if bias is not None:
             bias._accum(_unbroadcast(g, bias.data.shape))
         if gain is not None:
-            gain._accum(_unbroadcast(g * normed, gain.data.shape))
+            gain._accum(_unbroadcast(g * (c / den), gain.data.shape))
             g = g * gain.data
         g_den = _unbroadcast(-g * c / (den * den), den.shape)
         g_cc = np.broadcast_to(g_den * 0.5 / den * inv_n, c.shape)
@@ -456,19 +478,40 @@ def ppeg_encode(seq: Tensor, params: ModelParams) -> Tensor:
     The class token bypasses; the remaining tokens are reshaped to their
     square grid and receive Conv7 + Conv5 + Conv3 + identity. ``seq`` is
     (..., 1 + n', d_model).
+
+    One tape op with parents (seq, K7, K5, K3) that keeps nothing but
+    ``seq``: backward runs each convolution's backward on the grid rows of
+    ``seq`` again. Both passes evaluate the expressions of the chain of tape
+    ops the stage replaces, in its order, and ``seq`` gets its adjoint in
+    that chain's two accumulations (class row, then grid), so values and
+    gradients keep their bits.
     """
     *lead, n_tokens, dm = seq.shape
     n_grid = n_tokens - 1
     side = _grid_side(n_grid)
-    cls_row = seq[..., 0:1, :]
-    img = seq[..., 1:, :].reshape(*lead, side, side, dm)
-    out = (
-        dwconv2d(img, params["ppeg.K7"])
-        + dwconv2d(img, params["ppeg.K5"])
-        + dwconv2d(img, params["ppeg.K3"])
-        + img
-    )
-    return concat([cls_row, out.reshape(*lead, n_grid, dm)], axis=-2)
+    kernels = [params[f"ppeg.K{k}"] for k in (7, 5, 3)]
+    sv = seq.data
+    img = sv[..., 1:, :].reshape(*lead, side, side, dm)
+    with no_grad():
+        c7, c5, c3 = (dwconv2d(Tensor(img), k).data for k in kernels)
+    grid = c7 + c5 + c3 + img
+    out = np.concatenate([sv[..., 0:1, :], grid.reshape(*lead, n_grid, dm)], axis=-2)
+
+    def bw(g):
+        # each row range reaches seq through a slice of it: zeros plus its adjoint
+        cls_full = np.zeros_like(sv)
+        cls_full[..., 0:1, :] += g[..., 0:1, :]
+        seq._accum(cls_full)
+        g_img = g[..., 1:, :].reshape(img.shape)
+        g_grid = g_img
+        for k in kernels:
+            g_x, g_k = _dwconv_adjoints(g_img, img, k.data)
+            k._accum(g_k)
+            g_grid = g_grid + g_x
+        grid_full = np.zeros_like(sv)
+        grid_full[..., 1:, :] += g_grid.reshape(*lead, n_grid, dm)
+        seq._accum(grid_full)
+    return _node(out, (seq, *kernels), bw)
 
 
 def _nearest_grid_index(side: int, stored_side: int) -> np.ndarray:
@@ -525,6 +568,10 @@ def srmamba_reorder(n: int, rate: int) -> np.ndarray:
     return np.concatenate([np.arange(r, n, rate) for r in range(min(rate, n))])
 
 
+# A scan layer's weights, in the order its tape node lists them after its input.
+SCAN_WEIGHTS = ("W_delta", "b_delta", "W_B", "W_C", "A", "D")
+
+
 def selective_scan(x: Tensor, params: ModelParams, layer: int) -> Tensor:
     """Input-dependent diagonal state-space scan over the reordered sequence.
 
@@ -532,22 +579,69 @@ def selective_scan(x: Tensor, params: ModelParams, layer: int) -> Tensor:
     is discretized with a zero-order hold (abar = exp(delta A), bbar =
     expm1(delta A)/A * B(x_t); bbar is computed as delta * expm1(delta A) /
     (delta A), so A = 0 is no singularity); outputs are read through C(x_t)
-    plus a learned skip D. Discretization, recurrence and readout run as the
-    one fused op :func:`tdam.autodiff.linear_recurrence`. The scan runs on
-    the stride-reordered sequence and the result is permuted back; the
+    plus a learned skip D. Discretization, recurrence and readout run as
+    :func:`tdam.autodiff.linear_recurrence`. The scan runs on the
+    stride-reordered sequence u and the result is permuted back; the
     residual is the caller's job. ``x`` is (..., n, d_model).
+
+    The whole layer is one tape op with parents (x, W_delta, b_delta, W_B,
+    W_C, A, D). It keeps the pre-softplus projection, delta and the
+    recurrence's chunk start states; backward gathers u from ``x`` again,
+    recomputes the B and C projections and runs the recurrence's backward.
+    Both passes evaluate the expressions of the chain of tape ops the layer
+    replaces, in its order, and u collects its five adjoint terms
+    (recurrence, delta, B, C and skip paths) in that chain's order, so
+    values and gradients keep their bits.
     """
     p = f"srmamba{layer}"
-    cfg = params.config
-    perm = srmamba_reorder(x.shape[-2], cfg.srmamba_rate)
-    u = x.take(perm, axis=-2) if cfg.srmamba_rate > 1 else x
-    delta = (u @ params[f"{p}.W_delta"] + params[f"{p}.b_delta"]).softplus()
-    b_in = u @ params[f"{p}.W_B"]
-    c_out = u @ params[f"{p}.W_C"]
-    y = linear_recurrence(delta, params[f"{p}.A"], b_in, c_out, u) + u * params[f"{p}.D"]
-    if cfg.srmamba_rate > 1:
-        y = y.take(np.argsort(perm), axis=-2)
-    return y
+    w_delta, b_delta, w_b, w_c, a, d_skip = (params[f"{p}.{w}"] for w in SCAN_WEIGHTS)
+    perm = srmamba_reorder(x.shape[-2], params.config.srmamba_rate)
+    permuted = params.config.srmamba_rate > 1
+
+    def projections():
+        u = np.take(x.data, perm, axis=-2) if permuted else x.data
+        return u, u @ w_b.data, u @ w_c.data
+
+    u, b_in, c_out = projections()
+    z = u @ w_delta.data + b_delta.data
+    delta = np.logaddexp(0.0, z).astype(z.dtype)
+    starts = []
+    with no_grad():
+        y = linear_recurrence(Tensor(delta), a, Tensor(b_in), Tensor(c_out), Tensor(u), starts=starts).data
+    y = y + u * d_skip.data
+    if permuted:
+        y = np.take(y, np.argsort(perm), axis=-2)
+
+    def bw(g):
+        u, b_in, c_out = projections()
+        if permuted:
+            # the adjoint of the inverse permutation, as Tensor.take gives it
+            g = np.take(g, perm, axis=-2)
+            g += 0.0
+        g_delta, g_a, g_b, g_c, g_u = _recurrence_adjoints(g, delta, a.data, b_in, c_out, u, starts)
+        a._accum(g_a)
+        g_z = g_delta * special.expit(z)
+        b_delta._accum(_unbroadcast(g_z, b_delta.shape))
+        w_delta._accum(_unbroadcast(u.swapaxes(-1, -2) @ g_z, w_delta.shape))
+        w_b._accum(_unbroadcast(u.swapaxes(-1, -2) @ g_b, w_b.shape))
+        w_c._accum(_unbroadcast(u.swapaxes(-1, -2) @ g_c, w_c.shape))
+        d_skip._accum(_unbroadcast(g * u, d_skip.shape))
+
+        def u_terms():
+            """u's adjoint terms, in the order the chain's backward delivered them."""
+            yield g_u
+            for g_p, w in ((g_z, w_delta), (g_b, w_b), (g_c, w_c)):
+                yield g_p @ w.data.swapaxes(-1, -2)
+            yield g * d_skip.data
+
+        if not permuted:
+            for term in u_terms():
+                x._accum(term)
+            return
+        g_x = np.take(reduce(np.add, u_terms()), np.argsort(perm), axis=-2)
+        g_x += 0.0
+        x._accum(g_x)
+    return _node(y, (x, w_delta, b_delta, w_b, w_c, a, d_skip), bw)
 
 
 def attention_pool(

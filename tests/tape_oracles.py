@@ -1,18 +1,23 @@
-"""The composed tape chains that ``model.layer_norm``,
-``model.newton_schulz_pinv`` and the head split fuse, the per-tap loop
-that ``autodiff.dwconv2d`` replaced, and the (L, ..., d, s) chunked scan
-that ``autodiff.linear_recurrence`` replaced, kept as their bitwise oracles.
+"""Bitwise oracles: the composed tape chains that ``model.layer_norm``,
+``model.newton_schulz_pinv``, ``model.gelu``, ``model.ppeg_encode``,
+``model.selective_scan`` and the head split fuse; the layer norm closure
+that kept its centered and normalized rows; the per-tap loop that
+``autodiff.dwconv2d`` replaced; and the (L, ..., d, s) chunked scan that
+``autodiff.linear_recurrence`` replaced.
 
 The fused ops must reproduce these chains' values and gradients bit for bit,
-so the chains are kept verbatim, with the subtraction, division, reductions
-and square root the tape engine no longer carries rebuilt here as tape ops on
-``autodiff._node``.
+so the chains are kept verbatim, with the subtraction, division, reductions,
+square root and erf the tape engine no longer carries rebuilt here as tape
+ops on ``autodiff._node``.
 """
 
-import numpy as np
+import math
 
-from tdam.autodiff import SCAN_CHUNK, Tensor, _node, _unbroadcast
-from tdam.model import LN_EPS
+import numpy as np
+from scipy import special
+
+from tdam.autodiff import SCAN_CHUNK, Tensor, _node, _unbroadcast, concat, dwconv2d, linear_recurrence
+from tdam.model import INV_SQRT2, LN_EPS, ModelParams, _grid_side, srmamba_reorder
 
 
 def tape_sub(x: Tensor, y: Tensor) -> Tensor:
@@ -29,6 +34,11 @@ def tape_div(x: Tensor, y: Tensor) -> Tensor:
 def tape_sqrt(x: Tensor) -> Tensor:
     y = np.sqrt(x.data)
     return _node(y, (x,), lambda g: x._accum(g * 0.5 / y))
+
+
+def tape_erf(x: Tensor) -> Tensor:
+    coeff = 2.0 / math.sqrt(math.pi)
+    return _node(special.erf(x.data), (x,), lambda g: x._accum(g * coeff * np.exp(-x.data * x.data)))
 
 
 def tape_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -59,6 +69,70 @@ def composed_layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | No
     if bias is not None:
         out = out + bias
     return out
+
+
+def closure_layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
+    """``model.layer_norm`` as it was when its closure kept the normalized rows."""
+    xv = x.data
+    inv_n = 1.0 / xv.shape[-1]
+    c = xv + (-(xv.sum(axis=-1, keepdims=True) * inv_n))
+    den = np.sqrt((c * c).sum(axis=-1, keepdims=True) * inv_n + LN_EPS)
+    normed = c / den
+    out = normed
+    if gain is not None:
+        out = out * gain.data
+    if bias is not None:
+        out = out + bias.data
+
+    def bw(g):
+        if bias is not None:
+            bias._accum(_unbroadcast(g, bias.data.shape))
+        if gain is not None:
+            gain._accum(_unbroadcast(g * normed, gain.data.shape))
+            g = g * gain.data
+        g_den = _unbroadcast(-g * c / (den * den), den.shape)
+        g_cc = np.broadcast_to(g_den * 0.5 / den * inv_n, c.shape)
+        g_c = g / den + g_cc * c + g_cc * c
+        x._accum(g_c)
+        x._accum(np.broadcast_to(-_unbroadcast(g_c, den.shape) * inv_n, xv.shape))
+    parents = tuple(t for t in (x, gain, bias) if t is not None)
+    return _node(out, parents, bw)
+
+
+def chained_gelu(x: Tensor) -> Tensor:
+    """Exact Gaussian-CDF GELU: x * Phi(x)."""
+    return x * (tape_erf(x * INV_SQRT2) + 1.0) * 0.5
+
+
+def chained_ppeg_encode(seq: Tensor, params: ModelParams) -> Tensor:
+    """``model.ppeg_encode`` as a chain of tape ops around the convolutions."""
+    *lead, n_tokens, dm = seq.shape
+    n_grid = n_tokens - 1
+    side = _grid_side(n_grid)
+    cls_row = seq[..., 0:1, :]
+    img = seq[..., 1:, :].reshape(*lead, side, side, dm)
+    out = (
+        dwconv2d(img, params["ppeg.K7"])
+        + dwconv2d(img, params["ppeg.K5"])
+        + dwconv2d(img, params["ppeg.K3"])
+        + img
+    )
+    return concat([cls_row, out.reshape(*lead, n_grid, dm)], axis=-2)
+
+
+def chained_selective_scan(x: Tensor, params: ModelParams, layer: int) -> Tensor:
+    """``model.selective_scan`` as a chain of tape ops around the fused recurrence."""
+    p = f"srmamba{layer}"
+    cfg = params.config
+    perm = srmamba_reorder(x.shape[-2], cfg.srmamba_rate)
+    u = x.take(perm, axis=-2) if cfg.srmamba_rate > 1 else x
+    delta = (u @ params[f"{p}.W_delta"] + params[f"{p}.b_delta"]).softplus()
+    b_in = u @ params[f"{p}.W_B"]
+    c_out = u @ params[f"{p}.W_C"]
+    y = linear_recurrence(delta, params[f"{p}.A"], b_in, c_out, u) + u * params[f"{p}.D"]
+    if cfg.srmamba_rate > 1:
+        y = y.take(np.argsort(perm), axis=-2)
+    return y
 
 
 def composed_newton_schulz_pinv(a: Tensor, iters: int) -> Tensor:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from tape_oracles import loop_dwconv2d, state_last_linear_recurrence, tape_div, tape_max, tape_mean, tape_sqrt, tape_sub
+from tape_oracles import (loop_dwconv2d, state_last_linear_recurrence, tape_div, tape_erf, tape_max, tape_mean,
+                          tape_sqrt, tape_sub)
 from tdam import autodiff, model
 from tdam.autodiff import SCAN_CHUNK, Tensor, checkpoint, concat, dwconv2d, linear_recurrence, no_grad
 
@@ -57,11 +60,12 @@ def test_matmul_broadcast_leading():
 
 
 def test_unary_chain():
-    check_op(lambda a: (a.tanh() + a.softplus() + a.erf()).sum(), (4, 3))
+    check_op(lambda a: (a.tanh() + a.softplus() + tape_erf(a)).sum(), (4, 3))
 
 
-# The chains the fused layer norm and pseudo-inverse are tested against bitwise
-# build sqrt, mean and max from autodiff._node themselves; these check them.
+# The chains the fused GELU, layer norm and pseudo-inverse are tested against
+# bitwise build erf, sqrt, mean and max from autodiff._node themselves; these
+# check them.
 
 
 def test_sqrt_grad():
@@ -210,6 +214,35 @@ def test_take_by_a_permutation_has_the_add_at_adjoint(dtype, axis):
         assert not np.signbit(t.grad[t.grad == 0.0]).any()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("axis", [0, 1, 2, -1])
+def test_take_with_repeated_or_skipped_positions_has_the_add_at_adjoint(dtype, axis):
+    """Cycle-pad and nearest-grid indices take positions more than once or
+    not at all; the adjoint's occurrence rounds must give np.add.at's bits
+    onto zeros, with -0.0 adjoints and positions that are never taken."""
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((4, 9, 16)).astype(dtype)
+    n = x.shape[axis]
+    stored = math.isqrt(n)
+    cases = [np.arange(m) % n for m in (n + 1, 2 * n + 3)]
+    cases += [model._nearest_grid_index(side, stored) for side in (1, stored - 1, stored + 1, 3 * stored + 2)]
+    cases += [rng.integers(0, n, size=3 * n), rng.integers(0, n, size=3 * n)[::-1].copy()]
+    for idx in cases:
+        shape = list(x.shape)
+        shape[axis] = idx.size
+        g = rng.standard_normal(shape).astype(dtype)
+        g[rng.random(g.shape) < 0.2] = -0.0
+        g[rng.random(g.shape) < 0.1] = 0.0
+        t = Tensor(x.copy())
+        t.take(idx, axis=axis).backward(g)
+        want = np.zeros_like(x)
+        np.add.at(np.moveaxis(want, axis, 0), idx, np.moveaxis(g, axis, 0))
+        assert t.grad.dtype == want.dtype
+        assert t.grad.tobytes() == want.tobytes(), idx
+        missed = np.setdiff1d(np.arange(n), idx)
+        assert not np.signbit(np.take(t.grad, missed, axis=axis)).any()
+
+
 def test_dwconv2d_identity_kernel():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((5, 5, 2))
@@ -340,10 +373,10 @@ TAPE_OPS = {
     "div": lambda a, b: tape_div(a, b * b + 1.0),
     "matmul": lambda a, b: a @ b.transpose(1, 0),
     "tanh": lambda a, b: a.tanh(),
-    "erf": lambda a, b: a.erf(),
     "softplus": lambda a, b: a.softplus(),
     "softmax": lambda a, b: a.softmax(axis=-1),
     "sum": lambda a, b: a.sum(axis=0),
+    "gelu": lambda a, b: model.gelu(a),
     "layer_norm": lambda a, b: model.layer_norm(a, b[0], b[1]),
     "newton_schulz_pinv": lambda a, b: model.newton_schulz_pinv(a[:, :3].softmax().reshape(1, 3, 3), 2),
     "reshape": lambda a, b: a.reshape(6, 2),
@@ -456,6 +489,28 @@ def test_checkpoint_is_a_plain_call_under_no_grad():
         bare = checkpoint(counted, x, w)
     assert bare._parents == () and bare._backward is None and len(calls) == 1
     np.testing.assert_array_equal(bare.data, block(x, w).data)
+
+
+def test_a_consumed_graph_refuses_a_second_backward():
+    """Backward consumes the graph: each node it ran lets go of its closure
+    and its parents, and a later backward that reaches one raises before any
+    closure runs, so no adjoint moves. A new forward backpropagates again."""
+    x, w = checkpoint_operands()
+    mid = (x @ w).tanh()
+    loss = (mid * mid).sum()
+    loss.backward()
+    first = x.grad.copy(), w.grad.copy()
+    assert loss._parents == () and mid._parents == ()
+    for again in (loss, (mid * 2.0).sum()):
+        with pytest.raises(RuntimeError, match="already been backpropagated"):
+            again.backward()
+    for got, want in zip((x.grad, w.grad), first):
+        assert got.tobytes() == want.tobytes()
+    x.grad = w.grad = None
+    mid = (x @ w).tanh()
+    (mid * mid).sum().backward()
+    for got, want in zip((x.grad, w.grad), first):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_backward_frees_every_adjoint_but_the_leaves_and_retained_ones():

@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tape_oracles import (chained_from_heads, chained_to_heads, composed_layer_norm, composed_newton_schulz_pinv,
+from tape_oracles import (chained_from_heads, chained_gelu, chained_ppeg_encode, chained_selective_scan,
+                          chained_to_heads, closure_layer_norm, composed_layer_norm, composed_newton_schulz_pinv,
                           loop_dwconv2d)
 from tdam import model, survival
-from tdam.autodiff import SCAN_CHUNK, Tensor, _node, no_grad
+from tdam.autodiff import SCAN_CHUNK, Tensor, no_grad
 from tdam.bags import FeatureBag, grid_coords
 from tdam.errors import DataError, FormatError, ShapeError, TruncatedError
 
@@ -735,6 +737,102 @@ def test_train_step_is_bitwise_that_of_the_composed_ops(monkeypatch, ablation, d
             assert_bitwise(fused[name].grad, composed[name].grad)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_gelu_is_bitwise_the_chain(dtype):
+    rng = np.random.default_rng(23)
+    xv, weight = (rng.standard_normal((17, 24)).astype(dtype) * 3.0 for _ in range(2))
+    xv[0, :4] = (0.0, -0.0, 40.0, -40.0)
+    results = []
+    for gelu in (model.gelu, chained_gelu):
+        x = Tensor(xv.copy())
+        y = gelu(x)
+        # x also feeds a residual, so its adjoint arrives in several accumulations
+        (y * Tensor(weight) + x).tanh().sum().backward()
+        results.append((y.data, x.grad))
+    for fused, chained in zip(*results):
+        assert_bitwise(fused, chained)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "stack"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_ppeg_is_bitwise_the_chain(dtype, lead):
+    """Output and the adjoints of seq and the three kernels; seq also feeds a
+    residual, so its adjoint arrives in several accumulations."""
+    for n_grid in (1, 9, 64):
+        rng = np.random.default_rng(n_grid)
+        xv, weight = (rng.standard_normal((*lead, 1 + n_grid, TINY.d_model)).astype(dtype) for _ in range(2))
+        results = []
+        for ppeg in (model.ppeg_encode, chained_ppeg_encode):
+            params = model.init_params(TINY, seed=n_grid, dtype=dtype)
+            seq = Tensor(xv.copy())
+            y = ppeg(seq, params)
+            (y * Tensor(weight) + seq).tanh().sum().backward()
+            results.append([y.data, seq.grad] + [params[f"ppeg.K{k}"].grad for k in (7, 5, 3)])
+        for fused, chained in zip(*results):
+            assert_bitwise(fused, chained)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "stack"])
+@pytest.mark.parametrize("rate", [1, 2, 5])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_scan_layer_is_bitwise_the_chain(dtype, rate, lead):
+    """Output and the adjoints of x and all six weights; x also feeds a
+    residual, as in a stack of stages without the layer norm."""
+    cfg = dataclasses.replace(TINY, d_model=8, ssm_state_dim=4, srmamba_rate=rate)
+    for n in (1, 5, SCAN_CHUNK + 1):
+        rng = np.random.default_rng(n)
+        xv, weight = (rng.standard_normal((*lead, n, cfg.d_model)).astype(dtype) for _ in range(2))
+        results = []
+        for scan in (model.selective_scan, chained_selective_scan):
+            params = model.init_params(cfg, seed=n, dtype=dtype)
+            x = Tensor(xv.copy())
+            y = scan(x, params, 0)
+            (y * Tensor(weight) + x).tanh().sum().backward()
+            results.append([y.data, x.grad] + [params[f"srmamba0.{w}"].grad for w in model.SCAN_WEIGHTS])
+        for fused, chained in zip(*results):
+            assert_bitwise(fused, chained)
+
+
+def chain_the_fused_ops(monkeypatch):
+    monkeypatch.setattr(model, "gelu", chained_gelu)
+    monkeypatch.setattr(model, "layer_norm", closure_layer_norm)
+    monkeypatch.setattr(model, "selective_scan", chained_selective_scan)
+    monkeypatch.setattr(model, "ppeg_encode", chained_ppeg_encode)
+
+
+@pytest.mark.parametrize("n", [1, 5, 30])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ablation", model.ABLATIONS)
+def test_train_step_is_bitwise_that_of_the_chained_gelu_layer_norm_ppeg_and_scan(monkeypatch, ablation, dtype, n):
+    cfg = dataclasses.replace(TINY.with_ablation(ablation), srmamba_layers=2)
+    fused = step_bits(cfg, n, dtype)
+    chain_the_fused_ops(monkeypatch)
+    assert step_bits(cfg, n, dtype) == fused
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ablation", model.ABLATIONS)
+def test_grouped_train_step_is_bitwise_that_of_the_chained_gelu_layer_norm_ppeg_and_scan(monkeypatch, ablation, dtype):
+    cfg = dataclasses.replace(TINY.with_ablation(ablation), srmamba_layers=2)
+
+    def group_bits():
+        out = []
+        for sizes in GROUPS:
+            params = model.init_params(cfg, seed=37, dtype=dtype)
+            bags = [random_bag(n=n, seed=100 * n + i) for i, n in enumerate(sizes)]
+            _, trace = model.forward(bags, params, mode="train", seed=5)
+            logits = trace.tensors["logits"]
+            weight = np.random.default_rng(len(sizes)).standard_normal(logits.shape).astype(dtype)
+            (logits * weight).sum().backward()
+            grads = [params[name].grad for name in params.names()]
+            out.append((logits.data.tobytes(), [None if g is None else g.tobytes() for g in grads]))
+        return out
+
+    fused = group_bits()
+    chain_the_fused_ops(monkeypatch)
+    assert group_bits() == fused
+
+
 # -- recompute of the attention cores ----------------------------------------------
 
 
@@ -807,13 +905,34 @@ def test_a_recording_eval_forward_holds_one_node_per_wrapped_core(monkeypatch, n
     assert len(nodes) < len(tape_nodes(full.tensors["logits"]))
 
 
+@pytest.mark.parametrize("n", [5, 30])
+def test_a_recording_forward_holds_one_node_per_scan_layer_and_one_for_ppeg(n):
+    cfg = dataclasses.replace(TINY, srmamba_layers=2)
+    params = model.init_params(cfg, seed=38)
+    _, trace = model.forward(random_bag(n=n, seed=38), params)
+    nodes = tape_nodes(trace.tensors["logits"])
+    for layer in range(cfg.srmamba_layers):
+        weights = tuple(params[f"srmamba{layer}.{w}"] for w in model.SCAN_WEIGHTS)
+        holders = [t for t in nodes if any(p is w for p in t._parents for w in weights)]
+        assert len(holders) == 1, layer
+        x, *rest = holders[0]._parents
+        assert tuple(rest) == weights, layer
+        # x is the output of the layer's own layer norm
+        assert x._parents[1:] == (params[f"srmamba{layer}.ln_g"], params[f"srmamba{layer}.ln_b"])
+    kernels = tuple(params[f"ppeg.K{k}"] for k in (7, 5, 3))
+    holders = [t for t in nodes if any(p is k for p in t._parents for k in kernels)]
+    assert len(holders) == 1 and holders[0]._parents[1:] == kernels
+
+
 def test_after_backward_only_leaves_hold_adjoints(monkeypatch):
-    made = []
+    """Backward consumes the tape and clears each node's closure, so the
+    tensors made with a backward (the non-leaves) are noted as they are made."""
+    made = []  # (tensor, whether it was made with a backward)
     init = Tensor.__init__
 
     def recording_init(self, data, parents=(), backward=None):
         init(self, data, parents, backward)
-        made.append(self)
+        made.append((self, backward is not None))
 
     params = tiny_params(seed=33)
     monkeypatch.setattr(model, "RECOMPUTE_MIN_TOKENS", 1)
@@ -821,9 +940,49 @@ def test_after_backward_only_leaves_hold_adjoints(monkeypatch):
     _, trace = model.forward(random_bag(n=5, seed=33), params, mode="train", seed=1)
     survival.nll_graph(trace.tensors["logits"], 2, 0).backward()
     monkeypatch.undo()
-    assert any(t._backward is not None for t in made)
-    assert all(t.grad is None for t in made if t._backward is not None)
+    assert any(with_backward for _, with_backward in made)
+    assert all(t.grad is None for t, with_backward in made if with_backward)
     assert all(params[name].grad is not None for name in params.names())
+
+
+def test_a_train_step_backpropagates_once(monkeypatch):
+    """The step's tape is consumed by its backward: a second backward raises
+    and leaves every parameter's adjoint as the first one left it."""
+    params = tiny_params(seed=36)
+    monkeypatch.setattr(model, "RECOMPUTE_MIN_TOKENS", 1)
+    _, trace = model.forward(random_bag(n=5, seed=36), params, mode="train", seed=1)
+    loss = survival.nll_graph(trace.tensors["logits"], 2, 0)
+    loss.backward()
+    grads = {name: params[name].grad.copy() for name in params.names()}
+    with pytest.raises(RuntimeError, match="already been backpropagated"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="already been backpropagated"):
+        trace.tensors["final_seq"].sum().backward()
+    for name in params.names():
+        assert_bitwise(params[name].grad, grads[name])
+
+
+# Bytes that a recording paper-width eval forward on one 1,024-patch bag keeps
+# live (tracemalloc) on the tape whose scan layer was nine nodes, whose GELU
+# was four, whose layer norm kept its normalized rows and whose convolutions
+# each kept a padded copy of their input.
+CHAINED_TAPE_BYTES_1024 = 72_683_000
+
+
+def test_a_recording_paper_width_forward_keeps_at_most_three_quarters_of_the_chained_tape():
+    cfg = model.ModelConfig()
+    params = model.init_params(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    bag = FeatureBag("probe", rng.standard_normal((1024, cfg.d_in), dtype=np.float32), grid_coords(1024))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, trace = model.forward(bag, params)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert trace.tensors["logits"]._parents
+    assert held <= 0.75 * CHAINED_TAPE_BYTES_1024, held
 
 
 def test_memory_probe_script_prints_one_line_per_mode():
@@ -842,9 +1001,9 @@ ACCEPT_MODEL = model.ModelConfig(
     srmamba_layers=1, srmamba_rate=5, ssm_state_dim=6, dropout=0.25, agent_bias_side=4,
 )
 # Tape nodes of one acceptance-scale train step (forward and loss) on a
-# 16-patch bag, with the fused layer norm and pseudo-inverse and the head
-# split as one node each way.
-MAX_TAPE_NODES_PER_STEP = 135
+# 16-patch bag, with the fused GELU, layer norm, pseudo-inverse, PPEG and
+# scan layer and the head split as one node each way.
+MAX_TAPE_NODES_PER_STEP = 112
 
 
 def test_acceptance_scale_train_step_tape_does_not_regrow(monkeypatch):
@@ -920,20 +1079,18 @@ def test_grad_check_detects_corrupted_backward(monkeypatch):
     """A backward that negates the adjoint of ``ppeg.K3`` alone is flagged
     there, and only there."""
     made = []
-    init_params, dwconv2d = model.init_params, model.dwconv2d
+    init_params, dwconv_adjoints = model.init_params, model._dwconv_adjoints
 
     def recording_init(*args, **kwargs):
         made.append(init_params(*args, **kwargs))
         return made[-1]
 
-    def corrupted(x, kernel):
-        k3 = made[-1]["ppeg.K3"]
-        if kernel is k3:
-            kernel = _node(k3.data, (k3,), lambda g: k3._accum(-g))
-        return dwconv2d(x, kernel)
+    def corrupted(g, xv, kv):
+        g_x, g_k = dwconv_adjoints(g, xv, kv)
+        return g_x, -g_k if kv is made[-1]["ppeg.K3"].data else g_k
 
     monkeypatch.setattr(model, "init_params", recording_init)
-    monkeypatch.setattr(model, "dwconv2d", corrupted)
+    monkeypatch.setattr(model, "_dwconv_adjoints", corrupted)
     report = model.grad_check(TINY, n_patches=5, seed=0)
     assert report.per_tensor.pop("ppeg.K3") > 1e-2
     assert max(report.per_tensor.values()) < 1e-4
