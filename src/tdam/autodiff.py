@@ -22,12 +22,15 @@ fused ops take leading batch axes (a stack of grids, of sequences), as the
 elementwise ops and matmul do by broadcasting, so a stack of bags runs
 through the model in one pass.
 The model adds more fused ops through :func:`_node`, each with a
-hand-written backward: ``gelu``, ``layer_norm``, the Newton-Schulz
-pseudo-inverse and a whole selective-scan layer. Forward dtype is
-preserved, so the same graph runs in float32 for training and float64 for
-gradient checking. Inside :func:`no_grad` the ops compute the same values
-but record nothing: each output has no parents and no closure, so
-inference builds no backward graph.
+hand-written backward: ``gelu``, ``layer_norm``, PPEG, each Nystrom
+attention core, agent attention and a whole selective-scan layer. They call
+the array halves of the engine's softmax and gather, and add adjoint terms
+as :meth:`Tensor._accum` does, so each keeps the bits of the chain of ops
+it replaced. Forward dtype is preserved, so the same graph runs in float32
+for training and float64 for gradient checking. Inside :func:`no_grad` the
+ops compute the same values but record nothing: each output has no parents
+and no closure, so inference builds no backward graph. Backward never
+records either.
 
 Only a :class:`Tensor` is a parent. An operand that is not one (a number or
 an ndarray, such as the model's bag features and dropout masks) is a
@@ -39,11 +42,7 @@ the pass moves on, and a graph can be backpropagated only once (a second
 :meth:`Tensor.backward` through it raises RuntimeError). Backward also
 frees each non-leaf adjoint as soon as its closure has consumed it; leaves
 (tensors made directly, such as parameters) keep theirs, and so does any
-tensor marked with :meth:`Tensor.retain_grad`. :func:`checkpoint` trades
-memory for compute: it records a whole function as one node that keeps
-only its inputs, and re-runs the function in backward to backpropagate
-through it (Chen et al. 2016, "Training Deep Nets with Sublinear Memory
-Cost").
+tensor marked with :meth:`Tensor.retain_grad`.
 """
 
 from __future__ import annotations
@@ -55,8 +54,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-__all__ = ["Tensor", "checkpoint", "concat", "linear_recurrence", "dwconv2d", "no_grad",
-           "CONV_BLOCK_BYTES", "SCAN_CHUNK"]
+__all__ = ["Tensor", "concat", "linear_recurrence", "dwconv2d", "no_grad", "CONV_BLOCK_BYTES", "SCAN_CHUNK"]
 
 # Steps per chunk of the fused scan: the (chunk, s, d) intermediates of a
 # paper-width layer (d = 256, s = 16) stay near 1 MB each.
@@ -71,19 +69,14 @@ _recording = True
 
 
 @contextmanager
-def _recording_as(flag: bool):
-    """Set whether ops record for the duration of the block."""
+def no_grad():
+    """Run ops without recording them; nests, and restores the mode on exit."""
     global _recording
-    previous, _recording = _recording, flag
+    previous, _recording = _recording, False
     try:
         yield
     finally:
         _recording = previous
-
-
-def no_grad():
-    """Run ops without recording them; nests, and restores the mode on exit."""
-    return _recording_as(False)
 
 
 def _node(data, parents: tuple, backward) -> Tensor:
@@ -95,6 +88,47 @@ def _node(data, parents: tuple, backward) -> Tensor:
 def _consumed(g) -> None:
     """The backward of a node whose closure backward has already run."""
     raise RuntimeError("this graph has already been backpropagated; run the forward again")
+
+
+def _added(total: np.ndarray | None, g: np.ndarray) -> np.ndarray:
+    """An adjoint after the term ``g`` is added to ``total``, as
+    :meth:`Tensor._accum` adds it: a first term (``total`` None) is kept as it
+    is, or copied when it is a view or a scalar."""
+    if total is None:
+        return g.copy() if g.base is not None or g.shape == () else g
+    return total + g
+
+
+def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_adjoint(g: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The adjoint of the softmax input, for the softmax ``y`` and its adjoint ``g``."""
+    return y * (g - (g * y).sum(axis=axis, keepdims=True))
+
+
+def _take_adjoint(g: np.ndarray, idx: np.ndarray, like: np.ndarray, axis: int) -> np.ndarray:
+    """The adjoint of ``like`` for ``np.take(like, idx, axis)`` and its adjoint ``g``.
+
+    It adds into zeros in occurrence rounds: round k adds the k-th occurrence
+    of each position with one fancy-index ``+=``, which touches each position
+    at most once. So every position sums its occurrences in index order from
+    +0.0, as ``np.add.at`` onto zeros does, with the same bits; a position
+    never taken stays +0.0.
+    """
+    full = np.zeros_like(like)
+    dst, src = np.moveaxis(full, axis, 0), np.moveaxis(g, axis, 0)
+    # rank[j]: how many entries before order[j], in index order, take its position
+    order = np.argsort(idx, kind="stable")
+    ranked = idx[order]
+    first = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    rank = np.arange(idx.size) - np.repeat(first, np.diff(np.r_[first, idx.size]))
+    for k in range(rank.max(initial=-1) + 1):
+        picks = order[rank == k]
+        dst[idx[picks]] += src[picks]
+    return full
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -140,10 +174,7 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
     def _accum(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = g.copy() if g.base is not None or g.shape == () else g
-        else:
-            self.grad = self.grad + g
+        self.grad = _added(self.grad, g)
 
     def retain_grad(self) -> None:
         """Keep this tensor's adjoint after backward; a non-leaf's is freed once used."""
@@ -242,14 +273,8 @@ class Tensor:
                      lambda g: self._accum(g * special.expit(self.data)))
 
     def softmax(self, axis: int = -1):
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        y = e / e.sum(axis=axis, keepdims=True)
-
-        def bw(g):
-            inner = (g * y).sum(axis=axis, keepdims=True)
-            self._accum(y * (g - inner))
-        return _node(y, (self,), bw)
+        y = _softmax(self.data, axis)
+        return _node(y, (self,), lambda g: self._accum(_softmax_adjoint(g, y, axis)))
 
     # -- reductions -------------------------------------------------------
 
@@ -265,10 +290,6 @@ class Tensor:
     def reshape(self, *shape):
         return _node(self.data.reshape(shape), (self,), lambda g: self._accum(g.reshape(self.data.shape)))
 
-    def transpose(self, *axes):
-        inv = np.argsort(axes)
-        return _node(self.data.transpose(axes), (self,), lambda g: self._accum(g.transpose(inv)))
-
     def __getitem__(self, idx):
         """Basic indexing only (ints/slices); use take for fancy."""
 
@@ -279,61 +300,11 @@ class Tensor:
         return _node(self.data[idx], (self,), bw)
 
     def take(self, indices: np.ndarray, axis: int):
-        """Gather along ``axis`` by a 1-D integer index array.
-
-        The adjoint adds into zeros in occurrence rounds: round k adds the
-        k-th occurrence of each position with one fancy-index ``+=``, which
-        touches each position at most once. So every position sums its
-        occurrences in index order from +0.0, as ``np.add.at`` onto zeros
-        does, with the same bits; a position never taken stays +0.0.
-        """
+        """Gather along ``axis`` by a 1-D integer index array; the adjoint is
+        :func:`_take_adjoint`'s."""
         idx = np.asarray(indices)
-
-        def bw(g):
-            full = np.zeros_like(self.data)
-            dst, src = np.moveaxis(full, axis, 0), np.moveaxis(g, axis, 0)
-            # rank[j]: how many entries before order[j], in index order, take its position
-            order = np.argsort(idx, kind="stable")
-            ranked = idx[order]
-            first = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-            rank = np.arange(idx.size) - np.repeat(first, np.diff(np.r_[first, idx.size]))
-            for k in range(rank.max(initial=-1) + 1):
-                picks = order[rank == k]
-                dst[idx[picks]] += src[picks]
-            self._accum(full)
-        return _node(np.take(self.data, idx, axis=axis), (self,), bw)
-
-
-def checkpoint(fn, *inputs: Tensor) -> Tensor:
-    """``fn(*inputs)`` recorded as one node that keeps only its inputs.
-
-    While recording, ``fn`` runs under no_grad(), so none of its
-    intermediates outlive the call. The node's backward re-runs ``fn`` on
-    fresh leaves sharing the inputs' data, with recording on even inside an
-    outer no_grad(), backpropagates its adjoint through that sub-graph and
-    hands each leaf's adjoint to its input. ``fn`` must return one tensor
-    and compute the same values on every call. Outside recording this is a
-    plain call.
-
-    Each input receives its adjoint from ``fn`` as one term, already summed
-    inside the sub-graph. So adjoints keep their bits only when no input is
-    also used outside ``fn``: otherwise the terms are added as a + (b + c)
-    instead of (a + b) + c, equal in value but not always in bits.
-    """
-    if not _recording:
-        return fn(*inputs)
-    with no_grad():
-        out = fn(*inputs)
-
-    def bw(g):
-        leaves = [Tensor(t.data) for t in inputs]
-        with _recording_as(True):
-            redo = fn(*leaves)
-        redo.backward(g)
-        for t, leaf in zip(inputs, leaves):
-            if leaf.grad is not None:
-                t._accum(leaf.grad)
-    return _node(out.data, inputs, bw)
+        return _node(np.take(self.data, idx, axis=axis), (self,),
+                     lambda g: self._accum(_take_adjoint(g, idx, self.data, axis)))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

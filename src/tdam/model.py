@@ -20,14 +20,14 @@ import math
 import struct
 import time
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial, reduce
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 from scipy import special
 
-from .autodiff import (Tensor, _dwconv_adjoints, _node, _recurrence_adjoints, _unbroadcast, checkpoint, concat,
-                       dwconv2d, linear_recurrence, no_grad)
+from .autodiff import (Tensor, _added, _dwconv_adjoints, _node, _recurrence_adjoints, _softmax, _softmax_adjoint,
+                       _take_adjoint, _unbroadcast, concat, dwconv2d, linear_recurrence, no_grad)
 from .bags import FeatureBag
 from .errors import DataError, FormatError, GradError, NonFiniteError, ShapeError, TruncatedError
 from .rng import substream
@@ -46,14 +46,6 @@ ABLATIONS = tuple(STAGES)
 LN_EPS = 1e-5
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 ERF_SLOPE = 2.0 / math.sqrt(math.pi)  # erf'(z) = ERF_SLOPE * exp(-z * z)
-# Token count from which an attention core (Nystrom or agent) keeps only its
-# inputs on the tape and is recomputed in backward. Recompute adds about a
-# quarter to two fifths to a core's forward+backward time at every size from
-# 64 to 1,024 tokens, while the tape it saves grows with the tokens (7-9 MB
-# per core at 256 tokens, 19-25 MB at 1,024; README, "Memory at paper
-# width"). There is no break-even size: the value is a choice that keeps
-# small bags on the plain tape.
-RECOMPUTE_MIN_TOKENS = 256
 
 
 @dataclass(frozen=True)
@@ -337,24 +329,14 @@ def _grid_side(n_tokens: int) -> int:
     return side
 
 
-def _to_heads(x: Tensor, n_heads: int) -> Tensor:
-    """(..., n, d_model) -> (..., n_heads, n, d_head) as one tape node."""
-    *lead, n, dm = x.shape
-    return _node(x.data.reshape(*lead, n, n_heads, dm // n_heads).swapaxes(-3, -2), (x,),
-                 lambda g: x._accum(g.swapaxes(-3, -2).reshape(*lead, n, dm)))
+def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
+    """(..., n, d_model) -> (..., n_heads, n, d_head), a view where numpy can make one."""
+    return a.reshape(*a.shape[:-1], n_heads, -1).swapaxes(-3, -2)
 
 
-def _from_heads(x: Tensor) -> Tensor:
-    """(..., n_heads, n, d_head) -> (..., n, d_model) as one tape node."""
-    *lead, h, n, dh = x.shape
-    return _node(x.data.swapaxes(-3, -2).reshape(*lead, n, h * dh), (x,),
-                 lambda g: x._accum(g.reshape(*lead, n, h, dh).swapaxes(-3, -2)))
-
-
-def _swap_last(x: Tensor) -> Tensor:
-    """``x`` with its last two axes swapped (a stack of transposed matrices)."""
-    nd = len(x.shape)
-    return x.transpose(*range(nd - 2), nd - 1, nd - 2)
+def _merged(a: np.ndarray) -> np.ndarray:
+    """(..., n_heads, n, d_head) -> (..., n, d_model), the inverse of :func:`_heads`."""
+    return a.swapaxes(-3, -2).reshape(*a.shape[:-3], a.shape[-2], -1)
 
 
 def _segment_mean_matrix(n: int, m: int, dtype) -> np.ndarray:
@@ -369,94 +351,117 @@ def _segment_mean_matrix(n: int, m: int, dtype) -> np.ndarray:
     return mat
 
 
-def newton_schulz_pinv(a: Tensor, iters: int) -> Tensor:
+def _pinv(av: np.ndarray, iters: int) -> tuple[np.ndarray, tuple]:
     """Iterative Moore-Penrose pseudo-inverse of a stack of square matrices,
-    (..., m, m).
+    (..., m, m), and what :func:`_pinv_adjoint` reads: the norms and iterates.
 
-    One tape op: z0 = a^T / (|a|_1 |a|_inf), then per iteration, with
-    az = a z, z <- 0.25 z (13 I - az (15 I - az (7 I - az))). The backward
-    walks the stored iterates in reverse. Both passes evaluate the same
-    expressions, and sum adjoints in the same order, as the chain of tape
-    ops they replace, so values and gradients keep their bits.
+    z0 = a^T / (|a|_1 |a|_inf), then per iteration, with az = a z,
+    z <- 0.25 z (13 I - az (15 I - az (7 I - az))). Both helpers evaluate the
+    same expressions, and sum adjoints in the same order, as the chain of
+    tape ops they replace, so values and gradients keep their bits.
     """
-    av = a.data
-    eye = np.eye(av.shape[-1], dtype=av.dtype)
+    eye7, eye15, eye13 = (np.eye(av.shape[-1], dtype=av.dtype) * c for c in (7.0, 15.0, 13.0))
     col_sums = av.sum(axis=-2, keepdims=True)
     row_sums = av.sum(axis=-1, keepdims=True)
-    norm1 = col_sums.max(axis=-1, keepdims=True)
-    norm_inf = row_sums.max(axis=-2, keepdims=True)
-    den = norm1 * norm_inf
-    at = av.swapaxes(-1, -2)
-    z = at / den
+    norm1, norm_inf = col_sums.max(axis=-1, keepdims=True), row_sums.max(axis=-2, keepdims=True)
+    z = av.mT / (norm1 * norm_inf)
     steps = []
     for _ in range(iters):
         az = av @ z
-        t1 = eye * 7.0 + (-az)
-        t2 = eye * 15.0 + (-(az @ t1))
-        t3 = eye * 13.0 + (-(az @ t2))
+        t1 = eye7 + (-az)
+        t2 = eye15 + (-(az @ t1))
+        t3 = eye13 + (-(az @ t2))
         zs = z * 0.25
         steps.append((z, az, t1, t2, t3, zs))
         z = zs @ t3
-
-    def bw(g):
-        g_a = []
-        for z, az, t1, t2, t3, zs in reversed(steps):
-            g_zs = g @ t3.swapaxes(-1, -2)
-            g_p2 = -(zs.swapaxes(-1, -2) @ g)
-            g_p1 = -(az.swapaxes(-1, -2) @ g_p2)
-            g_t1 = az.swapaxes(-1, -2) @ g_p1
-            g_az = g_p2 @ t2.swapaxes(-1, -2) + g_p1 @ t1.swapaxes(-1, -2) + (-g_t1)
-            g_a.append(g_az @ z.swapaxes(-1, -2))
-            g = g_zs * 0.25 + at @ g_az
-        g_den = _unbroadcast(-g * at / (den * den), den.shape)
-        g_a.append((g / den).swapaxes(-1, -2))
-        # each norm is a max over sums of a: its adjoint goes to the maximal sums
-        for sums, norm, axis, g_norm in ((col_sums, norm1, -1, g_den * norm_inf),
-                                         (row_sums, norm_inf, -2, g_den * norm1)):
-            mask = (sums == norm).astype(av.dtype)
-            mask /= mask.sum(axis=axis, keepdims=True)
-            g_a.append(np.broadcast_to(mask * g_norm, av.shape))
-        a._accum(sum(g_a[1:], g_a[0]))  # one sum, in the order the terms were listed
-    return _node(z, (a,), bw)
+    return z, ((col_sums, row_sums, norm1, norm_inf), steps)
 
 
-def _attention_core(fn, x: Tensor, *weights: Tensor) -> Tensor:
-    """``fn(x, *weights)``, recomputed in backward once ``x`` has at least
-    RECOMPUTE_MIN_TOKENS rows per bag. The re-run happens in backward,
-    outside any forward, so ``fn`` calls none of the public stages that
-    ``forward`` looks up in this module (a profiler may label those with the
-    forward's mode).
-
-    Gradients keep their bits because ``x`` and each weight feed only this
-    core: checkpoint hands an input its whole adjoint from ``fn`` as one
-    term, which would change the order of a sum over uses outside ``fn``."""
-    if x.shape[-2] >= RECOMPUTE_MIN_TOKENS:
-        return checkpoint(fn, x, *weights)
-    return fn(x, *weights)
+def _pinv_adjoint(g: np.ndarray, av: np.ndarray, saved: tuple) -> np.ndarray:
+    """The adjoint of :func:`_pinv`'s input ``av`` for its output adjoint
+    ``g``, walking the stored iterates in reverse."""
+    (col_sums, row_sums, norm1, norm_inf), steps = saved
+    den = norm1 * norm_inf
+    at = av.mT
+    g_a = []
+    for z, az, t1, t2, t3, zs in reversed(steps):
+        g_zs = g @ t3.mT
+        g_p2 = -(zs.mT @ g)
+        g_p1 = -(az.mT @ g_p2)
+        g_t1 = az.mT @ g_p1
+        g_az = g_p2 @ t2.mT + g_p1 @ t1.mT + (-g_t1)
+        g_a.append(g_az @ z.mT)
+        g = g_zs * 0.25 + at @ g_az
+    g_den = _unbroadcast(-g * at / (den * den), den.shape)
+    g_a.append((g / den).mT)
+    # each norm is a max over sums of a: its adjoint goes to the maximal sums
+    for sums, norm, axis, g_norm in ((col_sums, norm1, -1, g_den * norm_inf),
+                                     (row_sums, norm_inf, -2, g_den * norm1)):
+        mask = (sums == norm).astype(av.dtype)
+        mask /= mask.sum(axis=axis, keepdims=True)
+        g_a.append(np.broadcast_to(mask * g_norm, av.shape))
+    return sum(g_a[1:], g_a[0])  # one sum, in the order the terms were listed
 
 
 def _nystrom_core(cfg: ModelConfig, x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) -> Tensor:
     """Multi-head Nystrom attention of the normalized rows ``x``, (..., n,
-    d_model), through ``wo``."""
-    n = x.shape[-2]
+    d_model), through ``wo``.
+
+    One tape op with parents (x, Wq, Wk, Wv, Wo) that keeps only ``x``:
+    backward runs the forward's products again, the token-sized ones
+    included, and walks them back. Both passes evaluate the expressions of
+    the chain of tape ops the core replaces, in its order and on arrays of
+    its layouts, and each array that took several adjoint terms on that
+    chain's tape (x, q, k and the landmarks) sums them in the chain's order,
+    so values and gradients keep their bits.
+    """
+    xv = x.data
+    n = xv.shape[-2]
     scale = 1.0 / math.sqrt(cfg.head_dim)
-    q = _to_heads(x @ wq, cfg.n_heads) * scale
-    k = _to_heads(x @ wk, cfg.n_heads)
-    v = _to_heads(x @ wv, cfg.n_heads)
     m = min(cfg.n_landmarks, n)
-    if m == n:
-        # segment size 1: F pinv(A) B collapses to A A+ A = A, i.e. exact
-        # softmax attention, which the landmark construction computes directly
-        out = (q @ _swap_last(k)).softmax() @ v
-    else:
-        seg = _segment_mean_matrix(n, m, x.data.dtype)
-        q_land = seg @ q
-        k_land = seg @ k
-        kernel_f = (q @ _swap_last(k_land)).softmax()
-        kernel_a = (q_land @ _swap_last(k_land)).softmax()
-        kernel_b = (q_land @ _swap_last(k)).softmax()
-        out = kernel_f @ (newton_schulz_pinv(kernel_a, cfg.pinv_iters) @ (kernel_b @ v))
-    return _from_heads(out) @ wo
+    # segment size 1: F pinv(A) B collapses to A A+ A = A, i.e. exact
+    # softmax attention, which the landmark construction computes directly
+    seg = None if m == n else _segment_mean_matrix(n, m, xv.dtype)
+
+    def attend():
+        q = _heads(xv @ wq.data, cfg.n_heads) * scale
+        k, v = (_heads(xv @ w.data, cfg.n_heads) for w in (wk, wv))
+        if seg is None:
+            kernel = _softmax(q @ k.mT)
+            return (q, k, v, kernel), kernel @ v
+        q_land, k_land = seg @ q, seg @ k
+        kernel_f, kernel_a, kernel_b = (_softmax(a @ b.mT) for a, b in ((q, k_land), (q_land, k_land), (q_land, k)))
+        pinv, saved = _pinv(kernel_a, cfg.pinv_iters)
+        u = kernel_b @ v
+        w = pinv @ u
+        return (q, k, v, q_land, k_land, kernel_f, kernel_a, kernel_b, pinv, saved, u, w), kernel_f @ w
+
+    def bw(g):
+        held, out = attend()
+        wo._accum(_unbroadcast(_merged(out).mT @ g, wo.shape))
+        # an adjoint that reached the chain's tape as a view was stored as a copy
+        g_out = _added(None, _heads(g @ wo.data.mT, cfg.n_heads))
+        if seg is None:
+            q, k, v, kernel = held
+            g_v = kernel.mT @ g_out
+            g_logits = _softmax_adjoint(g_out @ v.mT, kernel)
+            g_q, g_k = g_logits @ k, (q.mT @ g_logits).mT
+        else:
+            q, k, v, q_land, k_land, kernel_f, kernel_a, kernel_b, pinv, saved, u, w = held
+            g_f = _softmax_adjoint(g_out @ w.mT, kernel_f)
+            g_w = kernel_f.mT @ g_out
+            g_a = _softmax_adjoint(_pinv_adjoint(g_w @ u.mT, kernel_a, saved), kernel_a)
+            g_u = pinv.mT @ g_w
+            g_b = _softmax_adjoint(g_u @ v.mT, kernel_b)
+            g_v = kernel_b.mT @ g_u
+            g_k_land = _added(_added(None, (q.mT @ g_f).mT), (q_land.mT @ g_a).mT)
+            g_q = g_f @ k_land + seg.mT @ (g_a @ k_land + g_b @ k)
+            g_k = seg.mT @ g_k_land + (q_land.mT @ g_b).mT
+        for g_h, weight in ((g_q * scale, wq), (g_k, wk), (g_v, wv)):
+            g_h = _added(None, _merged(g_h))
+            x._accum(g_h @ weight.data.mT)
+            weight._accum(_unbroadcast(xv.mT @ g_h, weight.shape))
+    return _node(_merged(attend()[1]) @ wo.data, (x, wq, wk, wv, wo), bw)
 
 
 def nystrom_attention_layer(seq: Tensor, params: ModelParams, which: str) -> Tensor:
@@ -469,7 +474,7 @@ def nystrom_attention_layer(seq: Tensor, params: ModelParams, which: str) -> Ten
     """
     x = layer_norm(seq, params[f"{which}.ln_g"], params[f"{which}.ln_b"])
     weights = [params[f"{which}.{w}"] for w in ("Wq", "Wk", "Wv", "Wo")]
-    return _attention_core(partial(_nystrom_core, params.config), x, *weights) + seq
+    return _nystrom_core(params.config, x, *weights) + seq
 
 
 def ppeg_encode(seq: Tensor, params: ModelParams) -> Tensor:
@@ -523,42 +528,83 @@ def _nearest_grid_index(side: int, stored_side: int) -> np.ndarray:
 _AGENT_WEIGHTS = ("Wq", "Wkv", "P_agent", "Wdw", "Wout", "B_A2P", "B_P2A")
 
 
-def _agent_core(cfg: ModelConfig, x: Tensor, wq: Tensor, wkv: Tensor, p_agent: Tensor, wdw: Tensor,
-                wout: Tensor, bias_a2p: Tensor, bias_p2a: Tensor) -> Tensor:
-    """Agent attention of the grid rows ``x``, (..., n, d_model), through ``wout``."""
-    *lead, n, _ = x.shape
-    side = _grid_side(n)
-    dm = cfg.d_model
-    q = x @ wq
-    kv = x @ wkv
-    k, v = kv[..., :dm], kv[..., dm:]
-    scale = 1.0 / math.sqrt(cfg.head_dim)
-    qh = _to_heads(q, cfg.n_heads) * scale
-    kh = _to_heads(k, cfg.n_heads)
-    vh = _to_heads(v, cfg.n_heads)
-    agents = _to_heads(p_agent, cfg.n_heads) * scale
-    if side != cfg.agent_bias_side:
-        idx = _nearest_grid_index(side, cfg.agent_bias_side)
-        bias_a2p = bias_a2p.take(idx, axis=2)
-        bias_p2a = bias_p2a.take(idx, axis=1)
-    a2p = (agents @ _swap_last(kh) + bias_a2p).softmax()
-    agents_updated = a2p @ vh
-    p2a = (qh @ _swap_last(agents_updated) + bias_p2a).softmax()
-    attended = _from_heads(p2a @ agents_updated)
-    local = dwconv2d(v.reshape(*lead, side, side, dm), wdw).reshape(*lead, n, dm)
-    return (local + attended) @ wout
-
-
-def agent_attention(x: Tensor, params: ModelParams) -> Tensor:
-    """Two-stage agent attention over grid tokens (class token handled by caller).
+def agent_attention(seq: Tensor, params: ModelParams) -> Tensor:
+    """Two-stage agent attention over the grid tokens of ``seq``, (..., 1 + n',
+    d_model); the class token passes through.
 
     Agents attend over the tokens (A2P), tokens then attend over the updated
     agents (P2A); a depthwise conv over V on the 2-D grid adds a local path.
     The token count must be a perfect square; positional biases are stored
     on a fixed square grid and nearest-neighbor resized.
+
+    One tape op with parents (seq and the weights in ``_AGENT_WEIGHTS``
+    order) that keeps only ``seq``: backward runs the forward's products
+    again and walks them back, the convolution's through its adjoints. Both
+    passes evaluate the expressions of the chain of tape ops the stage
+    replaces (the slices of ``seq``, the core and their concatenation), in
+    its order and on arrays of its layouts, and each array that took several
+    adjoint terms on that chain's tape sums them in the chain's order, so
+    values and gradients keep their bits.
     """
-    weights = [params[f"agent.{w}"] for w in _AGENT_WEIGHTS]
-    return _attention_core(partial(_agent_core, params.config), x, *weights)
+    cfg = params.config
+    wq, wkv, p_agent, wdw, wout, b_a2p, b_p2a = weights = [params[f"agent.{w}"] for w in _AGENT_WEIGHTS]
+    sv = seq.data
+    *lead, n_tokens, dm = sv.shape
+    n = n_tokens - 1
+    side = _grid_side(n)
+    xv = sv[..., 1:, :]
+    scale = 1.0 / math.sqrt(cfg.head_dim)
+    idx = None if side == cfg.agent_bias_side else _nearest_grid_index(side, cfg.agent_bias_side)
+
+    def attend():
+        kv = xv @ wkv.data
+        qh = _heads(xv @ wq.data, cfg.n_heads) * scale
+        kh, vh = _heads(kv[..., :dm], cfg.n_heads), _heads(kv[..., dm:], cfg.n_heads)
+        agents = _heads(p_agent.data, cfg.n_heads) * scale
+        bias_a2p, bias_p2a = (b_a2p.data, b_p2a.data) if idx is None else (
+            np.take(b_a2p.data, idx, axis=2), np.take(b_p2a.data, idx, axis=1))
+        a2p = _softmax(agents @ kh.mT + bias_a2p)
+        updated = a2p @ vh
+        p2a = _softmax(qh @ updated.mT + bias_p2a)
+        v_img = kv[..., dm:].reshape(*lead, side, side, dm)
+        with no_grad():
+            local = dwconv2d(Tensor(v_img), wdw).data.reshape(*lead, n, dm)
+        return (kv, qh, kh, vh, agents, a2p, updated, p2a, v_img), local + _merged(p2a @ updated)
+
+    def bias_adjoint(bias, g, axis):
+        g = _unbroadcast(g, g.shape[-3:])
+        bias._accum(g if idx is None else _take_adjoint(g, idx, bias.data, axis))
+
+    def bw(g):
+        (kv, qh, kh, vh, agents, a2p, updated, p2a, v_img), mixed = attend()
+        g_y = _added(None, g[..., 1:, :])
+        g_mixed = g_y @ wout.data.mT
+        wout._accum(_unbroadcast(mixed.mT @ g_y, wout.shape))
+        g_img, g_wdw = _dwconv_adjoints(g_mixed.reshape(v_img.shape), v_img, wdw.data)
+        wdw._accum(g_wdw)
+        g_att = _added(None, _heads(g_mixed, cfg.n_heads))
+        g_p2a = _softmax_adjoint(g_att @ updated.mT, p2a)
+        bias_adjoint(b_p2a, g_p2a, 1)
+        g_q = _added(None, _merged(g_p2a @ updated * scale))
+        g_x = g_q @ wq.data.mT
+        wq._accum(_unbroadcast(xv.mT @ g_q, wq.shape))
+        g_updated = p2a.mT @ g_att + (qh.mT @ g_p2a).mT
+        g_a2p = _softmax_adjoint(g_updated @ vh.mT, a2p)
+        bias_adjoint(b_a2p, g_a2p, 2)
+        p_agent._accum(_merged(_unbroadcast(g_a2p @ kh, agents.shape) * scale))
+        # each half of kv reaches it through a slice: zeros plus its adjoint
+        g_kv = np.empty_like(kv)
+        np.add(0.0, _merged((agents.mT @ g_a2p).mT), out=g_kv[..., :dm])
+        np.add(0.0, g_img.reshape(*lead, n, dm) + _merged(a2p.mT @ g_updated), out=g_kv[..., dm:])
+        wkv._accum(_unbroadcast(xv.mT @ g_kv, wkv.shape))
+        # and so do the class row and the grid rows of seq
+        g_seq = np.empty_like(sv)
+        np.add(0.0, g[..., :1, :], out=g_seq[..., :1, :])
+        np.add(g_x, g_kv @ wkv.data.mT, out=g_seq[..., 1:, :])
+        g_seq[..., 1:, :] += 0.0
+        seq._accum(g_seq)
+    out = np.concatenate([sv[..., :1, :], attend()[1] @ wout.data], axis=-2)
+    return _node(out, (seq, *weights), bw)
 
 
 def srmamba_reorder(n: int, rate: int) -> np.ndarray:
@@ -721,8 +767,7 @@ def forward(bag: FeatureBag | list[FeatureBag], params: ModelParams, *, mode: st
         seq = ppeg_encode(seq, params)
         seq = nystrom_attention_layer(seq, params, "attn2")
     if "agent" in stages:
-        grid = agent_attention(seq[..., 1:, :], params)
-        seq = concat([seq[..., 0:1, :], grid], axis=-2)
+        seq = agent_attention(seq, params)
     if "scan" in stages:
         for layer in range(cfg.srmamba_layers):
             normed = layer_norm(seq, params[f"srmamba{layer}.ln_g"], params[f"srmamba{layer}.ln_b"])

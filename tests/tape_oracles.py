@@ -1,23 +1,29 @@
 """Bitwise oracles: the composed tape chains that ``model.layer_norm``,
-``model.newton_schulz_pinv``, ``model.gelu``, ``model.ppeg_encode``,
-``model.selective_scan`` and the head split fuse; the layer norm closure
-that kept its centered and normalized rows; the per-tap loop that
-``autodiff.dwconv2d`` replaced; and the (L, ..., d, s) chunked scan that
-``autodiff.linear_recurrence`` replaced.
+the pseudo-inverse helpers, ``model.gelu``, ``model.ppeg_encode``,
+``model.selective_scan``, the Nystrom core and agent attention fuse, with
+the head split in one node each way, and the recompute of the attention
+cores through ``checkpoint`` from RECOMPUTE_MIN_TOKENS tokens on; the
+layer norm closure that kept its centered and normalized rows; the per-tap
+loop that ``autodiff.dwconv2d`` replaced; and the (L, ..., d, s) chunked
+scan that ``autodiff.linear_recurrence`` replaced.
 
 The fused ops must reproduce these chains' values and gradients bit for bit,
 so the chains are kept verbatim, with the subtraction, division, reductions,
-square root and erf the tape engine no longer carries rebuilt here as tape
-ops on ``autodiff._node``.
+square root, erf and transpose the tape engine no longer carries rebuilt
+here as tape ops on ``autodiff._node``.
 """
 
 import math
+from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 from scipy import special
 
-from tdam.autodiff import SCAN_CHUNK, Tensor, _node, _unbroadcast, concat, dwconv2d, linear_recurrence
-from tdam.model import INV_SQRT2, LN_EPS, ModelParams, _grid_side, srmamba_reorder
+from tdam import autodiff
+from tdam.autodiff import SCAN_CHUNK, Tensor, _node, _unbroadcast, concat, dwconv2d, linear_recurrence, no_grad
+from tdam.model import (_AGENT_WEIGHTS, INV_SQRT2, LN_EPS, ModelConfig, ModelParams, _grid_side,
+                        _nearest_grid_index, _segment_mean_matrix, srmamba_reorder)
 
 
 def tape_sub(x: Tensor, y: Tensor) -> Tensor:
@@ -39,6 +45,11 @@ def tape_sqrt(x: Tensor) -> Tensor:
 def tape_erf(x: Tensor) -> Tensor:
     coeff = 2.0 / math.sqrt(math.pi)
     return _node(special.erf(x.data), (x,), lambda g: x._accum(g * coeff * np.exp(-x.data * x.data)))
+
+
+def tape_transpose(x: Tensor, *axes) -> Tensor:
+    inv = np.argsort(axes)
+    return _node(x.data.transpose(axes), (x,), lambda g: x._accum(g.transpose(inv)))
 
 
 def tape_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -140,7 +151,7 @@ def composed_newton_schulz_pinv(a: Tensor, iters: int) -> Tensor:
     eye = Tensor(np.eye(m, dtype=a.data.dtype))
     norm1 = tape_max(a.sum(axis=-2, keepdims=True), axis=-1, keepdims=True)
     norm_inf = tape_max(a.sum(axis=-1, keepdims=True), axis=-2, keepdims=True)
-    z = tape_div(a.transpose(0, 2, 1), norm1 * norm_inf)
+    z = tape_div(_swap_last(a), norm1 * norm_inf)
     for _ in range(iters):
         az = a @ z
         inner = tape_sub(eye * 7.0, az)
@@ -152,12 +163,155 @@ def composed_newton_schulz_pinv(a: Tensor, iters: int) -> Tensor:
 
 def chained_to_heads(x: Tensor, n_heads: int) -> Tensor:
     n, dm = x.shape
-    return x.reshape(n, n_heads, dm // n_heads).transpose(1, 0, 2)
+    return tape_transpose(x.reshape(n, n_heads, dm // n_heads), 1, 0, 2)
 
 
 def chained_from_heads(x: Tensor) -> Tensor:
     h, n, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(n, h * dh)
+    return tape_transpose(x, 1, 0, 2).reshape(n, h * dh)
+
+
+# -- the attention cores as the tape chains they were, recomputed through
+#    checkpoint from RECOMPUTE_MIN_TOKENS tokens on
+
+RECOMPUTE_MIN_TOKENS = 256
+
+
+@contextmanager
+def _recording_as(flag: bool):
+    """Set whether ops record for the duration of the block."""
+    previous, autodiff._recording = autodiff._recording, flag
+    try:
+        yield
+    finally:
+        autodiff._recording = previous
+
+
+def checkpoint(fn, *inputs: Tensor) -> Tensor:
+    """``fn(*inputs)`` recorded as one node that keeps only its inputs.
+
+    While recording, ``fn`` runs under no_grad(), so none of its
+    intermediates outlive the call. The node's backward re-runs ``fn`` on
+    fresh leaves sharing the inputs' data, with recording on even inside an
+    outer no_grad(), backpropagates its adjoint through that sub-graph and
+    hands each leaf's adjoint to its input. ``fn`` must return one tensor
+    and compute the same values on every call. Outside recording this is a
+    plain call.
+
+    Each input receives its adjoint from ``fn`` as one term, already summed
+    inside the sub-graph. So adjoints keep their bits only when no input is
+    also used outside ``fn``: otherwise the terms are added as a + (b + c)
+    instead of (a + b) + c, equal in value but not always in bits.
+    """
+    if not autodiff._recording:
+        return fn(*inputs)
+    with no_grad():
+        out = fn(*inputs)
+
+    def bw(g):
+        leaves = [Tensor(t.data) for t in inputs]
+        with _recording_as(True):
+            redo = fn(*leaves)
+        redo.backward(g)
+        for t, leaf in zip(inputs, leaves):
+            if leaf.grad is not None:
+                t._accum(leaf.grad)
+    return _node(out.data, inputs, bw)
+
+
+def _attention_core(fn, x: Tensor, *weights: Tensor) -> Tensor:
+    """``fn(x, *weights)``, recomputed in backward once ``x`` has at least
+    RECOMPUTE_MIN_TOKENS rows per bag.
+
+    Gradients keep their bits because ``x`` and each weight feed only this
+    core: checkpoint hands an input its whole adjoint from ``fn`` as one
+    term, which would change the order of a sum over uses outside ``fn``."""
+    if x.shape[-2] >= RECOMPUTE_MIN_TOKENS:
+        return checkpoint(fn, x, *weights)
+    return fn(x, *weights)
+
+
+def _to_heads(x: Tensor, n_heads: int) -> Tensor:
+    """(..., n, d_model) -> (..., n_heads, n, d_head) as one tape node."""
+    *lead, n, dm = x.shape
+    return _node(x.data.reshape(*lead, n, n_heads, dm // n_heads).swapaxes(-3, -2), (x,),
+                 lambda g: x._accum(g.swapaxes(-3, -2).reshape(*lead, n, dm)))
+
+
+def _from_heads(x: Tensor) -> Tensor:
+    """(..., n_heads, n, d_head) -> (..., n, d_model) as one tape node."""
+    *lead, h, n, dh = x.shape
+    return _node(x.data.swapaxes(-3, -2).reshape(*lead, n, h * dh), (x,),
+                 lambda g: x._accum(g.reshape(*lead, n, h, dh).swapaxes(-3, -2)))
+
+
+def _swap_last(x: Tensor) -> Tensor:
+    """``x`` with its last two axes swapped (a stack of transposed matrices)."""
+    nd = len(x.shape)
+    return tape_transpose(x, *range(nd - 2), nd - 1, nd - 2)
+
+
+def _nystrom_core(cfg: ModelConfig, x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) -> Tensor:
+    """Multi-head Nystrom attention of the normalized rows ``x``, (..., n,
+    d_model), through ``wo``."""
+    n = x.shape[-2]
+    scale = 1.0 / math.sqrt(cfg.head_dim)
+    q = _to_heads(x @ wq, cfg.n_heads) * scale
+    k = _to_heads(x @ wk, cfg.n_heads)
+    v = _to_heads(x @ wv, cfg.n_heads)
+    m = min(cfg.n_landmarks, n)
+    if m == n:
+        # segment size 1: F pinv(A) B collapses to A A+ A = A, i.e. exact
+        # softmax attention, which the landmark construction computes directly
+        out = (q @ _swap_last(k)).softmax() @ v
+    else:
+        seg = _segment_mean_matrix(n, m, x.data.dtype)
+        q_land = seg @ q
+        k_land = seg @ k
+        kernel_f = (q @ _swap_last(k_land)).softmax()
+        kernel_a = (q_land @ _swap_last(k_land)).softmax()
+        kernel_b = (q_land @ _swap_last(k)).softmax()
+        out = kernel_f @ (composed_newton_schulz_pinv(kernel_a, cfg.pinv_iters) @ (kernel_b @ v))
+    return _from_heads(out) @ wo
+
+
+def _agent_core(cfg: ModelConfig, x: Tensor, wq: Tensor, wkv: Tensor, p_agent: Tensor, wdw: Tensor,
+                wout: Tensor, bias_a2p: Tensor, bias_p2a: Tensor) -> Tensor:
+    """Agent attention of the grid rows ``x``, (..., n, d_model), through ``wout``."""
+    *lead, n, _ = x.shape
+    side = _grid_side(n)
+    dm = cfg.d_model
+    q = x @ wq
+    kv = x @ wkv
+    k, v = kv[..., :dm], kv[..., dm:]
+    scale = 1.0 / math.sqrt(cfg.head_dim)
+    qh = _to_heads(q, cfg.n_heads) * scale
+    kh = _to_heads(k, cfg.n_heads)
+    vh = _to_heads(v, cfg.n_heads)
+    agents = _to_heads(p_agent, cfg.n_heads) * scale
+    if side != cfg.agent_bias_side:
+        idx = _nearest_grid_index(side, cfg.agent_bias_side)
+        bias_a2p = bias_a2p.take(idx, axis=2)
+        bias_p2a = bias_p2a.take(idx, axis=1)
+    a2p = (agents @ _swap_last(kh) + bias_a2p).softmax()
+    agents_updated = a2p @ vh
+    p2a = (qh @ _swap_last(agents_updated) + bias_p2a).softmax()
+    attended = _from_heads(p2a @ agents_updated)
+    local = dwconv2d(v.reshape(*lead, side, side, dm), wdw).reshape(*lead, n, dm)
+    return (local + attended) @ wout
+
+
+def chained_nystrom_core(cfg: ModelConfig, x: Tensor, *weights: Tensor) -> Tensor:
+    """``model._nystrom_core`` as the tape chain, recomputed from RECOMPUTE_MIN_TOKENS tokens on."""
+    return _attention_core(partial(_nystrom_core, cfg), x, *weights)
+
+
+def chained_agent_attention(seq: Tensor, params: ModelParams) -> Tensor:
+    """``model.agent_attention`` as slices of ``seq``, the core's tape chain
+    (recomputed from RECOMPUTE_MIN_TOKENS tokens on) and their concatenation."""
+    weights = [params[f"agent.{w}"] for w in _AGENT_WEIGHTS]
+    grid = _attention_core(partial(_agent_core, params.config), seq[..., 1:, :], *weights)
+    return concat([seq[..., 0:1, :], grid], axis=-2)
 
 
 def loop_dwconv2d(x: Tensor, kernel: Tensor) -> Tensor:

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from tape_oracles import (loop_dwconv2d, state_last_linear_recurrence, tape_div, tape_erf, tape_max, tape_mean,
-                          tape_sqrt, tape_sub)
+from tape_oracles import (composed_newton_schulz_pinv, loop_dwconv2d, state_last_linear_recurrence, tape_div,
+                          tape_erf, tape_max, tape_mean, tape_sqrt, tape_sub, tape_transpose)
 from tdam import autodiff, model
-from tdam.autodiff import SCAN_CHUNK, Tensor, checkpoint, concat, dwconv2d, linear_recurrence, no_grad
+from tdam.autodiff import SCAN_CHUNK, Tensor, concat, dwconv2d, linear_recurrence, no_grad
 
 # lengths on both sides of the fused scan's chunk boundaries
 SCAN_LENGTHS = (1, 2, SCAN_CHUNK - 1, SCAN_CHUNK, SCAN_CHUNK + 1, 3 * SCAN_CHUNK + 5)
@@ -88,7 +88,7 @@ def test_reductions_and_max():
 
 def test_reshape_transpose_slice():
     def f(a):
-        b = a.reshape(2, 6).transpose(1, 0)
+        b = tape_transpose(a.reshape(2, 6), 1, 0)
         return (b[2:5] * 3.0).sum() + b.sum()
 
     check_op(f, (3, 4))
@@ -361,8 +361,9 @@ def test_an_array_operand_is_a_constant(name):
     np.testing.assert_array_equal(out.data, op(t.data, const))
 
 
-# every tape op, applied to operands drawn by ``operands`` below; sub and div
-# are the tape functions of the composed oracles in tape_oracles.py
+# every tape op, applied to operands drawn by ``operands`` below; sub, div,
+# transpose and the Newton-Schulz chain are the tape functions of the
+# composed oracles in tape_oracles.py
 TAPE_OPS = {
     "add": lambda a, b: a + b,
     "add-scalar": lambda a, b: a + 2.0,
@@ -371,21 +372,21 @@ TAPE_OPS = {
     "mul": lambda a, b: a * b,
     "mul-scalar": lambda a, b: a * 2.0,
     "div": lambda a, b: tape_div(a, b * b + 1.0),
-    "matmul": lambda a, b: a @ b.transpose(1, 0),
+    "matmul": lambda a, b: a @ tape_transpose(b, 1, 0),
     "tanh": lambda a, b: a.tanh(),
     "softplus": lambda a, b: a.softplus(),
     "softmax": lambda a, b: a.softmax(axis=-1),
     "sum": lambda a, b: a.sum(axis=0),
     "gelu": lambda a, b: model.gelu(a),
     "layer_norm": lambda a, b: model.layer_norm(a, b[0], b[1]),
-    "newton_schulz_pinv": lambda a, b: model.newton_schulz_pinv(a[:, :3].softmax().reshape(1, 3, 3), 2),
+    "newton_schulz_pinv": lambda a, b: composed_newton_schulz_pinv(a[:, :3].softmax().reshape(1, 3, 3), 2),
     "reshape": lambda a, b: a.reshape(6, 2),
-    "transpose": lambda a, b: a.transpose(1, 0),
+    "transpose": lambda a, b: tape_transpose(a, 1, 0),
     "getitem": lambda a, b: a[1:],
     "take": lambda a, b: a.take(np.array([2, 0, 2]), axis=1),
     "concat": lambda a, b: concat([a, b], axis=0),
     "linear_recurrence": lambda a, b: linear_recurrence(
-        a.softplus(), -b.transpose(1, 0)[:, :2].softplus(), a[:, :2], b[:, 2:], a),
+        a.softplus(), -tape_transpose(b, 1, 0)[:, :2].softplus(), a[:, :2], b[:, 2:], a),
     "dwconv2d": lambda a, b: dwconv2d(a.reshape(2, 2, 3), b[:, :3].reshape(3, 1, 3)),
 }
 
@@ -425,77 +426,19 @@ def test_no_grad_nests_and_restores_after_an_exception():
     assert (a * 2.0)._parents == (a,)
 
 
-# -- freed adjoints and checkpoint ------------------------------------------------
+# -- freed and consumed adjoints ---------------------------------------------------
 
 
-def block(x, w):
-    """A small sub-graph that reads both inputs more than once."""
-    h = (x @ w).tanh()
-    return (h * x + h.softmax(axis=-1)) @ w.transpose(1, 0)
-
-
-def checkpoint_operands():
+def matmul_operands():
     rng = np.random.default_rng(8)
     return Tensor(rng.standard_normal((5, 4))), Tensor(rng.standard_normal((4, 4)))
-
-
-def run_block(wrap, outer_no_grad=False):
-    """Values and adjoints of ``block`` between an upstream and a downstream op."""
-    x0, w = checkpoint_operands()
-    x = x0 * 1.5
-    y = checkpoint(block, x, w) if wrap else block(x, w)
-    loss = (y * y).sum()
-    if outer_no_grad:
-        with no_grad():
-            loss.backward()
-    else:
-        loss.backward()
-    return y.data, x0.grad, w.grad
-
-
-@pytest.mark.parametrize("outer_no_grad", [False, True], ids=["recording", "backward-in-no_grad"])
-def test_checkpoint_is_bitwise_the_unwrapped_call(outer_no_grad):
-    for got, want in zip(run_block(True, outer_no_grad), run_block(False)):
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
-
-
-def test_checkpoint_keeps_only_its_inputs_and_recomputes_in_backward():
-    calls = []
-
-    def counted(x, w):
-        calls.append(autodiff._recording)
-        return block(x, w)
-
-    x, w = checkpoint_operands()
-    y = checkpoint(counted, x, w)
-    assert y._parents == (x, w) and calls == [False]
-    loss = y.sum()
-    with no_grad():
-        loss.backward()
-    assert calls == [False, True]
-    assert x.grad is not None and w.grad is not None
-
-
-def test_checkpoint_is_a_plain_call_under_no_grad():
-    calls = []
-
-    def counted(x, w):
-        calls.append(True)
-        return block(x, w)
-
-    x, w = checkpoint_operands()
-    with no_grad():
-        bare = checkpoint(counted, x, w)
-    assert bare._parents == () and bare._backward is None and len(calls) == 1
-    np.testing.assert_array_equal(bare.data, block(x, w).data)
 
 
 def test_a_consumed_graph_refuses_a_second_backward():
     """Backward consumes the graph: each node it ran lets go of its closure
     and its parents, and a later backward that reaches one raises before any
     closure runs, so no adjoint moves. A new forward backpropagates again."""
-    x, w = checkpoint_operands()
+    x, w = matmul_operands()
     mid = (x @ w).tanh()
     loss = (mid * mid).sum()
     loss.backward()
@@ -514,7 +457,7 @@ def test_a_consumed_graph_refuses_a_second_backward():
 
 
 def test_backward_frees_every_adjoint_but_the_leaves_and_retained_ones():
-    x, w = checkpoint_operands()
+    x, w = matmul_operands()
     mid = x @ w
     kept = mid.tanh()
     kept.retain_grad()

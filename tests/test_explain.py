@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tape_oracles import chained_agent_attention, chained_nystrom_core
 from tdam import explain, model
 from tdam.autodiff import Tensor, no_grad
 from tdam.bags import FeatureBag, grid_coords
@@ -99,11 +100,12 @@ def test_erf_after_no_grad_still_backpropagates():
 
 def test_erf_is_bitwise_unchanged_by_freed_adjoints_and_recompute(monkeypatch):
     """The map is the same with every adjoint kept, with the attention cores
-    recomputed in backward, and with neither."""
+    as the tape chains they fuse, and with neither."""
     params = trained_like_params(10)
     bag = bag_of(n=30, seed=10)
     base = explain.erf_map(bag, params)
-    monkeypatch.setattr(model, "RECOMPUTE_MIN_TOKENS", 1)
+    monkeypatch.setattr(model, "_nystrom_core", chained_nystrom_core)
+    monkeypatch.setattr(model, "agent_attention", chained_agent_attention)
     recomputed = explain.erf_map(bag, params)
     monkeypatch.undo()
     init = Tensor.__init__

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tape_oracles import (chained_from_heads, chained_gelu, chained_ppeg_encode, chained_selective_scan,
-                          chained_to_heads, closure_layer_norm, composed_layer_norm, composed_newton_schulz_pinv,
-                          loop_dwconv2d)
-from tdam import model, survival
-from tdam.autodiff import SCAN_CHUNK, Tensor, no_grad
+import tape_oracles
+from tape_oracles import (chained_agent_attention, chained_from_heads, chained_gelu, chained_nystrom_core,
+                          chained_ppeg_encode, chained_selective_scan, chained_to_heads, closure_layer_norm,
+                          composed_layer_norm, composed_newton_schulz_pinv, loop_dwconv2d)
+from tdam import explain, model, survival
+from tdam.autodiff import SCAN_CHUNK, Tensor, _node, no_grad
 from tdam.bags import FeatureBag, grid_coords
 from tdam.errors import DataError, FormatError, ShapeError, TruncatedError
 
@@ -234,6 +235,20 @@ def test_ppeg_requires_square_grid():
 # -- agent attention ---------------------------------------------------------------
 
 
+CLASS_ROW = np.linspace(-1.0, 1.0, 8)
+
+
+def with_class_row(grid):
+    """A sequence of ``grid``'s rows behind a class row, as forward hands it to agent attention."""
+    return Tensor(np.concatenate([CLASS_ROW[None], grid]))
+
+
+def grid_rows(out):
+    """Agent attention's output rows after the class row, which passes through unchanged."""
+    assert out.data[0].tobytes() == CLASS_ROW.tobytes()
+    return out.data[1:]
+
+
 def test_agent_single_agent_identical_keys_averages_values():
     cfg = model.ModelConfig(**{**TINY.__dict__, "n_agents": 1, "n_heads": 1, "agent_bias_side": 2})
     params = model.init_params(cfg, seed=7, dtype=np.float64)
@@ -245,7 +260,7 @@ def test_agent_single_agent_identical_keys_averages_values():
     params["agent.Wkv"].data[:, :8] = 0
     kv = x_same_keys @ params["agent.Wkv"].data
     v = kv[:, 8:]
-    out = model.agent_attention(Tensor(x_same_keys.copy()), params).data
+    out = grid_rows(model.agent_attention(with_class_row(x_same_keys), params))
     # with one agent and uniform A2P, the agent equals mean(V); X' rows all equal it
     expect = (np.zeros_like(v) + v.mean(0)) @ params["agent.Wout"].data
     np.testing.assert_allclose(out, expect, atol=1e-10)
@@ -257,7 +272,7 @@ def test_agent_single_agent_rows_identical():
     params = model.init_params(cfg, seed=8, dtype=np.float64)
     params["agent.Wdw"].data[:] = 0  # silence the local conv path
     x = np.random.default_rng(8).standard_normal((4, 8))
-    out = model.agent_attention(Tensor(x.copy()), params).data
+    out = grid_rows(model.agent_attention(with_class_row(x), params))
     assert np.allclose(out, out[0], atol=1e-12)
 
 
@@ -266,7 +281,7 @@ def test_agent_dense_two_stage_oracle():
     params = model.init_params(cfg, seed=11, dtype=np.float64)
     params["agent.Wdw"].data[:] = 0
     x = np.random.default_rng(11).standard_normal((4, 8))
-    got = model.agent_attention(Tensor(x.copy()), params).data
+    got = grid_rows(model.agent_attention(with_class_row(x), params))
     dh = 8
     q = x @ params["agent.Wq"].data
     kv = x @ params["agent.Wkv"].data
@@ -285,7 +300,7 @@ def test_agent_rejects_non_square_input():
     params = tiny_params(seed=12)
     x = np.random.default_rng(12).standard_normal((7, 8))
     with pytest.raises(ShapeError):
-        model.agent_attention(Tensor(x.copy()), params)
+        model.agent_attention(with_class_row(x), params)
 
 
 # -- reorder and scan ------------------------------------------------------------
@@ -647,8 +662,7 @@ def test_stacked_backward_gives_each_bag_its_own_adjoints():
 
     def stages(seq):
         seq = model.ppeg_encode(model.nystrom_attention_layer(seq, params, "attn1"), params)
-        grid = model.agent_attention(seq[..., 1:, :], params)
-        seq = model.concat([seq[..., 0:1, :], grid], axis=-2)
+        seq = model.agent_attention(seq, params)
         seq = seq + model.selective_scan(seq, params, 0)
         return model.attention_pool(seq, params)[0]
 
@@ -679,6 +693,12 @@ def assert_bitwise(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def helper_pinv(a: Tensor, iters: int) -> Tensor:
+    """The Nystrom core's pseudo-inverse helpers as one tape op."""
+    z, saved = model._pinv(a.data, iters)
+    return _node(z, (a,), lambda g: a._accum(model._pinv_adjoint(g, a.data, saved)))
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(4, 9, 9), (1, 2, 2), (8, 64, 64)], ids=["4x9x9", "1x2x2", "8x64x64"])
 def test_fused_pinv_is_bitwise_the_composed_chain(shape, dtype):
@@ -686,7 +706,7 @@ def test_fused_pinv_is_bitwise_the_composed_chain(shape, dtype):
     kernel = softmax_np(rng.standard_normal(shape)).astype(dtype)  # row-stochastic, as in attention
     weight = Tensor(rng.standard_normal(shape).astype(dtype))
     results = []
-    for pinv in (model.newton_schulz_pinv, composed_newton_schulz_pinv):
+    for pinv in (helper_pinv, composed_newton_schulz_pinv):
         a = Tensor(kernel.copy())
         out = pinv(a, TINY.pinv_iters)
         (out * weight).sum().backward()
@@ -726,7 +746,7 @@ def test_train_step_is_bitwise_that_of_the_composed_ops(monkeypatch, ablation, d
 
     fused_trace, fused = train_step()
     monkeypatch.setattr(model, "layer_norm", composed_layer_norm)
-    monkeypatch.setattr(model, "newton_schulz_pinv", composed_newton_schulz_pinv)
+    chain_the_attention_cores(monkeypatch)  # their pseudo-inverse is the composed chain
     composed_trace, composed = train_step()
     assert_bitwise(fused_trace.logits, composed_trace.logits)
     assert_bitwise(fused_trace.z_norm, composed_trace.z_norm)
@@ -833,10 +853,14 @@ def test_grouped_train_step_is_bitwise_that_of_the_chained_gelu_layer_norm_ppeg_
     assert group_bits() == fused
 
 
-# -- recompute of the attention cores ----------------------------------------------
+# -- the fused attention cores against their tape chains ------------------------------
 
 
-NO_RECOMPUTE = 1 << 40
+def chain_the_attention_cores(monkeypatch):
+    """Run the Nystrom cores and agent attention as the tape chains they
+    fuse, recomputed through checkpoint from 256 tokens on."""
+    monkeypatch.setattr(model, "_nystrom_core", chained_nystrom_core)
+    monkeypatch.setattr(model, "agent_attention", chained_agent_attention)
 
 
 def tape_nodes(root: Tensor) -> list[Tensor]:
@@ -863,11 +887,54 @@ def step_bits(cfg, n, dtype, mode="train"):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("ablation", model.ABLATIONS)
 def test_recomputed_cores_give_bitwise_the_recorded_step(monkeypatch, ablation, dtype, n):
+    """The fused cores recompute their products in backward; the chains
+    below 256 tokens keep every intermediate on the tape."""
     cfg = TINY.with_ablation(ablation)
-    monkeypatch.setattr(model, "RECOMPUTE_MIN_TOKENS", NO_RECOMPUTE)
-    recorded = step_bits(cfg, n, dtype)
-    monkeypatch.setattr(model, "RECOMPUTE_MIN_TOKENS", 1)
-    assert step_bits(cfg, n, dtype) == recorded
+    fused = step_bits(cfg, n, dtype)
+    chain_the_attention_cores(monkeypatch)
+    assert step_bits(cfg, n, dtype) == fused
+
+
+# (bag sizes, config changes): the exact branch (tokens <= landmarks) and the
+# landmark branch, agent biases on their stored 3 x 3 grid and resized to
+# another side, one bag and a stack, below and above 256 tokens
+CORE_CASES = {
+    "exact-resized": ([1], {}),
+    "landmarks-stored-side": ([9], {}),
+    "landmarks-resized": ([11], {}),
+    "stack-stored-side": ([9, 7, 5], {}),
+    "stack-resized": ([16, 10, 13], {}),
+    "landmarks-resized-325-tokens": ([300], {}),
+    "exact-stored-side-325-tokens": ([300], {"n_landmarks": 400, "agent_bias_side": 18}),
+    "stack-resized-325-tokens": ([290, 300], {}),
+}
+
+
+def core_bits(cfg, sizes, dtype):
+    """Logits and every parameter gradient of a train step on one bag or a
+    stack, the ERF map of a single bag, as bytes."""
+    params = model.init_params(cfg, seed=39, dtype=dtype)
+    bags = [random_bag(n=n, seed=100 * n + i) for i, n in enumerate(sizes)]
+    _, trace = model.forward(bags[0] if len(bags) == 1 else bags, params, mode="train", seed=6)
+    logits = trace.tensors["logits"]
+    weight = np.random.default_rng(len(sizes)).standard_normal(logits.shape).astype(dtype)
+    (logits * weight).sum().backward()
+    grads = [None if params[name].grad is None else params[name].grad.tobytes() for name in params.names()]
+    erf = explain.erf_map(bags[0], params).raw.tobytes() if len(bags) == 1 else None
+    return logits.data.tobytes(), grads, erf
+
+
+@pytest.mark.parametrize("case", CORE_CASES)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ablation", model.ABLATIONS)
+def test_fused_attention_cores_are_bitwise_their_chains(monkeypatch, ablation, dtype, case):
+    sizes, changes = CORE_CASES[case]
+    cfg = dataclasses.replace(TINY.with_ablation(ablation), **changes)
+    assert (model.padded_grid_size(sizes[0]) + 1 <= cfg.n_landmarks) == case.startswith("exact")
+    assert (math.isqrt(model.padded_grid_size(sizes[0])) == cfg.agent_bias_side) == ("stored-side" in case)
+    fused = core_bits(cfg, sizes, dtype)
+    chain_the_attention_cores(monkeypatch)
+    assert core_bits(cfg, sizes, dtype) == fused
 
 
 @pytest.mark.parametrize("n", [5, 30])
@@ -876,9 +943,11 @@ def test_recomputed_cores_give_bitwise_the_recorded_step(monkeypatch, ablation, 
 def test_train_step_is_bitwise_that_of_the_tap_loop_and_the_chained_head_split(monkeypatch, ablation, dtype, n):
     cfg = TINY.with_ablation(ablation)
     windowed = step_bits(cfg, n, dtype)
-    monkeypatch.setattr(model, "dwconv2d", loop_dwconv2d)
-    monkeypatch.setattr(model, "_to_heads", chained_to_heads)
-    monkeypatch.setattr(model, "_from_heads", chained_from_heads)
+    chain_the_attention_cores(monkeypatch)
+    for owner in (model, tape_oracles):
+        monkeypatch.setattr(owner, "dwconv2d", loop_dwconv2d)
+    monkeypatch.setattr(tape_oracles, "_to_heads", chained_to_heads)
+    monkeypatch.setattr(tape_oracles, "_from_heads", chained_from_heads)
     assert step_bits(cfg, n, dtype) == windowed
 
 
@@ -893,16 +962,16 @@ CORE_WEIGHTS = {
 def test_a_recording_eval_forward_holds_one_node_per_wrapped_core(monkeypatch, n):
     params = tiny_params(seed=32)
     bag = random_bag(n=n, seed=32)
-    _, full = model.forward(bag, params)
-    monkeypatch.setattr(model, "RECOMPUTE_MIN_TOKENS", 1)
-    _, wrapped = model.forward(bag, params)
-    nodes = tape_nodes(wrapped.tensors["logits"])
+    _, fused = model.forward(bag, params)
+    nodes = tape_nodes(fused.tensors["logits"])
     for core, names in CORE_WEIGHTS.items():
         weights = tuple(params[name] for name in names)
         holders = [t for t in nodes if any(p is w for p in t._parents for w in weights)]
         assert len(holders) == 1, core
         assert holders[0]._parents[1:] == weights, core
-    assert len(nodes) < len(tape_nodes(full.tensors["logits"]))
+    chain_the_attention_cores(monkeypatch)
+    _, chained = model.forward(bag, params)
+    assert len(nodes) < len(tape_nodes(chained.tensors["logits"]))
 
 
 @pytest.mark.parametrize("n", [5, 30])
@@ -935,7 +1004,6 @@ def test_after_backward_only_leaves_hold_adjoints(monkeypatch):
         made.append((self, backward is not None))
 
     params = tiny_params(seed=33)
-    monkeypatch.setattr(model, "RECOMPUTE_MIN_TOKENS", 1)
     monkeypatch.setattr(Tensor, "__init__", recording_init)
     _, trace = model.forward(random_bag(n=5, seed=33), params, mode="train", seed=1)
     survival.nll_graph(trace.tensors["logits"], 2, 0).backward()
@@ -949,7 +1017,6 @@ def test_a_train_step_backpropagates_once(monkeypatch):
     """The step's tape is consumed by its backward: a second backward raises
     and leaves every parameter's adjoint as the first one left it."""
     params = tiny_params(seed=36)
-    monkeypatch.setattr(model, "RECOMPUTE_MIN_TOKENS", 1)
     _, trace = model.forward(random_bag(n=5, seed=36), params, mode="train", seed=1)
     loss = survival.nll_graph(trace.tensors["logits"], 2, 0)
     loss.backward()
@@ -1001,9 +1068,9 @@ ACCEPT_MODEL = model.ModelConfig(
     srmamba_layers=1, srmamba_rate=5, ssm_state_dim=6, dropout=0.25, agent_bias_side=4,
 )
 # Tape nodes of one acceptance-scale train step (forward and loss) on a
-# 16-patch bag, with the fused GELU, layer norm, pseudo-inverse, PPEG and
-# scan layer and the head split as one node each way.
-MAX_TAPE_NODES_PER_STEP = 112
+# 16-patch bag, with the fused GELU, layer norm, PPEG, scan layer, Nystrom
+# cores and agent attention one node each.
+MAX_TAPE_NODES_PER_STEP = 38
 
 
 def test_acceptance_scale_train_step_tape_does_not_regrow(monkeypatch):

@@ -15,9 +15,9 @@ TINY = model.ModelConfig(d_in=6, d_model=8, n_heads=2, n_agents=2, n_landmarks=4
                          srmamba_layers=1, srmamba_rate=2, ssm_state_dim=2, agent_bias_side=3)
 
 
-def eval_and_train_step():
+def eval_and_train_step(n=5):
     params = model.init_params(TINY, seed=1, dtype=np.float64)
-    bag = FeatureBag("b", np.random.default_rng(1).standard_normal((5, 6)), grid_coords(5))
+    bag = FeatureBag("b", np.random.default_rng(1).standard_normal((n, 6)), grid_coords(n))
     model.forward(bag, params, mode="eval", seed=0)
     _, trace = model.forward(bag, params, mode="train", seed=1)
     survival.nll_graph(trace.tensors["logits"], 1, 0).backward()
@@ -63,17 +63,17 @@ def test_trace_hooks_install_run_and_restore(monkeypatch):
 
 
 def test_traced_backward_recomputes_the_attention_cores(monkeypatch):
-    """Recompute runs in backward, outside any forward: the cores it re-runs
-    must call no stage whose span is named after the forward's mode."""
+    """The fused attention cores recompute in backward, outside any forward:
+    on a bag of 256 tokens and more they must call no stage whose span is
+    named after the forward's mode."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    monkeypatch.setattr(model, "RECOMPUTE_MIN_TOKENS", 1)
     import layers
     from tracer import Tracer
 
     t = Tracer()
     try:
         layers.install(t)
-        eval_and_train_step()
+        eval_and_train_step(n=300)
     finally:
         t.restore()
     spans = t.self_times()
@@ -81,6 +81,7 @@ def test_traced_backward_recomputes_the_attention_cores(monkeypatch):
         for _, stage in layers.STAGES:
             assert f"model.{stage}.{mode}" in spans
     assert {"autodiff.dwconv2d", "autodiff.backward"} <= spans.keys()
+    assert t.counts["nodes.eval"] > 0 and t.counts["nodes.train"] > 0
 
 
 def test_traced_grouped_scoring_runs_every_stage_in_eval_and_records_no_tape(monkeypatch):
