@@ -3,25 +3,10 @@
 Tape-style engine in the micrograd tradition, but tensor-valued: each op
 records a closure that maps the output adjoint onto the parents' adjoints.
 It carries only the ops the model in :mod:`tdam.model` and the survival
-loss reach: broadcasting add and mul, negation, batched matmul, the
-nonlinearities tanh, softplus and softmax, the sum reduction, shape and
-gather ops, a depthwise 2-D convolution, and the selective scan's
-recurrence as one fused op (:func:`linear_recurrence`: zero-order-hold
-discretization, diagonal recurrence and readout, run in chunks and
-recomputed in backward).
-The scan holds its state state-major, (..., s, d), so every elementwise op
-loops over the d channels; its readout adds the s state rows in the order
-numpy reduces a contiguous axis, and its backward contractions read
-(..., d, s) copies, so it keeps the bits of the same scan held (..., d, s).
-:func:`dwconv2d` multiplies a strided (tap, tap, row, column, channel)
-window view of the padded grid by the kernel in one product and sums the
-taps in one reduction, in row-major tap order from +0.0, so it keeps the
-bits of a loop over the taps; products are cut into blocks of output rows
-(whole taps, for the kernel adjoint) of at most CONV_BLOCK_BYTES. Both
-fused ops take leading batch axes (a stack of grids, of sequences), as the
-elementwise ops and matmul do by broadcasting, so a stack of bags runs
-through the model in one pass.
-The model adds more fused ops through :func:`_node`, each with a
+loss record: broadcasting add and mul, negation, batched matmul, the
+nonlinearities tanh, softplus and softmax, the sum reduction, and the shape
+and gather ops (reshape, basic indexing, take, concat).
+The model adds its fused stages through :func:`_node`, each with a
 hand-written backward: ``gelu``, ``layer_norm``, PPEG, each Nystrom
 attention core, agent attention and a whole selective-scan layer. They call
 the array halves of the engine's softmax and gather, and add adjoint terms
@@ -31,6 +16,20 @@ for training and float64 for gradient checking. Inside :func:`no_grad` the
 ops compute the same values but record nothing: each output has no parents
 and no closure, so inference builds no backward graph. Backward never
 records either.
+
+Two array kernels serve those stages. They take and return arrays (with
+leading axes a stack of bags) and record nothing; the stage's backward
+calls their adjoint functions. :func:`linear_recurrence` runs the selective
+scan's zero-order-hold discretization, diagonal recurrence and readout in
+chunks and returns the chunk start states, from which
+:func:`_recurrence_adjoints` recomputes each chunk in reverse. It holds the
+state state-major, (..., s, d), so every elementwise op loops over the d
+channels, yet keeps the bits of the same scan held (..., d, s).
+:func:`dwconv2d`, a depthwise 2-D convolution with
+:func:`_dwconv_adjoints`, multiplies a strided (tap, tap, row, column,
+channel) window view of the padded grid by the kernel in one product and
+sums the taps in one reduction, in row-major tap order from +0.0, so it
+keeps the bits of a loop over the taps.
 
 Only a :class:`Tensor` is a parent. An operand that is not one (a number or
 an ndarray, such as the model's bag features and dropout masks) is a
@@ -397,8 +396,8 @@ def _scan_work(dv: np.ndarray, s: int, dtype) -> np.ndarray:
     return np.empty((4, min(n, SCAN_CHUNK), *lead, s, d), dtype=dtype)
 
 
-def linear_recurrence(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor, u: Tensor,
-                      starts: list | None = None) -> Tensor:
+def linear_recurrence(delta: np.ndarray, a: np.ndarray, b_in: np.ndarray, c_out: np.ndarray,
+                      u: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """The selective scan's recurrence with its discretization and readout fused in.
 
     ``delta`` and ``u`` are (..., n, d), ``b_in`` and ``c_out`` are
@@ -409,19 +408,17 @@ def linear_recurrence(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor, u: 
         h[t]    = abar[t] * h[t-1] + delta[t] expm1(delta[t] a)/(delta[t] a) * b_in[t] * u[t]
         y[t]    = sum_j h[t, :, j] * c_out[t, j]
 
-    with h[-1] = 0; returns y, (..., n, d). expm1(z)/z takes its series
-    1 + z/2 + z^2/6 where |z| < 1e-5, so A = 0 is no singularity. The
-    (n, ..., s, d) intermediates never exist at once: the forward pass walks
-    chunks of SCAN_CHUNK steps and keeps only the state at each chunk start,
-    and the backward pass (:func:`_recurrence_adjoints`) walks the chunks in
-    reverse, recomputes each one from its start state in work buffers of its
-    own and runs the reverse-time adjoint scan through it. Each step of the
-    Python loop advances the states of every sequence at once. Every value
-    is computed elementwise or summed along the state axis alone, so a
-    sequence gets the same bits alone as in a stack. A list passed as
-    ``starts`` receives the chunk start states, with which a caller that
-    records its own node backpropagates through the recurrence without
-    re-running it.
+    with h[-1] = 0. Returns y, (..., n, d), and the list of chunk start
+    states: the forward pass walks chunks of SCAN_CHUNK steps and keeps only
+    the state at each chunk start, so the (n, ..., s, d) intermediates never
+    exist at once. The caller hands the start states to
+    :func:`_recurrence_adjoints`, which walks the chunks in reverse,
+    recomputes each one from its start state in work buffers of its own and
+    runs the reverse-time adjoint scan through it. expm1(z)/z takes its series
+    1 + z/2 + z^2/6 where |z| < 1e-5, so A = 0 is no singularity. Each step
+    of the Python loop advances the states of every sequence at once. Every
+    value is computed elementwise or summed along the state axis alone, so a
+    sequence gets the same bits alone as in a stack.
 
     The state h[t] above is (d, s); it is held state-major, (..., s, d), so
     each elementwise op runs over the d channels innermost. The readout adds its s rows in the order
@@ -429,20 +426,18 @@ def linear_recurrence(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor, u: 
     contraction reads a (..., d, s) copy of its operand, so output and
     adjoints keep the bits of the same scan held (..., d, s).
     """
-    dv, av, bv, cv, uv = delta.data, a.data, b_in.data, c_out.data, u.data
-    *lead, n, d = dv.shape
-    s = av.shape[1]
-    if uv.shape != dv.shape or av.shape != (d, s) or bv.shape != (*lead, n, s) or cv.shape != bv.shape:
+    *lead, n, d = delta.shape
+    s = a.shape[1]
+    if u.shape != delta.shape or a.shape != (d, s) or b_in.shape != (*lead, n, s) or c_out.shape != b_in.shape:
         raise ValueError("linear_recurrence operands have inconsistent shapes")
     # token axis first, as views; one sequence keeps its own layout
-    dt, bt, ct, ut = (np.moveaxis(x, -2, 0) for x in (dv, bv, cv, uv))
-    at = np.ascontiguousarray(av.T)
-    dtype = np.result_type(dv, av, bv, uv)
-    work = _scan_work(dv, s, dtype)
-    if starts is None:
-        starts = []
+    dt, bt, ct, ut = (np.moveaxis(x, -2, 0) for x in (delta, b_in, c_out, u))
+    at = np.ascontiguousarray(a.T)
+    dtype = np.result_type(delta, a, b_in, u)
+    work = _scan_work(delta, s, dtype)
+    starts = []
     state = np.zeros((*lead, s, d), dtype=dtype)
-    y = np.empty((*lead, n, d), dtype=np.result_type(dtype, cv))
+    y = np.empty((*lead, n, d), dtype=np.result_type(dtype, c_out))
     yt = np.moveaxis(y, -2, 0)
     for ck in _scan_chunks(n):
         starts.append(state)
@@ -453,19 +448,14 @@ def linear_recurrence(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor, u: 
         np.multiply(h, ct[ck][..., None], out=prod)
         _state_sum(prod, out=yt[ck])
         state = h[-1].copy()
-
-    def bw(g):
-        grads = _recurrence_adjoints(g, dv, av, bv, cv, uv, starts)
-        for t, grad in zip((delta, a, b_in, c_out, u), grads):
-            t._accum(grad)
-    return _node(y, (delta, a, b_in, c_out, u), bw)
+    return y, starts
 
 
 def _recurrence_adjoints(g: np.ndarray, dv: np.ndarray, av: np.ndarray, bv: np.ndarray, cv: np.ndarray,
                         uv: np.ndarray, starts: list) -> tuple[np.ndarray, ...]:
     """The adjoints of :func:`linear_recurrence`'s operands, in its argument
-    order, for the output adjoint ``g``, from the operands' arrays and the
-    chunk start states its forward gave in ``starts``."""
+    order, for the output adjoint ``g``, from the operands and the chunk
+    start states its forward returned."""
     *lead, n, d = dv.shape
     s = av.shape[1]
     dt, bt, ct, ut = (np.moveaxis(x, -2, 0) for x in (dv, bv, cv, uv))
@@ -565,7 +555,7 @@ def _tap_blocks(kh: int, kw: int, taps: int) -> list[tuple[slice, slice]]:
     return [(slice(i, i + 1), slice(j, j + taps)) for i in range(kh) for j in range(0, kw, taps)]
 
 
-def dwconv2d(x: Tensor, kernel: Tensor) -> Tensor:
+def dwconv2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Depthwise 2-D convolution, stride 1, zero-padded to the same size.
 
     ``x`` is (..., H, W, C), leading axes a stack of grids; ``kernel`` is
@@ -573,25 +563,16 @@ def dwconv2d(x: Tensor, kernel: Tensor) -> Tensor:
     channel c of the input:
     ``y[..., h, w] = sum over taps (i, j) of xpad[..., h + i, w + j] * kernel[i, j]``.
 
-    Each kernel is one product of a (kh, kw, ..., rows, W, C) window view of
+    The output is one product of a (kh, kw, ..., rows, W, C) window view of
     the padded input with the kernel, then one reduction over the tap axis
-    that adds the taps in row-major (i, j) order onto +0.0. The input adjoint
-    is the same product over the zero-padded output adjoint with both tap
-    axes flipped; the kernel adjoint sums each tap's product with the adjoint
-    over (..., H, W), several whole taps at a time. Every product is cut into
-    blocks of output rows (of taps, for the kernel adjoint) of at most
-    CONV_BLOCK_BYTES, so a paper-width grid takes one row, or one tap, per
-    block. Each output, adjoint included, keeps the bits of the per-tap
-    loop ``y += xpad[i:i+H, j:j+W] * kernel[i, j]`` for a finite kernel.
-    The node keeps only its input; backward pads it again.
+    that adds the taps in row-major (i, j) order onto +0.0; its adjoints come
+    from :func:`_dwconv_adjoints`. Every product is cut into blocks of output
+    rows (of taps, for the kernel adjoint) of at most CONV_BLOCK_BYTES, so a
+    paper-width grid takes one row, or one tap, per block. Each output,
+    adjoint included, keeps the bits of the per-tap loop
+    ``y += xpad[i:i+H, j:j+W] * kernel[i, j]`` for a finite kernel.
     """
-    xv, kv = x.data, kernel.data
-
-    def bw(g):
-        g_x, g_k = _dwconv_adjoints(g, xv, kv)
-        kernel._accum(g_k)
-        x._accum(g_x)
-    return _node(_tap_sum(_same_padded(xv, kv), kv), (x, kernel), bw)
+    return _tap_sum(_same_padded(x, kernel), kernel)
 
 
 def _same_padded(v: np.ndarray, kv: np.ndarray, dtype=None) -> np.ndarray:
@@ -606,8 +587,11 @@ def _same_padded(v: np.ndarray, kv: np.ndarray, dtype=None) -> np.ndarray:
 
 def _dwconv_adjoints(g: np.ndarray, xv: np.ndarray, kv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The adjoints of :func:`dwconv2d`'s input ``xv`` and kernel ``kv`` for
-    the output adjoint ``g``. The padded input is built again here rather
-    than kept on the tape."""
+    the output adjoint ``g``. The input adjoint is the forward's product over
+    the zero-padded output adjoint with both tap axes flipped; the kernel
+    adjoint sums each tap's product with the adjoint over (..., H, W),
+    several whole taps at a time, on the input padded again here, so the
+    caller keeps only the unpadded input."""
     kh, kw, _ = kv.shape
     xpad = _same_padded(xv, kv)
     # each tap's product with g, summed over (..., H, W) as the loop's .sum did

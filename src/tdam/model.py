@@ -485,11 +485,12 @@ def ppeg_encode(seq: Tensor, params: ModelParams) -> Tensor:
     (..., 1 + n', d_model).
 
     One tape op with parents (seq, K7, K5, K3) that keeps nothing but
-    ``seq``: backward runs each convolution's backward on the grid rows of
+    ``seq``: backward runs each convolution's adjoints on the grid rows of
     ``seq`` again. Both passes evaluate the expressions of the chain of tape
     ops the stage replaces, in its order, and ``seq`` gets its adjoint in
-    that chain's two accumulations (class row, then grid), so values and
-    gradients keep their bits.
+    one array that holds the sum of that chain's two accumulations (class
+    row, then grid, each +0.0 plus its adjoint), so values and gradients
+    keep their bits.
     """
     *lead, n_tokens, dm = seq.shape
     n_grid = n_tokens - 1
@@ -497,25 +498,22 @@ def ppeg_encode(seq: Tensor, params: ModelParams) -> Tensor:
     kernels = [params[f"ppeg.K{k}"] for k in (7, 5, 3)]
     sv = seq.data
     img = sv[..., 1:, :].reshape(*lead, side, side, dm)
-    with no_grad():
-        c7, c5, c3 = (dwconv2d(Tensor(img), k).data for k in kernels)
+    c7, c5, c3 = (dwconv2d(img, k.data) for k in kernels)
     grid = c7 + c5 + c3 + img
     out = np.concatenate([sv[..., 0:1, :], grid.reshape(*lead, n_grid, dm)], axis=-2)
 
     def bw(g):
-        # each row range reaches seq through a slice of it: zeros plus its adjoint
-        cls_full = np.zeros_like(sv)
-        cls_full[..., 0:1, :] += g[..., 0:1, :]
-        seq._accum(cls_full)
         g_img = g[..., 1:, :].reshape(img.shape)
         g_grid = g_img
         for k in kernels:
             g_x, g_k = _dwconv_adjoints(g_img, img, k.data)
             k._accum(g_k)
             g_grid = g_grid + g_x
-        grid_full = np.zeros_like(sv)
-        grid_full[..., 1:, :] += g_grid.reshape(*lead, n_grid, dm)
-        seq._accum(grid_full)
+        # each row range reaches seq through a slice of it: zeros plus its adjoint
+        g_seq = np.empty_like(sv)
+        np.add(0.0, g[..., 0:1, :], out=g_seq[..., 0:1, :])
+        np.add(0.0, g_grid.reshape(*lead, n_grid, dm), out=g_seq[..., 1:, :])
+        seq._accum(g_seq)
     return _node(out, (seq, *kernels), bw)
 
 
@@ -567,8 +565,7 @@ def agent_attention(seq: Tensor, params: ModelParams) -> Tensor:
         updated = a2p @ vh
         p2a = _softmax(qh @ updated.mT + bias_p2a)
         v_img = kv[..., dm:].reshape(*lead, side, side, dm)
-        with no_grad():
-            local = dwconv2d(Tensor(v_img), wdw).data.reshape(*lead, n, dm)
+        local = dwconv2d(v_img, wdw.data).reshape(*lead, n, dm)
         return (kv, qh, kh, vh, agents, a2p, updated, p2a, v_img), local + _merged(p2a @ updated)
 
     def bias_adjoint(bias, g, axis):
@@ -625,15 +622,16 @@ def selective_scan(x: Tensor, params: ModelParams, layer: int) -> Tensor:
     is discretized with a zero-order hold (abar = exp(delta A), bbar =
     expm1(delta A)/A * B(x_t); bbar is computed as delta * expm1(delta A) /
     (delta A), so A = 0 is no singularity); outputs are read through C(x_t)
-    plus a learned skip D. Discretization, recurrence and readout run as
-    :func:`tdam.autodiff.linear_recurrence`. The scan runs on the
-    stride-reordered sequence u and the result is permuted back; the
+    plus a learned skip D. Discretization, recurrence and readout run in
+    the array kernel :func:`tdam.autodiff.linear_recurrence`. The scan runs
+    on the stride-reordered sequence u and the result is permuted back; the
     residual is the caller's job. ``x`` is (..., n, d_model).
 
     The whole layer is one tape op with parents (x, W_delta, b_delta, W_B,
-    W_C, A, D). It keeps the pre-softplus projection, delta and the
-    recurrence's chunk start states; backward gathers u from ``x`` again,
-    recomputes the B and C projections and runs the recurrence's backward.
+    W_C, A, D). It keeps the pre-softplus projection, delta and the chunk
+    start states the kernel returned; backward gathers u from ``x`` again,
+    recomputes the B and C projections and hands them, with the start
+    states, to :func:`tdam.autodiff._recurrence_adjoints`.
     Both passes evaluate the expressions of the chain of tape ops the layer
     replaces, in its order, and u collects its five adjoint terms
     (recurrence, delta, B, C and skip paths) in that chain's order, so
@@ -651,9 +649,7 @@ def selective_scan(x: Tensor, params: ModelParams, layer: int) -> Tensor:
     u, b_in, c_out = projections()
     z = u @ w_delta.data + b_delta.data
     delta = np.logaddexp(0.0, z).astype(z.dtype)
-    starts = []
-    with no_grad():
-        y = linear_recurrence(Tensor(delta), a, Tensor(b_in), Tensor(c_out), Tensor(u), starts=starts).data
+    y, starts = linear_recurrence(delta, a.data, b_in, c_out, u)
     y = y + u * d_skip.data
     if permuted:
         y = np.take(y, np.argsort(perm), axis=-2)

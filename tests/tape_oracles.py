@@ -3,9 +3,10 @@ the pseudo-inverse helpers, ``model.gelu``, ``model.ppeg_encode``,
 ``model.selective_scan``, the Nystrom core and agent attention fuse, with
 the head split in one node each way, and the recompute of the attention
 cores through ``checkpoint`` from RECOMPUTE_MIN_TOKENS tokens on; the
-layer norm closure that kept its centered and normalized rows; the per-tap
-loop that ``autodiff.dwconv2d`` replaced; and the (L, ..., d, s) chunked
-scan that ``autodiff.linear_recurrence`` replaced.
+layer norm closure that kept its centered and normalized rows; and, as
+tape ops that the chains call, the per-tap loop that the array kernel
+``autodiff.dwconv2d`` replaced and the (L, ..., d, s) chunked scan that
+``autodiff.linear_recurrence`` replaced.
 
 The fused ops must reproduce these chains' values and gradients bit for bit,
 so the chains are kept verbatim, with the subtraction, division, reductions,
@@ -21,7 +22,7 @@ import numpy as np
 from scipy import special
 
 from tdam import autodiff
-from tdam.autodiff import SCAN_CHUNK, Tensor, _node, _unbroadcast, concat, dwconv2d, linear_recurrence, no_grad
+from tdam.autodiff import SCAN_CHUNK, Tensor, _node, _unbroadcast, concat, no_grad
 from tdam.model import (_AGENT_WEIGHTS, INV_SQRT2, LN_EPS, ModelConfig, ModelParams, _grid_side,
                         _nearest_grid_index, _segment_mean_matrix, srmamba_reorder)
 
@@ -123,9 +124,9 @@ def chained_ppeg_encode(seq: Tensor, params: ModelParams) -> Tensor:
     cls_row = seq[..., 0:1, :]
     img = seq[..., 1:, :].reshape(*lead, side, side, dm)
     out = (
-        dwconv2d(img, params["ppeg.K7"])
-        + dwconv2d(img, params["ppeg.K5"])
-        + dwconv2d(img, params["ppeg.K3"])
+        loop_dwconv2d(img, params["ppeg.K7"])
+        + loop_dwconv2d(img, params["ppeg.K5"])
+        + loop_dwconv2d(img, params["ppeg.K3"])
         + img
     )
     return concat([cls_row, out.reshape(*lead, n_grid, dm)], axis=-2)
@@ -140,7 +141,7 @@ def chained_selective_scan(x: Tensor, params: ModelParams, layer: int) -> Tensor
     delta = (u @ params[f"{p}.W_delta"] + params[f"{p}.b_delta"]).softplus()
     b_in = u @ params[f"{p}.W_B"]
     c_out = u @ params[f"{p}.W_C"]
-    y = linear_recurrence(delta, params[f"{p}.A"], b_in, c_out, u) + u * params[f"{p}.D"]
+    y = state_last_linear_recurrence(delta, params[f"{p}.A"], b_in, c_out, u) + u * params[f"{p}.D"]
     if cfg.srmamba_rate > 1:
         y = y.take(np.argsort(perm), axis=-2)
     return y
@@ -297,7 +298,7 @@ def _agent_core(cfg: ModelConfig, x: Tensor, wq: Tensor, wkv: Tensor, p_agent: T
     agents_updated = a2p @ vh
     p2a = (qh @ _swap_last(agents_updated) + bias_p2a).softmax()
     attended = _from_heads(p2a @ agents_updated)
-    local = dwconv2d(v.reshape(*lead, side, side, dm), wdw).reshape(*lead, n, dm)
+    local = loop_dwconv2d(v.reshape(*lead, side, side, dm), wdw).reshape(*lead, n, dm)
     return (local + attended) @ wout
 
 
@@ -314,31 +315,46 @@ def chained_agent_attention(seq: Tensor, params: ModelParams) -> Tensor:
     return concat([seq[..., 0:1, :], grid], axis=-2)
 
 
-def loop_dwconv2d(x: Tensor, kernel: Tensor) -> Tensor:
-    """``autodiff.dwconv2d`` as one numpy op per kernel tap forward and two
-    per tap backward, the form the windowed products must match bit for bit."""
-    xv, kv = x.data, kernel.data
+def _loop_padded(xv: np.ndarray, kv: np.ndarray) -> np.ndarray:
     kh, kw, _ = kv.shape
-    ph, pw = kh // 2, kw // 2
-    H, W, C = xv.shape
-    xpad = np.zeros((H + 2 * ph, W + 2 * pw, C), dtype=xv.dtype)
-    xpad[ph:ph + H, pw:pw + W] = xv
+    *lead, H, W, C = xv.shape
+    xpad = np.zeros((*lead, H + kh - 1, W + kw - 1, C), dtype=xv.dtype)
+    xpad[..., kh // 2:kh // 2 + H, kw // 2:kw // 2 + W, :] = xv
+    return xpad
+
+
+def loop_conv(xv: np.ndarray, kv: np.ndarray) -> np.ndarray:
+    """The array kernel ``autodiff.dwconv2d`` as one numpy op per kernel tap."""
+    kh, kw, _ = kv.shape
+    H, W = xv.shape[-3:-1]
+    xpad = _loop_padded(xv, kv)
     y = np.zeros_like(xv)
     for i in range(kh):
         for j in range(kw):
-            y += xpad[i:i + H, j:j + W] * kv[i, j]
+            y += xpad[..., i:i + H, j:j + W, :] * kv[i, j]
+    return y
+
+
+def loop_dwconv2d(x: Tensor, kernel: Tensor) -> Tensor:
+    """``autodiff.dwconv2d`` and its adjoints as a tape op, one numpy op per
+    kernel tap forward and two per tap backward: the form the windowed
+    products must match bit for bit. Leading axes are a stack of grids."""
+    xv, kv = x.data, kernel.data
+    kh, kw, _ = kv.shape
+    H, W = xv.shape[-3:-1]
 
     def bw(g):
+        xpad = _loop_padded(xv, kv)
         dk = np.empty_like(kv)
         dxpad = np.zeros_like(xpad)
         for i in range(kh):
             for j in range(kw):
-                window = xpad[i:i + H, j:j + W]
-                dk[i, j] = (window * g).sum(axis=(0, 1))
-                dxpad[i:i + H, j:j + W] += g * kv[i, j]
+                window = xpad[..., i:i + H, j:j + W, :]
+                dk[i, j] = (window * g).sum(axis=tuple(range(g.ndim - 1)))
+                dxpad[..., i:i + H, j:j + W, :] += g * kv[i, j]
         kernel._accum(dk)
-        x._accum(dxpad[ph:ph + H, pw:pw + W])
-    return _node(y, (x, kernel), bw)
+        x._accum(dxpad[..., kh // 2:kh // 2 + H, kw // 2:kw // 2 + W, :])
+    return _node(loop_conv(xv, kv), (x, kernel), bw)
 
 
 def state_last_scan_chunk(delta, a, b_in, u, h0, work):

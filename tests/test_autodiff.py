@@ -114,7 +114,7 @@ def test_linear_recurrence_matches_loop():
         a = -rng.uniform(0.1, 2.0, size=(d, s))
         a[1, 2] = 0.0
         b, c, u = (rng.standard_normal(shape) for shape in ((n, s), (n, s), (n, d)))
-        y = linear_recurrence(*(Tensor(x) for x in (delta, a, b, c, u))).data
+        y, _ = linear_recurrence(delta, a, b, c, u)
         assert y.shape == (n, d)
         h = np.zeros((d, s))
         for t in range(n):
@@ -125,10 +125,11 @@ def test_linear_recurrence_matches_loop():
 
 
 def test_linear_recurrence_grad():
-    """Finite differences through all five operands, across chunk boundaries."""
+    """Finite differences through all five operands, across chunk boundaries,
+    on the state-last scan, which the kernel and its adjoints match bit for bit."""
     def scan(delta, a, b, c, u):
         # positive steps and decaying state keep long scans bounded
-        return (linear_recurrence(delta.softplus() * 0.2, -(a * a) + (-0.1), b, c, u) * 0.5).sum()
+        return (state_last_linear_recurrence(delta.softplus() * 0.2, -(a * a) + (-0.1), b, c, u) * 0.5).sum()
 
     for n in SCAN_LENGTHS:
         check_op(scan, (n, 2), (2, 3), (n, 3), (n, 3), (n, 2), seed=n)
@@ -140,7 +141,11 @@ SCAN_STATES = (1, 4, 6, 7, 8, 9, 16, 17, 130)
 
 
 def scan_bits(scan, operands, g):
-    """y and the five adjoints of ``scan`` with output adjoint ``g``."""
+    """y and the five adjoints of ``scan`` with output adjoint ``g``: of the
+    kernel and its adjoint function, or of a tape op."""
+    if scan is linear_recurrence:
+        y, starts = linear_recurrence(*operands)
+        return [y, *autodiff._recurrence_adjoints(g, *operands, starts)]
     tensors = [Tensor(x.copy()) for x in operands]
     y = scan(*tensors)
     y.backward(g)
@@ -248,12 +253,14 @@ def test_dwconv2d_identity_kernel():
     x = rng.standard_normal((5, 5, 2))
     k = np.zeros((3, 3, 2))
     k[1, 1] = 1.0
-    y = dwconv2d(Tensor(x), Tensor(k)).data
-    np.testing.assert_allclose(y, x)
+    np.testing.assert_allclose(dwconv2d(x, k), x)
 
 
 def test_dwconv2d_grad():
-    check_op(lambda x, k: (dwconv2d(x, k) * 2.0).sum(), (4, 4, 2), (3, 3, 2))
+    """Finite differences on the tap loop, which the kernel and its adjoints
+    match bit for bit, for one grid and a stack."""
+    for lead in ((), (2,)):
+        check_op(lambda x, k: (loop_dwconv2d(x, k) * 2.0).sum(), (*lead, 4, 4, 2), (3, 3, 2))
 
 
 def conv_case(side, ksize, channels, dtype, seed):
@@ -268,7 +275,11 @@ def conv_case(side, ksize, channels, dtype, seed):
 
 
 def conv_bits(conv, x, k, g):
-    """y, dk and dx of ``conv`` with output adjoint ``g``."""
+    """y, dk and dx of ``conv`` with output adjoint ``g``: of the kernel and
+    its adjoint function, or of a tape op."""
+    if conv is dwconv2d:
+        dx, dk = autodiff._dwconv_adjoints(g, x, k)
+        return dwconv2d(x, k), dk, dx
     xt, kt = Tensor(x.copy()), Tensor(k.copy())
     y = conv(xt, kt)
     y.backward(g)
@@ -385,9 +396,6 @@ TAPE_OPS = {
     "getitem": lambda a, b: a[1:],
     "take": lambda a, b: a.take(np.array([2, 0, 2]), axis=1),
     "concat": lambda a, b: concat([a, b], axis=0),
-    "linear_recurrence": lambda a, b: linear_recurrence(
-        a.softplus(), -tape_transpose(b, 1, 0)[:, :2].softplus(), a[:, :2], b[:, 2:], a),
-    "dwconv2d": lambda a, b: dwconv2d(a.reshape(2, 2, 3), b[:, :3].reshape(3, 1, 3)),
 }
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import tape_oracles
 from tape_oracles import (chained_agent_attention, chained_from_heads, chained_gelu, chained_nystrom_core,
                           chained_ppeg_encode, chained_selective_scan, chained_to_heads, closure_layer_norm,
-                          composed_layer_norm, composed_newton_schulz_pinv, loop_dwconv2d)
+                          composed_layer_norm, composed_newton_schulz_pinv, loop_conv)
 from tdam import explain, model, survival
 from tdam.autodiff import SCAN_CHUNK, Tensor, _node, no_grad
 from tdam.bags import FeatureBag, grid_coords
@@ -793,6 +793,26 @@ def test_fused_ppeg_is_bitwise_the_chain(dtype, lead):
 
 
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "stack"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ppeg_input_adjoint_keeps_the_chains_signed_zeros(dtype, lead):
+    """An output adjoint with -0.0 in the class row, in one grid channel and
+    scattered over the grid rows: seq's adjoint is bitwise the chain's, whose
+    slices add each row range onto +0.0."""
+    rng = np.random.default_rng(41)
+    xv, g = (rng.standard_normal((*lead, 1 + 9, TINY.d_model)).astype(dtype) for _ in range(2))
+    g[..., 0, :] = -0.0
+    g[..., 1:, 2] = -0.0
+    g[..., 1:, :][rng.random(g[..., 1:, :].shape) < 0.2] = -0.0
+    grads = []
+    for ppeg in (model.ppeg_encode, chained_ppeg_encode):
+        seq = Tensor(xv.copy())
+        ppeg(seq, model.init_params(TINY, seed=41, dtype=dtype)).backward(g)
+        grads.append(seq.grad)
+    assert_bitwise(*grads)
+    assert not np.signbit(grads[0][..., 0, :]).any()
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "stack"])
 @pytest.mark.parametrize("rate", [1, 2, 5])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_fused_scan_layer_is_bitwise_the_chain(dtype, rate, lead):
@@ -944,8 +964,7 @@ def test_train_step_is_bitwise_that_of_the_tap_loop_and_the_chained_head_split(m
     cfg = TINY.with_ablation(ablation)
     windowed = step_bits(cfg, n, dtype)
     chain_the_attention_cores(monkeypatch)
-    for owner in (model, tape_oracles):
-        monkeypatch.setattr(owner, "dwconv2d", loop_dwconv2d)
+    monkeypatch.setattr(model, "dwconv2d", loop_conv)
     monkeypatch.setattr(tape_oracles, "_to_heads", chained_to_heads)
     monkeypatch.setattr(tape_oracles, "_from_heads", chained_from_heads)
     assert step_bits(cfg, n, dtype) == windowed
