@@ -2,9 +2,8 @@
 """Peak memory and time of one bag at the paper's default width.
 
 Each (patch count, mode) runs in a fresh interpreter (``fresh_process``), so
-each peak RSS belongs to that run alone. Modes:
-``eval_no_grad`` is an eval forward under no_grad(), ``eval_recording`` the
-same forward with the tape recording, and ``fwd_bwd`` a train forward, the
+each peak RSS belongs to that run alone. Modes: ``eval`` is an eval
+forward, which records no tape, and ``fwd_bwd`` a train forward, the
 survival loss and its backward. Prints one JSON line per run.
 
     PYTHONPATH=src python3 scripts/run_memory_probe.py --patches 256 4096
@@ -17,7 +16,7 @@ import time
 
 from fresh_process import peak_rss_mb, run_each
 
-MODES = ("eval_no_grad", "eval_recording", "fwd_bwd")
+MODES = ("eval", "fwd_bwd")
 DEFAULT_PATCHES = (256, 1024, 4096, 16384)
 
 
@@ -29,7 +28,6 @@ def probe(n: int, mode: str) -> dict:
     import numpy as np
 
     from tdam import model, survival
-    from tdam.autodiff import no_grad
     from tdam.bags import FeatureBag, grid_coords
 
     cfg = model.ModelConfig()
@@ -37,10 +35,7 @@ def probe(n: int, mode: str) -> dict:
     rng = np.random.default_rng(SEED)
     bag = FeatureBag(f"probe_{n}", rng.standard_normal((n, cfg.d_in), dtype=np.float32), grid_coords(n))
     t0 = time.perf_counter()
-    if mode == "eval_no_grad":
-        with no_grad():
-            model.forward(bag, params, mode="eval")
-    elif mode == "eval_recording":
+    if mode == "eval":
         model.forward(bag, params, mode="eval")
     else:
         _, trace = model.forward(bag, params, mode="train", seed=SEED)

@@ -14,8 +14,8 @@ as :meth:`Tensor._accum` does, so each keeps the bits of the chain of ops
 it replaced. Forward dtype is preserved, so the same graph runs in float32
 for training and float64 for gradient checking. Inside :func:`no_grad` the
 ops compute the same values but record nothing: each output has no parents
-and no closure, so inference builds no backward graph. Backward never
-records either.
+and no closure. An eval forward of the model runs under it, so inference
+builds no backward graph. Backward never records either.
 
 Two array kernels serve those stages. They take and return arrays (with
 leading axes a stack of bags) and record nothing; the stage's backward
@@ -39,9 +39,9 @@ Backward consumes the tape: once a node's closure has run, the node lets go
 of its closure and its parents, so the arrays a closure saved are freed as
 the pass moves on, and a graph can be backpropagated only once (a second
 :meth:`Tensor.backward` through it raises RuntimeError). Backward also
-frees each non-leaf adjoint as soon as its closure has consumed it; leaves
-(tensors made directly, such as parameters) keep theirs, and so does any
-tensor marked with :meth:`Tensor.retain_grad`.
+frees every non-leaf adjoint as soon as its closure has consumed it; only
+leaves (tensors made directly, such as parameters, or the input a gradient
+is taken for) keep theirs.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A numpy array plus the backward closure that produced it."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward", "_retain")
+    __slots__ = ("data", "grad", "_parents", "_backward")
 
     # numpy defers ``ndarray @ Tensor`` to __rmatmul__, and raises TypeError for
     # the other ops with an array on the left, instead of building object arrays
@@ -157,7 +157,6 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents = parents
         self._backward = backward
-        self._retain = False
 
     # -- plumbing ---------------------------------------------------------
 
@@ -175,10 +174,6 @@ class Tensor:
     def _accum(self, g: np.ndarray) -> None:
         self.grad = _added(self.grad, g)
 
-    def retain_grad(self) -> None:
-        """Keep this tensor's adjoint after backward; a non-leaf's is freed once used."""
-        self._retain = True
-
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor (scalar unless ``seed`` given).
 
@@ -186,9 +181,8 @@ class Tensor:
         once its closure has run, and lets go of its closure and its
         parents, so what the closure saved is freed as the pass moves on.
         A later backward that reaches such a node raises RuntimeError
-        before any closure runs. Each node's adjoint is dropped once its
-        closure has passed it on, unless the node is a leaf or was marked
-        with :meth:`retain_grad`.
+        before any closure runs. Each non-leaf's adjoint is dropped once its
+        closure has passed it on, so only leaves hold adjoints afterwards.
         """
         topo: list[Tensor] = []
         seen: set[int] = set()
@@ -218,9 +212,7 @@ class Tensor:
                 continue
             if node.grad is not None:
                 node._backward(node.grad)
-            node._backward, node._parents = _consumed, ()
-            if not node._retain:
-                node.grad = None
+            node._backward, node._parents, node.grad = _consumed, (), None
 
     # -- arithmetic -------------------------------------------------------
 

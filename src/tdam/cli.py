@@ -298,9 +298,11 @@ def _stats_timeroc(args, cohort, times, events):
 
 def _stats_rmst(args, cohort, times, events):
     hi = _high_risk(args.risks, cohort)
+    # a row at each whole year below tau, then one at tau itself
+    last = args.tau / 12
+    marks = [(y, 12.0 * y) for y in range(1, int(np.ceil(last)))]
     rows = []
-    for year in range(1, max(1, int(args.tau // 12)) + 1):
-        tau = min(12.0 * year, args.tau)
+    for year, tau in marks + [(int(last) if last.is_integer() else last, args.tau)]:
         cmp = survstats.rmst_compare(times[hi], events[hi], times[~hi], events[~hi], tau)
         rows.append([year, cmp.rmst_a.value, cmp.rmst_b.value, cmp.diff, cmp.lci, cmp.uci, cmp.p])
     return {"rmst.csv": (["Year", "RMST (high)", "RMST (low)", "Estimation", "LCI", "UCI", "p-value"], rows)}

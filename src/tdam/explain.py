@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import no_grad
+from .autodiff import Tensor, no_grad
 from .bags import FeatureBag, grid_coords
 from .errors import DataError
-from .model import ModelParams, forward
+from .model import ModelParams, embed, forward, trunk
 from .rng import substream
 
 
@@ -62,12 +62,11 @@ def attention_heatmap(bag: FeatureBag, params: ModelParams) -> HeatmapTable:
     as all zeros.
     """
     params.check_finite()
-    with no_grad():
-        _, trace = forward(bag, params)
+    _, trace = forward(bag, params)
     clf_w = params["clf.W"].data.astype(np.float64)  # (d_model, 4)
     n = bag.n_patches
-    tokens = trace.z_norm[1 : 1 + n]  # grid tokens for real patches
-    pool_w = trace.pool_weights[1 : 1 + n]
+    tokens = trace.z_norm[1 : 1 + n].astype(np.float64)  # grid tokens for real patches
+    pool_w = trace.pool_weights[1 : 1 + n].astype(np.float64)
     relevance = pool_w[:, None] * np.abs(tokens @ clf_w)
     return HeatmapTable(coords=bag.coords.copy(), weights=_minmax_per_column(relevance))
 
@@ -83,7 +82,9 @@ def erf_map(
     With ``bag=None`` a synthetic standard-normal grid of ``side`` x ``side``
     patches is generated (seeded). Intensity per grid cell is the sum over
     channels of |d y_c / d token|, where y_c is the channel-summed class-token
-    output; the emitted grid is log(1 + intensity).
+    output of :func:`tdam.model.trunk`; the emitted grid is
+    log(1 + intensity). The bag is embedded in eval mode under no_grad(), and
+    the trunk is differentiated from a leaf tensor holding that sequence.
     """
     params.check_finite()
     if bag is None:
@@ -94,15 +95,14 @@ def erf_map(
             features=rng.standard_normal((n, params.config.d_in)),
             coords=grid_coords(n),
         )
-    _, trace = forward(bag, params)
-    embedded = trace.tensors["embedded"]
-    embedded.retain_grad()
-    y_c = trace.tensors["final_seq"][0:1].sum()
-    y_c.backward()
+    with no_grad():
+        seq, n_prime = embed(bag, params)
+    embedded = Tensor(seq.data)
+    trunk(embedded, params)[0:1].sum().backward()
     if embedded.grad is None:  # the class row always reaches it, unless nothing was recorded
         raise RuntimeError("erf_map needs gradients and cannot run inside no_grad()")
     intensity = token_intensity(embedded.grad[1:])  # skip class row
-    grid_side = math.isqrt(trace.n_prime)
+    grid_side = math.isqrt(n_prime)
     raw = intensity.reshape(grid_side, grid_side)
     if np.isnan(raw).all():
         raise DataError("ERF intensities are all NaN")

@@ -19,7 +19,8 @@ import json
 import math
 import struct
 import time
-from dataclasses import asdict, dataclass, field, fields
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import reduce
 from pathlib import Path
 
@@ -290,8 +291,8 @@ def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
     return _node(out, parents, bw)
 
 
-def _dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    if p <= 0.0:
+def _dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+    if p <= 0.0 or rng is None:
         return x
     mask = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
     return x * mask
@@ -686,20 +687,15 @@ def selective_scan(x: Tensor, params: ModelParams, layer: int) -> Tensor:
     return _node(y, (x, w_delta, b_delta, w_b, w_c, a, d_skip), bw)
 
 
-def attention_pool(
-    z: Tensor,
-    params: ModelParams,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[Tensor, Tensor, Tensor]:
+def attention_pool(z: Tensor, params: ModelParams,
+                   rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor, Tensor]:
     """Gated attention pooling over the (parameter-free) normalized tokens of
-    ``z``, (..., n, d_model): each bag's softmax runs over its own tokens.
-    Returns the pooled (..., 1, d_model) row, the per-token weights and the
-    normalized tokens."""
+    ``z``, (..., n, d_model): each bag's softmax runs over its own tokens,
+    whose scores take dropout if given ``rng``. Returns the pooled
+    (..., 1, d_model) row, the per-token weights and the normalized tokens."""
     z_norm = layer_norm(z)
     scores = (z_norm @ params["pool.W1"] + params["pool.b1"]).tanh() @ params["pool.W2"] + params["pool.b2"]
-    if train:
-        scores = _dropout(scores, params.config.dropout, rng)
+    scores = _dropout(scores, params.config.dropout, rng)
     *lead, n, _ = scores.shape
     weights = scores.reshape(*lead, n).softmax()
     pooled = weights.reshape(*lead, 1, n) @ z_norm
@@ -710,33 +706,16 @@ def attention_pool(
 class ForwardTrace:
     n_prime: int
     logits: np.ndarray
-    pool_weights: np.ndarray  # per token, class and padding tokens included
+    pool_weights: np.ndarray  # per token, class and padding tokens included, in the forward's dtype
     z_norm: np.ndarray
     tensors: dict = field(default_factory=dict)
 
 
-def forward(bag: FeatureBag | list[FeatureBag], params: ModelParams, *, mode: str = "eval",
-            seed: int = 0) -> tuple[np.ndarray, ForwardTrace]:
-    """Run a bag, or a list of bags of one padded grid size, through the model;
-    returns (logits, trace).
-
-    ``mode="train"`` activates dropout seeded by ``seed``; eval mode is a
-    pure function of (bag, params). ``params.config.ablation`` picks the
-    stages to run (:data:`STAGES`); a skipped stage leaves every tensor
-    shape unchanged. To run weights under another variant, pass
-    ``ModelParams(other_config, params.flat)``.
-
-    One bag gives (4,) logits and runs on 2-D (tokens, d_model) arrays. A
-    list of B bags that share n' (:func:`padded_grid_size`) gives (B, 4)
-    logits, and the trace's arrays gain the same leading axis: each bag is
-    projected and cycle-padded alone, then the stack of their (1 + n',
-    d_model) sequences runs through every stage at once. Every stage
-    treats leading axes as independent bags, and numpy computes each slice
-    of a stacked product or reduction as it would the bag alone, so each
-    bag's logits keep the bits of its own forward.
-    """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be train or eval, got {mode!r}")
+def embed(bag: FeatureBag | list[FeatureBag], params: ModelParams,
+          rng: np.random.Generator | None = None) -> tuple[Tensor, int]:
+    """Validate a bag, or a list of B bags of one padded grid size n', and
+    project, drop out (if given ``rng``), cycle-pad and stack them into a
+    (1 + n', d_model) or (B, 1 + n', d_model) sequence; returns it and n'."""
     single = isinstance(bag, FeatureBag)
     group = [bag] if single else list(bag)
     for b in group:
@@ -744,20 +723,20 @@ def forward(bag: FeatureBag | list[FeatureBag], params: ModelParams, *, mode: st
     sizes = {padded_grid_size(b.n_patches) for b in group}
     if len(sizes) != 1:
         raise ShapeError(f"a group of bags must share one padded grid size, got {sorted(sizes)}")
-    cfg = params.config
-    stages = STAGES[cfg.ablation]
-    train = mode == "train"
-    rng = np.random.default_rng(seed) if train else None
     dtype = params["proj.W"].data.dtype
     seqs = []
     for b in group:
         xp = project_input(np.ascontiguousarray(b.features, dtype=dtype), params)
-        if train:
-            xp = _dropout(xp, cfg.dropout, rng)
-        seq, n_prime = pad_square_with_class(xp, params)
+        seq, n_prime = pad_square_with_class(_dropout(xp, params.config.dropout, rng), params)
         seqs.append(seq)
-    seq = seqs[0] if single else concat([s.reshape(1, *s.shape) for s in seqs], axis=0)
-    embedded = seq
+    return (seqs[0] if single else concat([s.reshape(1, *s.shape) for s in seqs], axis=0)), n_prime
+
+
+def trunk(seq: Tensor, params: ModelParams) -> Tensor:
+    """The stages of ``params.config.ablation`` (:data:`STAGES`) over an
+    embedded sequence, (..., 1 + n', d_model), which keeps its shape."""
+    cfg = params.config
+    stages = STAGES[cfg.ablation]
     if "transformer" in stages:
         seq = nystrom_attention_layer(seq, params, "attn1")
         seq = ppeg_encode(seq, params)
@@ -768,18 +747,42 @@ def forward(bag: FeatureBag | list[FeatureBag], params: ModelParams, *, mode: st
         for layer in range(cfg.srmamba_layers):
             normed = layer_norm(seq, params[f"srmamba{layer}.ln_g"], params[f"srmamba{layer}.ln_b"])
             seq = seq + selective_scan(normed, params, layer)
-    pooled, weights, z_norm = attention_pool(seq, params, train, rng)
-    logits_t = pooled @ params["clf.W"] + params["clf.b"]
+    return seq
+
+
+def forward(bag: FeatureBag | list[FeatureBag], params: ModelParams, *, mode: str = "eval",
+            seed: int = 0) -> tuple[np.ndarray, ForwardTrace]:
+    """Run a bag, or a list of bags of one padded grid size, through the model;
+    returns (logits, trace).
+
+    ``mode="train"`` records the tape and activates dropout seeded by
+    ``seed``. ``mode="eval"`` runs under ``no_grad()``, so it records
+    nothing and is a pure function of (bag, params).
+    ``params.config.ablation`` picks the stages to run (:data:`STAGES`); a
+    skipped stage leaves every tensor shape unchanged. To run weights under
+    another variant, pass ``ModelParams(other_config, params.flat)``.
+
+    One bag gives (4,) logits and runs on 2-D (tokens, d_model) arrays. A
+    list of B bags that share n' (:func:`padded_grid_size`) gives (B, 4)
+    logits, and the trace's arrays gain the same leading axis: each bag is
+    projected and cycle-padded alone (:func:`embed`), then the stack of
+    their sequences runs through every stage at once (:func:`trunk`). Every
+    stage treats leading axes as independent bags, and numpy computes each
+    slice of a stacked product or reduction as it would the bag alone, so
+    each bag's logits keep the bits of its own forward.
+    """
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be train or eval, got {mode!r}")
+    rng = np.random.default_rng(seed) if mode == "train" else None
+    with no_grad() if rng is None else nullcontext():
+        seq, n_prime = embed(bag, params, rng)
+        pooled, weights, z_norm = attention_pool(trunk(seq, params), params, rng)
+        logits_t = pooled @ params["clf.W"] + params["clf.b"]
     logits = logits_t.data.reshape(*seq.shape[:-2], N_BINS).astype(np.float64)
     if not np.isfinite(logits).all():
         raise NonFiniteError("forward pass produced non-finite logits")
-    trace = ForwardTrace(
-        n_prime=n_prime,
-        logits=logits,
-        pool_weights=weights.data.astype(np.float64),
-        z_norm=z_norm.data.astype(np.float64),
-        tensors={"embedded": embedded, "final_seq": seq, "logits": logits_t},
-    )
+    trace = ForwardTrace(n_prime=n_prime, logits=logits, pool_weights=weights.data, z_norm=z_norm.data,
+                         tensors={"logits": logits_t})
     return logits, trace
 
 
@@ -807,14 +810,16 @@ def grad_check(
 ) -> GradReport:
     """Compare analytic gradients of the survival loss with central differences.
 
-    Runs in double precision on a tiny model. The reported figure per tensor
-    is max |analytic - numeric| / max(|analytic|, |numeric|, 1e-4), i.e. a
+    Runs in double precision on a tiny model. The analytic gradients come
+    from a train forward at dropout 0, which draws no mask and gives the eval
+    logits bit for bit. The reported figure per tensor is
+    max |analytic - numeric| / max(|analytic|, |numeric|, 1e-4), i.e. a
     relative error with an absolute floor for near-zero entries.
     """
     if config.d_model > 16 or n_patches > 10:
         raise DataError("grad_check is for tiny configs (d_model <= 16, n <= 10)")
     t0 = time.perf_counter()
-    params = init_params(config, seed=seed, dtype=np.float64)
+    params = init_params(replace(config, dropout=0.0), seed=seed, dtype=np.float64)
     rng = substream(seed, "gradcheck-bag")
     from .bags import grid_coords
 
@@ -831,7 +836,7 @@ def grad_check(
             return float(nll_graph(trace.tensors["logits"], bin_index, censored).data)
 
     params.clear_grads()
-    _, trace = forward(bag, params)
+    _, trace = forward(bag, params, mode="train")
     loss = nll_graph(trace.tensors["logits"], bin_index, censored)
     loss.backward()
 

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import no_grad
 from .bags import Cohort, FeatureBag
 from .errors import ConvergenceError, DataError, GradError, NonFiniteError, UndefinedError
 from .model import (ModelConfig, ModelParams, dataclass_from_dict, forward, init_params, padded_grid_size,
@@ -317,7 +316,7 @@ def train(
 
 
 def _score(bag_list: list[FeatureBag], params: ModelParams) -> np.ndarray:
-    """Eval-mode risk of each bag, in order, under no_grad().
+    """Eval-mode risk of each bag, in order; an eval forward records no tape.
 
     Bags are grouped by padded grid size n' and each group is cut into runs
     whose scan state fits EVAL_GROUP_BYTES; each run is one ``forward`` on
@@ -328,15 +327,14 @@ def _score(bag_list: list[FeatureBag], params: ModelParams) -> np.ndarray:
     for i, bag in enumerate(bag_list):
         groups.setdefault(padded_grid_size(bag.n_patches), []).append(i)
     risks = np.empty(len(bag_list))
-    with no_grad():
-        for n_prime, idx in groups.items():
-            bag_bytes = (1 + n_prime) * cfg.d_model * cfg.ssm_state_dim * params.flat.itemsize
-            size = max(1, EVAL_GROUP_BYTES // bag_bytes)
-            for lo in range(0, len(idx), size):
-                run = idx[lo:lo + size]
-                logits, _ = forward([bag_list[i] for i in run], params)
-                for i, row in zip(run, logits):
-                    risks[i] = risk_score(row)
+    for n_prime, idx in groups.items():
+        bag_bytes = (1 + n_prime) * cfg.d_model * cfg.ssm_state_dim * params.flat.itemsize
+        size = max(1, EVAL_GROUP_BYTES // bag_bytes)
+        for lo in range(0, len(idx), size):
+            run = idx[lo:lo + size]
+            logits, _ = forward([bag_list[i] for i in run], params)
+            for i, row in zip(run, logits):
+                risks[i] = risk_score(row)
     return risks
 
 
@@ -345,8 +343,9 @@ def predict_risks(
     params: ModelParams,
     ids: list[str] | None = None,
 ) -> dict[str, float]:
-    """Eval-mode risk score per patient, in ``ids`` order, computed without a
-    backward graph. Bags of one padded grid size are scored together, a run
-    of them per ``forward`` call, with the bits each bag gets alone."""
+    """Eval-mode risk score per patient, in ``ids`` order; an eval forward
+    builds no backward graph. Bags of one padded grid size are scored
+    together, a run of them per ``forward`` call, with the bits each bag
+    gets alone."""
     ids = list(bags) if ids is None else ids
     return dict(zip(ids, _score([bags[pid] for pid in ids], params).tolist()))

@@ -218,6 +218,25 @@ def write_risks_from_signal(data: Path, path: Path, jitter: float = 0.05) -> Non
             writer.writerow([r.patient_id, repr(noisy)])
 
 
+def test_stats_rmst_writes_each_whole_year_below_tau_then_tau_itself(tmp_path):
+    data = synth(tmp_path, seed=11, n=60)
+    risks = tmp_path / "risks.csv"
+    write_risks_from_signal(data, risks)
+    cohort = load_cohort_manifest(data / "cohort.csv")
+    _, score_rows = read_csv_rows(risks)
+    hi = survstats.median_stratify([float(r[1]) for r in score_rows]) == "high"
+    times, events = cohort.times(), cohort.events()
+    for tau, years in (("30", ["1", "2", "2.5"]), ("6", ["0.5"])):
+        out = tmp_path / f"rmst{tau}"
+        assert cli.run(["stats", "rmst", "--cohort", str(data / "cohort.csv"), "--risks", str(risks),
+                        "--tau", tau, "--out", str(out)]) == 0
+        _, rows = read_csv_rows(out / "rmst.csv")
+        assert [r[0] for r in rows] == years
+        cmp = survstats.rmst_compare(times[hi], events[hi], times[~hi], events[~hi], float(tau))
+        want = (cmp.rmst_a.value, cmp.rmst_b.value, cmp.diff, cmp.lci, cmp.uci, cmp.p)
+        assert rows[-1][1:] == [repr(float(v)) for v in want]
+
+
 def test_stats_commands(tmp_path):
     data = synth(tmp_path, seed=11, n=60)
     risks = tmp_path / "risks.csv"

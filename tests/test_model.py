@@ -17,7 +17,7 @@ import tape_oracles
 from tape_oracles import (chained_agent_attention, chained_from_heads, chained_gelu, chained_nystrom_core,
                           chained_ppeg_encode, chained_selective_scan, chained_to_heads, closure_layer_norm,
                           composed_layer_norm, composed_newton_schulz_pinv, loop_conv)
-from tdam import explain, model, survival
+from tdam import autodiff, explain, model, survival
 from tdam.autodiff import SCAN_CHUNK, Tensor, _node, no_grad
 from tdam.bags import FeatureBag, grid_coords
 from tdam.errors import DataError, FormatError, ShapeError, TruncatedError
@@ -547,20 +547,39 @@ def test_forward_train_dropout_seeded():
     assert not np.array_equal(a, c)
 
 
-def test_forward_under_no_grad_gives_the_same_logits_and_no_graph():
-    """float32 eval logits are bitwise those of a recorded forward, and a
-    backward from them reaches no parameter."""
-    params = tiny_params(seed=18, dtype=np.float32)
-    bag = random_bag(n=7, seed=18)
-    _, recorded = model.forward(bag, params)
+@pytest.mark.parametrize("sizes", [[7], [5, 7, 9]], ids=["one-bag", "stack"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_an_eval_forward_records_nothing_inside_or_outside_no_grad(monkeypatch, dtype, sizes):
+    """An eval forward runs under no_grad() itself: it gives the same logits,
+    bit for bit, inside and outside a caller's no_grad(), builds no tape node
+    in either, and leaves recording on when it raises."""
+    params = model.init_params(TINY, seed=18, dtype=dtype)
+    bags = [random_bag(n=n, seed=18 + i) for i, n in enumerate(sizes)]
+    bag = bags[0] if len(bags) == 1 else bags
+    nodes = []
+    init = Tensor.__init__
+
+    def counting_init(self, data, parents=(), backward=None):
+        init(self, data, parents, backward)
+        nodes.extend([self] if parents else [])
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    outside, trace = model.forward(bag, params)
     with no_grad():
-        _, trace = model.forward(bag, params)
+        inside, inside_trace = model.forward(bag, params)
+    assert nodes == []
     bare = trace.tensors["logits"]
-    assert bare.dtype == np.float32
-    np.testing.assert_array_equal(bare.data, recorded.tensors["logits"].data)
+    assert bare.dtype == dtype and not bare._parents
+    assert outside.tobytes() == inside.tobytes()
+    assert bare.data.tobytes() == inside_trace.tensors["logits"].data.tobytes()
     params.clear_grads()
     bare.backward(np.ones_like(bare.data))
     assert all(params[name].grad is None for name in params.names())
+    with pytest.raises(ShapeError):
+        model.forward([random_bag(n=4, seed=1), random_bag(n=5, seed=1)], params)
+    assert autodiff._recording is True
+    model.forward(bag, params, mode="train", seed=1)
+    assert nodes
 
 
 def test_forward_ablations_change_logits_but_not_shapes():
@@ -979,9 +998,11 @@ CORE_WEIGHTS = {
 
 @pytest.mark.parametrize("n", [5, 30])
 def test_a_recording_eval_forward_holds_one_node_per_wrapped_core(monkeypatch, n):
-    params = tiny_params(seed=32)
+    """An eval forward records nothing, so the eval graph is recorded as a
+    train forward at dropout 0, which draws no mask."""
+    params = model.init_params(dataclasses.replace(TINY, dropout=0.0), seed=32)
     bag = random_bag(n=n, seed=32)
-    _, fused = model.forward(bag, params)
+    _, fused = model.forward(bag, params, mode="train")
     nodes = tape_nodes(fused.tensors["logits"])
     for core, names in CORE_WEIGHTS.items():
         weights = tuple(params[name] for name in names)
@@ -989,15 +1010,15 @@ def test_a_recording_eval_forward_holds_one_node_per_wrapped_core(monkeypatch, n
         assert len(holders) == 1, core
         assert holders[0]._parents[1:] == weights, core
     chain_the_attention_cores(monkeypatch)
-    _, chained = model.forward(bag, params)
+    _, chained = model.forward(bag, params, mode="train")
     assert len(nodes) < len(tape_nodes(chained.tensors["logits"]))
 
 
 @pytest.mark.parametrize("n", [5, 30])
 def test_a_recording_forward_holds_one_node_per_scan_layer_and_one_for_ppeg(n):
-    cfg = dataclasses.replace(TINY, srmamba_layers=2)
+    cfg = dataclasses.replace(TINY, srmamba_layers=2, dropout=0.0)
     params = model.init_params(cfg, seed=38)
-    _, trace = model.forward(random_bag(n=n, seed=38), params)
+    _, trace = model.forward(random_bag(n=n, seed=38), params, mode="train")
     nodes = tape_nodes(trace.tensors["logits"])
     for layer in range(cfg.srmamba_layers):
         weights = tuple(params[f"srmamba{layer}.{w}"] for w in model.SCAN_WEIGHTS)
@@ -1043,27 +1064,28 @@ def test_a_train_step_backpropagates_once(monkeypatch):
     with pytest.raises(RuntimeError, match="already been backpropagated"):
         loss.backward()
     with pytest.raises(RuntimeError, match="already been backpropagated"):
-        trace.tensors["final_seq"].sum().backward()
+        trace.tensors["logits"].sum().backward()
     for name in params.names():
         assert_bitwise(params[name].grad, grads[name])
 
 
-# Bytes that a recording paper-width eval forward on one 1,024-patch bag keeps
+# Bytes that a recording paper-width eval forward on one 1,024-patch bag kept
 # live (tracemalloc) on the tape whose scan layer was nine nodes, whose GELU
 # was four, whose layer norm kept its normalized rows and whose convolutions
-# each kept a padded copy of their input.
+# each kept a padded copy of their input. That graph is now recorded by a
+# train forward at dropout 0.
 CHAINED_TAPE_BYTES_1024 = 72_683_000
 
 
 def test_a_recording_paper_width_forward_keeps_at_most_three_quarters_of_the_chained_tape():
-    cfg = model.ModelConfig()
+    cfg = model.ModelConfig(dropout=0.0)
     params = model.init_params(cfg, seed=0)
     rng = np.random.default_rng(0)
     bag = FeatureBag("probe", rng.standard_normal((1024, cfg.d_in), dtype=np.float32), grid_coords(1024))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        _, trace = model.forward(bag, params)
+        _, trace = model.forward(bag, params, mode="train")
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -1077,8 +1099,7 @@ def test_memory_probe_script_prints_one_line_per_mode():
     proc = subprocess.run([sys.executable, str(root / "scripts" / "run_memory_probe.py"), "--patches", "64"],
                           env=env, stdout=subprocess.PIPE, text=True, timeout=300, check=True)
     rows = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert [(r["patches"], r["mode"]) for r in rows] == [
-        (64, "eval_no_grad"), (64, "eval_recording"), (64, "fwd_bwd")]
+    assert [(r["patches"], r["mode"]) for r in rows] == [(64, "eval"), (64, "fwd_bwd")]
     assert all(r["seconds"] > 0 and r["peak_rss_mb"] > 0 for r in rows)
 
 

@@ -411,18 +411,28 @@ def test_a_non_finite_bag_fails_its_whole_group():
 
 
 def test_inference_forwards_record_no_tape(monkeypatch):
-    """Validation, predict_risks and heatmaps run their forwards under
-    no_grad(); training forwards record. Counts bags, as eval scoring
-    passes several bags of one grid size to one forward."""
+    """Validation, predict_risks and heatmap forwards make no tape node;
+    training forwards make some. Counts bags, as eval scoring passes
+    several bags of one grid size to one forward."""
+    nodes = [0]  # tensors made with parents
+    init = autodiff.Tensor.__init__
+
+    def counting_init(self, data, parents=(), backward=None):
+        init(self, data, parents, backward)
+        nodes[0] += bool(parents)
+
     seen = []
 
     def spy(real):
         def forward(bag, params, *args, mode="eval", **kwargs):
+            before = nodes[0]
+            out = real(bag, params, *args, mode=mode, **kwargs)
             n_bags = 1 if isinstance(bag, FeatureBag) else len(bag)
-            seen.extend([(mode, autodiff._recording)] * n_bags)
-            return real(bag, params, *args, mode=mode, **kwargs)
+            seen.extend([(mode, nodes[0] - before > 0)] * n_bags)
+            return out
         return forward
 
+    monkeypatch.setattr(autodiff.Tensor, "__init__", counting_init)
     monkeypatch.setattr(trainer, "forward", spy(trainer.forward))
     monkeypatch.setattr(explain, "forward", spy(explain.forward))
     sc = synthetic(12, seed=13)
